@@ -3,7 +3,7 @@
 Third-order jet arithmetic, boundary geometry (tangent frames, Levi
 matrices, Schur block-diagonalization), the D'Angelo 1-form and its
 quadratic forms on the Levi null space, and closed-form index bound
-aggregation with optimization over conformal defining-function families.
+aggregation with exact optimization over conformal defining-function families.
 """
 
 from . import dangelo, domains, exprparse, index, jets, levi
@@ -13,7 +13,7 @@ from .domains import (BoundaryPoint, DomainSpec, annulus_points, ball,
 from .exprparse import parse_expression
 from .index import (CriterionSample, IndexReport, RhoFamily, criterion_samples,
                     deformation_sweep, df_bound, optimize_rho, s_bound,
-                    spc_check, worm_psi_basis)
+                    spc_check, worm_fiber_report, worm_psi_basis)
 from .jets import Jet, wirtinger
 from .levi import jacobi_eigh, levi_matrix, schur_frame, tangent_frame
 
@@ -29,6 +29,6 @@ __all__ = [
     "PointCalculus", "alpha", "omega_on_null", "dbar_omega",
     "CriterionSample", "RhoFamily", "IndexReport", "criterion_samples",
     "df_bound", "s_bound", "optimize_rho", "spc_check", "deformation_sweep",
-    "worm_psi_basis",
+    "worm_fiber_report", "worm_psi_basis",
     "__version__",
 ]

@@ -102,28 +102,6 @@ def _anchor_for(args, domain):
 # -- analyze ----------------------------------------------------------------------
 
 
-def _analyze_worm(args):
-    if args.t != 0.0:
-        domain = domains.worm_rho(args.beta, args.t)
-        spc, min_eig = index.spc_check(domain, index.WORM_ANCHOR,
-                                       count=args.spc_count, seed=args.seed)
-        if not spc:
-            raise levi.LeviError(
-                f"worm fiber t={args.t} fails the strong pseudoconvexity "
-                f"check (min eig {min_eig:.3e})")
-        return index._spc_report(args.t, args.beta, args.seed, min_eig,
-                                 args.spc_count)
-    domain = domains.worm_rho(args.beta, 0.0)
-    points = domains.annulus_points(args.beta, args.annulus_count)
-    family = index.RhoFamily(domain, index.worm_psi_basis())
-    report = index.optimize_rho(domain, family, points, budget=args.budget,
-                                seed=args.seed, t=0.0, beta=args.beta)
-    truth = {"df": index.GROUND_TRUTH_DF, "s": index.GROUND_TRUTH_S,
-             "relation": 1.0 / index.GROUND_TRUTH_DF + 1.0 / index.GROUND_TRUTH_S}
-    object.__setattr__(report, "ground_truth", truth)
-    return report
-
-
 def _analyze_generic(args, domain):
     anchor = _anchor_for(args, domain)
     points = domains.boundary_sample(domain, anchor, args.count, seed=args.seed)
@@ -156,7 +134,9 @@ def cmd_analyze(args):
         report = _analyze_generic(args, domain)
         label = args.expr if getattr(args, "expr", None) else args.domain
     else:
-        report = _analyze_worm(args)
+        report = index.worm_fiber_report(
+            args.beta, args.t, annulus_count=args.annulus_count,
+            spc_count=args.spc_count, budget=args.budget, seed=args.seed)
         label = "worm"
     payload = report.to_dict()
     payload["domain"] = label
@@ -415,7 +395,9 @@ def build_parser():
                     help="interior anchor, interleaved re/im coordinates")
     pa.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     pa.add_argument("--t", type=float, default=0.0)
-    pa.add_argument("--budget", type=int, default=400)
+    pa.add_argument("--budget", type=int, default=400,
+                    help="cap on the bisection steps of each objective "
+                         "over the conformal family (t = 0)")
     pa.add_argument("--annulus-count", type=int, default=33)
     pa.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pa.add_argument("--count", type=int, default=400,
@@ -427,7 +409,9 @@ def build_parser():
                         help="deformation sweep over a t-grid")
     pw.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     pw.add_argument("--t", type=_parse_floats, default=[0.0, 0.05, 0.1, 0.3])
-    pw.add_argument("--budget", type=int, default=400)
+    pw.add_argument("--budget", type=int, default=400,
+                    help="cap on the bisection steps of each objective "
+                         "over the conformal family (t = 0)")
     pw.add_argument("--annulus-count", type=int, default=33)
     pw.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pw.add_argument("--output", default="sweep.csv")

@@ -123,8 +123,10 @@ class PhiSpec:
         return self.K * (mollifier_d2(x - self.r) - mollifier_d2(-x - self.r))
 
     def jet(self, xj: Jet) -> Jet:
+        """phi composed with xj; only the derivatives its order needs."""
         v = xj.value
-        return jets.compose(xj, self.value(v), self.d1(v), self.d2(v), self.d3(v))
+        derivs = (self.value, self.d1, self.d2, self.d3)[:xj.order + 1]
+        return jets.compose(xj, *(f(v) for f in derivs))
 
 
 def make_phi(beta, quadrature_tol=1e-12, grid_points=2001, grid_halfwidth=None):

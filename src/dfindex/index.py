@@ -14,10 +14,17 @@ gamma > s/(s - 1).  df_bound and s_bound take the inf and sup over samples;
 a gamma-bisection oracle in the test suite cross-checks the rearrangement.
 
 The defining-function degree of freedom is the conformal family
-rho = e^{sum c_i psi_i} delta over a small smooth basis; optimize_rho runs
-derivative-free maximization of the DF bound (and minimization of the
-Steinness bound) over the coefficients.  Computed DF bounds are lower bounds
-and Steinness bounds are upper bounds only: the family is finite-dimensional.
+rho = e^{sum c_i psi_i} delta over a small smooth basis.  By the conformal
+transformation law (ConformalLaw) one jet pass over the base samples gives
+dbar and omega of every member in closed form, both affine in the
+coefficients.  For fixed gamma each family of inequalities above is
+therefore linear minus convex quadratic in c, its feasible set is convex,
+and optimize_rho reaches the best bound over the coefficient box by
+bisection on gamma over max-margin subproblems (a quasiconvex program).  The
+winning coefficients are then realized and run through the full criterion
+pipeline; only that certificate is reported.  Computed DF bounds are lower
+bounds and Steinness bounds are upper bounds only: the family is
+finite-dimensional.
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ __all__ = [
     "CriterionSample",
     "PsiFunction",
     "RhoFamily",
+    "ConformalLaw",
     "IndexReport",
     "worm_psi_basis",
     "criterion_samples",
+    "conformal_law",
     "df_bound",
     "s_bound",
     "optimize_rho",
     "spc_check",
+    "worm_fiber_report",
     "deformation_sweep",
 ]
 
@@ -51,6 +61,15 @@ MSQ_EPS = 1e-10          # |omega(L)|^2 below this (times scale) counts as zero
 SPC_THRESHOLD = 1e-6     # normalized Levi eigenvalue gap for strong pseudoconvexity
 SPC_SAMPLES = 2000
 WORM_ANCHOR = np.array([1.0, 0.0, 1.0, 0.0])
+# Box |c_i| <= COEFF_BOUND on the conformal coefficients.  The worm optimum
+# sits on the box, and the bound gains only 3e-5 from 4 to 10, but e^psi
+# grows as e^c_1: from about c_1 = 7 the realized Levi matrix of the DF
+# winner exceeds the null cutoff at some annulus points, and from about 20
+# the Steinness winner's |omega|^2 falls below MSQ_EPS.  At 4 the realized
+# null eigenvalues of the DF winner stay 800 times below the cutoff.
+COEFF_BOUND = 4.0
+BISECTION_TOL = 1e-9     # final bracket width of the bisection on the bound
+PREDICTION_GAP_TOL = 1e-10  # certificate vs law, relative; larger is a fault
 
 GROUND_TRUTH_DF = 2.0 / 3.0
 GROUND_TRUTH_S = 2.0
@@ -58,12 +77,16 @@ GROUND_TRUTH_S = 2.0
 
 @dataclass(frozen=True)
 class CriterionSample:
-    """Criterion data for one Levi-null direction at one boundary point."""
+    """Criterion data for one Levi-null direction at one boundary point.
+
+    msq = |omega|^2; criterion_samples also keeps omega = omega(L) itself.
+    """
 
     point: domains.BoundaryPoint
     L: np.ndarray
     dbar: float
     msq: float
+    omega: Optional[complex] = None
 
     def __post_init__(self):
         if not math.isfinite(self.dbar):
@@ -90,9 +113,11 @@ def worm_psi_basis():
     """Default conformal-factor basis adapted to the worm's symmetry.
 
     Even polynomials in u = log|w|^2 under a Gaussian envelope (smooth,
-    near 1 on the weak annulus, decaying beyond it), plus low-degree real
-    functions of z.  Constant shifts of psi leave every criterion quantity
-    invariant, so the envelope itself stands in for the constant.
+    near 1 on the weak annulus, decaying beyond it).  Constant shifts of psi
+    leave every criterion quantity invariant, so the envelope itself stands
+    in for the constant.  Functions of z alone would do nothing here: on the
+    annulus the Levi-null direction is d/dw at z = 0, where their
+    differentials and complex Hessians vanish on it.
     """
 
     def u_even(power):
@@ -106,26 +131,11 @@ def worm_psi_basis():
             return out.real_part()
         return fn
 
-    def z_poly(which):
-        def fn(coords, order=3):
-            x1, y1, x2, y2 = jets.lift(coords, order)
-            if which == "re":
-                out = x1
-            elif which == "im":
-                out = y1
-            else:
-                out = x1 * x1 + y1 * y1
-            return out.real_part()
-        return fn
-
     return [
         PsiFunction("env", u_even(0)),
         PsiFunction("u2_env", u_even(2)),
         PsiFunction("u4_env", u_even(4)),
         PsiFunction("u6_env", u_even(6)),
-        PsiFunction("re_z", z_poly("re")),
-        PsiFunction("im_z", z_poly("im")),
-        PsiFunction("abs2_z", z_poly("abs2")),
     ]
 
 
@@ -134,37 +144,16 @@ class RhoFamily:
 
     Any smooth real psi keeps the zero set, the interior sign, and the
     nonvanishing differential of delta, so every member is again a defining
-    function; check_defining spot-checks this on probe points.  Jets of delta
-    and of each basis function are cached per evaluation point, so repeated
-    realizations during optimization only pay for the linear combination and
-    one exponential.
+    function; check_defining spot-checks this on probe points.
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):
         self.base = base
         self.psi_basis = list(psi_basis)
-        self._base_cache = {}
-        self._psi_cache = {}
 
     @property
     def dim(self):
         return len(self.psi_basis)
-
-    def _base_jet(self, coords, order):
-        key = (coords.tobytes(), order)
-        jet = self._base_cache.get(key)
-        if jet is None:
-            jet = self.base.rho(coords, order)
-            self._base_cache[key] = jet
-        return jet
-
-    def _psi_jets(self, coords, order):
-        key = (coords.tobytes(), order)
-        out = self._psi_cache.get(key)
-        if out is None:
-            out = [psi(coords, order) for psi in self.psi_basis]
-            self._psi_cache[key] = out
-        return out
 
     def realize(self, params) -> domains.DomainSpec:
         params = np.asarray(params, dtype=float)
@@ -177,18 +166,14 @@ class RhoFamily:
         if not params.any():
             return self.base
 
+        terms = [(c, fn) for c, fn in zip(params, self.psi_basis) if c != 0.0]
+
         def ev(coords, order=3):
-            coords = np.asarray(coords, dtype=float)
-            base = self._base_jet(coords, order)
             psi = None
-            for c, pj in zip(params, self._psi_jets(coords, order)):
-                if c == 0.0:
-                    continue
-                term = c * pj
+            for c, fn in terms:
+                term = c * fn(coords, order)
                 psi = term if psi is None else psi + term
-            if psi is None:
-                return base
-            return (jets.exp(psi) * base).real_part()
+            return (jets.exp(psi) * self.base.rho(coords, order)).real_part()
 
         return domains.DomainSpec(
             n=self.base.n, kind=self.base.kind + "+conformal",
@@ -225,7 +210,7 @@ def criterion_samples(domain, points, null_tol=levi.NULL_TOL):
             om = dangelo.omega_on_null(domain, pc, L)
             db = dangelo.dbar_omega(domain, pc, L, check_null=False)
             out.append(CriterionSample(point=p, L=L, dbar=db,
-                                       msq=abs(om) ** 2))
+                                       msq=abs(om) ** 2, omega=om))
     return out
 
 
@@ -334,93 +319,183 @@ def _spc_report(t, beta, seed, min_eig, count):
         diagnostics={"min_levi_eigenvalue": min_eig, "spc_samples": count})
 
 
-# -- optimization over the conformal family --------------------------------------
+# -- the conformal transformation law and the exact optimizer ---------------------
 
 
-def _objective_factory(family, points, kind):
-    def objective(params):
-        try:
-            realized = family.realize(params)
-            samples = criterion_samples(realized, points)
-        except (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
-                FloatingPointError, OverflowError):
-            return math.inf
-        if kind == "df":
-            value = -df_bound(samples)
-        else:
-            value = s_bound(samples)
-        if not math.isfinite(value):
-            return 1e6  # infinite s bound: heavily penalized, still ordered
-        return value
-    return objective
+@dataclass(frozen=True)
+class ConformalLaw:
+    """Criterion data of every member of a conformal family, from one jet pass.
 
+    Replacing delta by e^psi delta shifts omega(L) by the (1,0) differential
+    d'psi(L) and dbar_omega(L, Lbar) by minus the complex Hessian
+    psi_{z zbar}(L, Lbar).  The realized frame also rescales L by e^{psi(p)},
+    a positive factor common to dbar and |omega|^2 that cancels from every
+    ratio dbar/|omega|^2.  Up to that factor the samples of the member with
+    coefficients c are
 
-def _nelder_mead(objective, starts, budget):
-    best_x, best_v = None, math.inf
-    per_start = max(20, budget // max(1, len(starts)))
-    for x0 in starts:
-        res = _sciopt.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxfev": per_start, "xatol": 1e-4, "fatol": 1e-6})
-        if res.fun < best_v:
-            best_x, best_v = np.asarray(res.x, dtype=float), float(res.fun)
-    return best_x, best_v
+        omega_j(c) = omega0_j + (c A)_j,    dbar_j(c) = dbar0_j - (c H)_j
 
-
-def optimize_rho(domain, family, points, budget=400, seed=0, t=0.0,
-                 beta=float("nan")):
-    """Best index bounds over the conformal family at the given weak points.
-
-    Runs Nelder-Mead with deterministic seeded restarts, separately for the
-    DF objective (maximized) and the Steinness objective (minimized).  The
-    result is never worse than the base-delta bounds: the zero coefficient
-    vector is always a restart point and the best-so-far only improves.
+    with A_ij = d'psi_i(L_j) and H_ij = psi_i,zzbar(L_j, Lbar_j) at the base
+    samples j.
     """
-    base_samples = criterion_samples(family.realize(np.zeros(family.dim)),
-                                     points)
-    null_count = len(base_samples)
-    base_df = df_bound(base_samples)
-    base_s = s_bound(base_samples)
 
+    samples: list          # criterion samples of the base delta
+    omega0: np.ndarray     # (m,) complex
+    dbar0: np.ndarray      # (m,) real
+    A: np.ndarray          # (dim, m) complex
+    H: np.ndarray          # (dim, m) real
+
+    def predict(self, c):
+        """(dbar, omega) arrays of the member with coefficients c."""
+        return self.dbar0 - c @ self.H, self.omega0 + c @ self.A
+
+    def predicted_samples(self, c):
+        dbar, omega = self.predict(np.asarray(c, dtype=float))
+        return [CriterionSample(point=s.point, L=s.L, dbar=float(d),
+                                msq=float(abs(o) ** 2), omega=complex(o))
+                for s, d, o in zip(self.samples, dbar, omega)]
+
+
+def conformal_law(family, points):
+    """The base criterion samples of a family and its basis columns A, H."""
+    samples = criterion_samples(family.base, points)
+    A = np.zeros((family.dim, len(samples)), dtype=complex)
+    H = np.zeros((family.dim, len(samples)))
+    for j, s in enumerate(samples):
+        for i, psi in enumerate(family.psi_basis):
+            w = jets.wirtinger(psi(s.point.coords, 3), family.base.n)
+            A[i, j] = w.grad @ s.L
+            H[i, j] = (s.L @ w.hess_mixed @ np.conj(s.L)).real
+    return ConformalLaw(samples=samples,
+                        omega0=np.array([s.omega for s in samples], dtype=complex),
+                        dbar0=np.array([s.dbar for s in samples], dtype=float),
+                        A=A, H=H)
+
+
+# Both objectives bisect x in (0, 1) for the largest feasible x: x = gamma
+# with k = gamma/(1 - gamma) for DF, x = 1/gamma with k = gamma/(gamma - 1)
+# for Steinness.  Margins are sign * dbar - k |omega|^2.
+_OBJECTIVES = {
+    "df": (1.0, lambda x: x / (1.0 - x)),
+    "s": (-1.0, lambda x: 1.0 / (1.0 - x)),
+}
+
+def _margins(law, sign, k, c):
+    dbar, omega = law.predict(c)
+    return sign * dbar - k * np.abs(omega) ** 2
+
+
+def _max_margin(law, sign, k, c0):
+    """Coefficients in the box maximizing the smallest margin.
+
+    Each margin is linear minus convex quadratic in c, so the program is
+    concave and SLSQP on its epigraph form reaches the global optimum.
+    """
+    dim, m = law.A.shape
+
+    def margins(x):
+        return _margins(law, sign, k, x[:-1]) - x[-1]
+
+    def margins_jac(x):
+        _, omega = law.predict(x[:-1])
+        dc = -sign * law.H - 2.0 * k * (np.conj(omega) * law.A).real
+        return np.hstack([dc.T, -np.ones((m, 1))])
+
+    last = np.zeros(dim + 1)
+    last[-1] = 1.0
+    x0 = np.append(c0, _margins(law, sign, k, c0).min())
+    res = _sciopt.minimize(
+        lambda x: -x[-1], x0, jac=lambda x: -last, method="SLSQP",
+        bounds=[(-COEFF_BOUND, COEFF_BOUND)] * dim + [(None, None)],
+        constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
+        options={"maxiter": 200, "ftol": 1e-15})
+    return np.clip(res.x[:-1], -COEFF_BOUND, COEFF_BOUND)
+
+
+def _bisect(law, kind, budget):
+    """Coefficients of the largest x found feasible (None if none), and the
+    number of bisection steps taken, at most ``budget``."""
+    sign, k_of = _OBJECTIVES[kind]
+    lo, hi = 0.0, 1.0
+    c = np.zeros(law.A.shape[0])
+    best, steps = None, 0
+    while hi - lo > BISECTION_TOL and steps < budget:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        trial = _max_margin(law, sign, k_of(mid), c)
+        if _margins(law, sign, k_of(mid), trial).min() > 0.0:
+            lo, c = mid, trial
+            best = trial
+        else:
+            hi = mid
+    return best, steps
+
+
+def _certify(family, points, law, c, kind):
+    """(coefficients, certified bound, relative prediction gap).
+
+    The coefficients c are realized and run through criterion_samples.  The
+    base delta's bound is returned instead when that fails, when the
+    realization has lost (or gained) weak points against the base null
+    count, when its bound is no better than the base one, or when it departs
+    from the law's prediction by more than PREDICTION_GAP_TOL (a vacuous
+    degenerate-msq certificate, for one).
+    """
+    bound = df_bound if kind == "df" else s_bound
+    base = (np.zeros(family.dim), bound(law.samples), 0.0)
+    if c is None:
+        return base
+    try:
+        samples = criterion_samples(family.realize(c), points)
+    except (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
+            FloatingPointError, OverflowError):
+        return base
+    value = bound(samples)
+    if len(samples) != len(law.samples) or not (
+            value > base[1] if kind == "df" else value < base[1]):
+        return base
+    gap = abs(bound(law.predicted_samples(c)) - value) / value
+    return base if gap > PREDICTION_GAP_TOL else (c, value, gap)
+
+
+def optimize_rho(family, points, budget=400, seed=0, t=0.0,
+                 beta=float("nan"), ground_truth=None):
+    """Best certified index bounds over the conformal family at weak points.
+
+    One jet pass (conformal_law) gives the criterion of every member in
+    closed form.  For the DF objective (maximized) and the Steinness one
+    (minimized) separately, at most ``budget`` bisection steps on the bound
+    over max-margin subproblems find the best coefficients in the box
+    |c_i| <= COEFF_BOUND.  The reported bounds are the certificates of the
+    realized winners (see _certify), never worse than the base-delta bounds.
+    The result does not depend on ``seed``, which is only recorded.
+    """
+    law = conformal_law(family, points)
+    null_count = len(law.samples)
+    tolerances = {"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS}
     if null_count == 0:
+        zeros = np.zeros(family.dim)
         return IndexReport(
             df_lower=1.0, s_upper=1.0, null_count=0, spc=True,
-            t=t, beta=beta, seed=seed,
-            tolerances={"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS},
-            best_params={"df": np.zeros(family.dim), "s": np.zeros(family.dim)})
+            t=t, beta=beta, seed=seed, tolerances=tolerances,
+            best_params={"df": zeros, "s": zeros}, ground_truth=ground_truth)
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(family.dim)]
-    # symmetric profile seeds: the two objectives favor mirrored coefficients
-    profile = np.zeros(family.dim)
-    profile[:min(4, family.dim)] = 0.7
-    starts += [profile, -profile]
-    for _ in range(2):
-        starts.append(rng.normal(scale=0.5, size=family.dim))
-
-    df_x, df_v = _nelder_mead(_objective_factory(family, points, "df"),
-                              starts, budget)
-    s_x, s_v = _nelder_mead(_objective_factory(family, points, "s"),
-                            starts, budget)
-
-    best_df = base_df
-    best_df_x = np.zeros(family.dim)
-    if df_x is not None and -df_v > best_df:
-        best_df, best_df_x = -df_v, df_x
-
-    best_s = base_s
-    best_s_x = np.zeros(family.dim)
-    if s_x is not None and s_v < best_s and s_v < 1e6:
-        best_s, best_s_x = s_v, s_x
+    base_s = s_bound(law.samples)
+    diagnostics = {"base_df": df_bound(law.samples),
+                   "base_s": "inf" if base_s == math.inf else base_s}
+    best, values = {}, {}
+    for kind in ("df", "s"):
+        winner, steps = _bisect(law, kind, budget)
+        best[kind], values[kind], gap = _certify(family, points, law, winner,
+                                                 kind)
+        diagnostics[f"{kind}_bisection_steps"] = steps
+        diagnostics[f"{kind}_prediction_gap"] = gap
 
     return IndexReport(
-        df_lower=float(np.clip(best_df, 0.0, 1.0)),
-        s_upper=float(best_s) if best_s != math.inf else math.inf,
+        df_lower=values["df"], s_upper=values["s"],
         null_count=null_count, spc=False, t=t, beta=beta, seed=seed,
-        tolerances={"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS},
-        best_params={"df": best_df_x, "s": best_s_x},
-        diagnostics={"base_df": base_df,
-                     "base_s": "inf" if base_s == math.inf else base_s})
+        tolerances=tolerances, best_params=best, ground_truth=ground_truth,
+        diagnostics=diagnostics)
 
 
 # -- strong pseudoconvexity detection and the deformation sweep -------------------
@@ -443,38 +518,40 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0,
     return min_eig > threshold, min_eig
 
 
-def deformation_sweep(beta, t_grid, annulus_count=33, spc_count=SPC_SAMPLES,
+def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
                       budget=400, seed=0, psi_basis=None):
-    """Index reports across a deformation grid through the weak fiber t = 0.
+    """Index report of the worm fiber at deformation parameter t.
 
     Nonzero t short-circuits through strong pseudoconvexity detection; the
-    central fiber runs the full criterion pipeline on its weak annulus.  The
-    t = 0 report is annotated with the known exact values DF = 2/3, S = 2 and
-    their relation 1/DF + 1/S = 2.
+    central fiber runs the full criterion pipeline on its weak annulus, and
+    its report carries the known exact values DF = 2/3, S = 2 and their
+    relation 1/DF + 1/S = 2 as ground truth.
     """
+    domain = domains.worm_rho(beta, t)
+    if t != 0.0:
+        spc, min_eig = spc_check(domain, WORM_ANCHOR, count=spc_count,
+                                 seed=seed)
+        if not spc:
+            raise levi.LeviError(
+                f"worm fiber t={t} fails the strong pseudoconvexity check "
+                f"(min eig {min_eig:.3e})")
+        return _spc_report(t, beta, seed, min_eig, spc_count)
+    family = RhoFamily(domain, psi_basis or worm_psi_basis())
+    truth = {"df": GROUND_TRUTH_DF, "s": GROUND_TRUTH_S,
+             "relation": 1.0 / GROUND_TRUTH_DF + 1.0 / GROUND_TRUTH_S}
+    return optimize_rho(family, domains.annulus_points(beta, annulus_count),
+                        budget=budget, seed=seed, t=0.0, beta=beta,
+                        ground_truth=truth)
+
+
+def deformation_sweep(beta, t_grid, annulus_count=33, spc_count=SPC_SAMPLES,
+                      budget=400, seed=0, psi_basis=None):
+    """Index reports (worm_fiber_report) across a deformation grid through
+    the weak fiber t = 0."""
     t_grid = [float(t) for t in t_grid]
     if 0.0 not in t_grid:
         raise domains.DomainError("the deformation grid must contain t = 0")
-
-    reports = []
-    for t in t_grid:
-        domain = domains.worm_rho(beta, t)
-        if t != 0.0:
-            spc, min_eig = spc_check(domain, WORM_ANCHOR, count=spc_count,
-                                     seed=seed)
-            if not spc:
-                raise levi.LeviError(
-                    f"fiber t={t} unexpectedly fails the strong "
-                    f"pseudoconvexity check (min eig {min_eig:.3e})")
-            reports.append(_spc_report(t, beta, seed, min_eig, spc_count))
-            continue
-
-        points = domains.annulus_points(beta, annulus_count)
-        family = RhoFamily(domain, psi_basis or worm_psi_basis())
-        report = optimize_rho(domain, family, points, budget=budget,
-                              seed=seed, t=0.0, beta=beta)
-        truth = {"df": GROUND_TRUTH_DF, "s": GROUND_TRUTH_S,
-                 "relation": 1.0 / GROUND_TRUTH_DF + 1.0 / GROUND_TRUTH_S}
-        object.__setattr__(report, "ground_truth", truth)
-        reports.append(report)
-    return reports
+    return [worm_fiber_report(beta, t, annulus_count=annulus_count,
+                              spc_count=spc_count, budget=budget, seed=seed,
+                              psi_basis=psi_basis)
+            for t in t_grid]

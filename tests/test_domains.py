@@ -81,6 +81,16 @@ class TestWorm:
         with pytest.raises(domains.DomainError):
             dm.value(jets.coords_of_point([0.5, 0.0]))
 
+    def test_order1_jet_is_truncated_order3_jet(self):
+        # the order-1 jet skips phi'' and phi''' but must not change otherwise
+        dm = domains.worm_rho(BETA, 0.1)
+        for w in (1.1 - 0.2j, 3.0 + 1.0j, 0.2j):  # phi' = 0, > 0 and < 0
+            coords = jets.coords_of_point([0.3 - 0.1j, w])
+            low, high = dm.rho(coords, order=1), dm.rho(coords, order=3)
+            assert low.order == 1
+            assert low.value == high.value
+            assert np.array_equal(low.d1, high.d1)
+
     def test_parameter_validation(self):
         with pytest.raises(domains.DomainError):
             domains.worm_rho(BETA, 1.0)

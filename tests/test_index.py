@@ -139,7 +139,7 @@ class TestRhoFamily:
 
     def test_realized_value_matches_manual_product(self):
         params = np.zeros(self.family.dim)
-        params[0], params[1], params[4] = 0.3, -0.2, 0.1
+        params[0], params[1], params[3] = 0.3, -0.2, 0.1
         realized = self.family.realize(params)
         coords = jets.coords_of_point([0.2 + 0.1j, 1.1 - 0.2j])
         psi = sum(c * psi_fn(coords, 3).value
@@ -173,14 +173,45 @@ class TestRhoFamily:
         with pytest.raises(domains.DomainError):
             bad.check_defining([1.0], [np.array([1.0, 0.0, 1.0, 0.0])])
 
-    def test_jets_are_cached(self):
-        params = 0.1 * np.ones(self.family.dim)
-        realized = self.family.realize(params)
-        coords = np.array([1.0, 0.0, 1.0, 0.0])
-        realized.value(coords)
-        realized.value(coords)
-        assert len(self.family._base_cache) == 1
-        assert len(self.family._psi_cache) == 1
+
+def ratios(samples):
+    return np.array([s.dbar / s.msq for s in samples])
+
+
+def test_conformal_law_matches_realized_samples():
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    pts = domains.annulus_points(BETA, 9)
+    law = index.conformal_law(family, pts)
+    assert len(law.samples) == 9
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        c = rng.normal(size=family.dim)
+        realized = ratios(index.criterion_samples(family.realize(c), pts))
+        predicted = ratios(law.predicted_samples(c))
+        assert np.abs(predicted - realized).max() <= 1e-12 * np.abs(realized).max()
+
+
+def test_conformal_law_pins_sign_of_omega_shift():
+    # on the annulus d'psi(L) is orthogonal to omega0 for every psi of
+    # log|w|^2, so both signs of the shift give the same |omega|^2; at real
+    # w, d'(Im w)(L) = -i L_w / 2 is parallel to omega0 = i L_w / w.  Im w is
+    # pluriharmonic, so a function of log|w|^2 supplies a nonzero dbar.
+    def im_w(coords, order=3):
+        return jets.lift(coords, order)[3]
+
+    basis = [index.PsiFunction("im_w", im_w), index.worm_psi_basis()[1]]
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), basis)
+    pts = [p for p in domains.annulus_points(BETA, 9) if p.z[1].imag == 0.0]
+    assert len(pts) == 3
+    law = index.conformal_law(family, pts)
+    c = np.array([0.7, 0.5])
+    realized = ratios(index.criterion_samples(family.realize(c), pts))
+    dbar, omega = law.predict(c)
+    plus = dbar / np.abs(omega) ** 2
+    minus = dbar / np.abs(law.omega0 - c @ law.A) ** 2
+    tol = 1e-12 * np.abs(realized).max()
+    assert np.abs(plus - realized).max() <= tol
+    assert np.abs(minus - realized).max() > 1e3 * tol
 
 
 # -- criterion sampling ------------------------------------------------------------------
@@ -251,7 +282,7 @@ def test_optimize_rho_improves_on_base():
     dm = domains.worm_rho(BETA, 0.0)
     family = index.RhoFamily(dm, index.worm_psi_basis())
     pts = domains.annulus_points(BETA, 5)
-    rep = index.optimize_rho(dm, family, pts, budget=60, seed=0, beta=BETA)
+    rep = index.optimize_rho(family, pts, budget=60, seed=0, beta=BETA)
     assert rep.null_count == 5
     assert not rep.spc
     assert rep.df_lower >= rep.diagnostics["base_df"]
@@ -260,11 +291,66 @@ def test_optimize_rho_improves_on_base():
     assert rep.best_params["df"].shape == (family.dim,)
 
 
+def test_optimize_rho_reports_realized_certificates():
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    pts = domains.annulus_points(BETA, 9)
+    rep = index.optimize_rho(family, pts, budget=100, seed=0, beta=BETA)
+    for kind, bound, value in (("df", index.df_bound, rep.df_lower),
+                               ("s", index.s_bound, rep.s_upper)):
+        samples = index.criterion_samples(
+            family.realize(rep.best_params[kind]), pts)
+        assert len(samples) == rep.null_count
+        assert abs(bound(samples) - value) <= 1e-12
+        assert rep.diagnostics[f"{kind}_prediction_gap"] <= 1e-10
+        assert 0 < rep.diagnostics[f"{kind}_bisection_steps"] <= 100
+    # the exact family optimum can only lie inside the true index range
+    assert 0.5 < rep.df_lower <= 2.0 / 3.0
+    assert 2.0 <= rep.s_upper < 4.0
+
+
+def test_optimize_rho_is_deterministic_in_seed_and_budget():
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    pts = domains.annulus_points(BETA, 5)
+    reports = [index.optimize_rho(family, pts, budget=budget, seed=seed)
+               for seed, budget in ((0, 100), (1, 100), (2, 400))]
+    for rep in reports[1:]:
+        assert rep.df_lower == reports[0].df_lower
+        assert rep.s_upper == reports[0].s_upper
+        for kind in ("df", "s"):
+            assert np.array_equal(rep.best_params[kind],
+                                  reports[0].best_params[kind])
+
+
+def test_optimize_rho_rejects_certificate_that_loses_weak_points(monkeypatch):
+    # with |c_i| <= 10 the DF winner's e^psi reaches e^10 on the annulus and
+    # its realized Levi matrix clears the null cutoff at some points; with
+    # |c_i| <= 30 the Steinness winner's |omega|^2 drops below MSQ_EPS and
+    # its realized bound degenerates to the vacuous 1
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    pts = domains.annulus_points(BETA, 5)
+    for box, kind, bound in ((10.0, "df", index.df_bound),
+                             (30.0, "s", index.s_bound)):
+        monkeypatch.setattr(index, "COEFF_BOUND", box)
+        law = index.conformal_law(family, pts)
+        winner, _ = index._bisect(law, kind, 100)
+        broken = index.criterion_samples(family.realize(winner), pts)
+        assert (len(broken) != len(law.samples)
+                or bound(broken) == 1.0 != bound(law.predicted_samples(winner)))
+
+        rep = index.optimize_rho(family, pts, budget=100)
+        reported = rep.best_params[kind]
+        assert not np.array_equal(reported, winner)
+        samples = index.criterion_samples(family.realize(reported), pts)
+        assert len(samples) == rep.null_count
+        value = rep.df_lower if kind == "df" else rep.s_upper
+        assert bound(samples) == value
+
+
 def test_optimize_rho_spc_shortcut():
     dm = domains.ball(2)
     family = index.RhoFamily(dm, index.worm_psi_basis())
     pts = domains.boundary_sample(dm, np.zeros(4), 8, seed=3)
-    rep = index.optimize_rho(dm, family, pts, budget=40)
+    rep = index.optimize_rho(family, pts, budget=40)
     assert rep.spc and rep.df_lower == 1.0 and rep.s_upper == 1.0
 
 
