@@ -7,15 +7,16 @@ aggregation with exact optimization over conformal defining-function families.
 """
 
 from . import dangelo, domains, exprparse, index, jets, levi
-from .dangelo import PointCalculus, alpha, dbar_omega, omega_on_null
+from .dangelo import PointCalculus, dbar_omega, omega_on_null
 from .domains import (BoundaryPoint, DomainSpec, annulus_points, ball,
                       boundary_sample, ellipsoid, make_phi, worm_rho)
 from .exprparse import parse_expression
 from .index import (CriterionSample, IndexReport, RhoFamily, criterion_samples,
                     deformation_sweep, df_bound, optimize_rho, s_bound,
-                    spc_check, worm_fiber_report, worm_psi_basis)
+                    sampled_report, spc_check, worm_fiber_report,
+                    worm_psi_basis)
 from .jets import Jet, wirtinger
-from .levi import jacobi_eigh, levi_matrix, schur_frame, tangent_frame
+from .levi import levi_matrix, schur_frame, tangent_frame
 
 __version__ = "0.1.0"
 
@@ -25,10 +26,11 @@ __all__ = [
     "DomainSpec", "BoundaryPoint", "worm_rho", "ball", "ellipsoid",
     "make_phi", "boundary_sample", "annulus_points",
     "parse_expression",
-    "tangent_frame", "levi_matrix", "schur_frame", "jacobi_eigh",
-    "PointCalculus", "alpha", "omega_on_null", "dbar_omega",
+    "tangent_frame", "levi_matrix", "schur_frame",
+    "PointCalculus", "omega_on_null", "dbar_omega",
     "CriterionSample", "RhoFamily", "IndexReport", "criterion_samples",
-    "df_bound", "s_bound", "optimize_rho", "spc_check", "deformation_sweep",
+    "df_bound", "s_bound", "optimize_rho", "spc_check", "sampled_report",
+    "deformation_sweep",
     "worm_fiber_report", "worm_psi_basis",
     "__version__",
 ]

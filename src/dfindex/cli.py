@@ -102,36 +102,11 @@ def _anchor_for(args, domain):
 # -- analyze ----------------------------------------------------------------------
 
 
-def _analyze_generic(args, domain):
-    anchor = _anchor_for(args, domain)
-    points = domains.boundary_sample(domain, anchor, args.count, seed=args.seed)
-    weak = []
-    min_eig = math.inf
-    for p in points:
-        frame = levi.tangent_frame(p.wirt)
-        nd = levi.levi_matrix(p.wirt, frame)
-        min_eig = min(min_eig, float(nd.eigenvalues[0]) / nd.scale)
-        if nd.m > 0:
-            weak.append(p)
-    samples = index.criterion_samples(domain, weak)
-    spc = not samples and min_eig > index.SPC_THRESHOLD
-    if spc:
-        df_val, s_val = 1.0, 1.0
-    else:
-        df_val, s_val = index.df_bound(samples), index.s_bound(samples)
-    return index.IndexReport(
-        df_lower=df_val, s_upper=s_val, null_count=len(samples), spc=spc,
-        t=0.0, beta=float("nan"), seed=args.seed,
-        tolerances={"spc_threshold": index.SPC_THRESHOLD,
-                    "msq_eps": index.MSQ_EPS},
-        diagnostics={"min_levi_eigenvalue": min_eig,
-                     "boundary_samples": args.count})
-
-
 def cmd_analyze(args):
     if getattr(args, "expr", None) or args.domain != "worm":
         domain = _domain_from_args(args)
-        report = _analyze_generic(args, domain)
+        report = index.sampled_report(domain, _anchor_for(args, domain),
+                                      args.count, args.seed)
         label = args.expr if getattr(args, "expr", None) else args.domain
     else:
         report = index.worm_fiber_report(
@@ -270,7 +245,7 @@ def run_schur_suite(count=1000, seed=0, min_size=2, max_size=8):
         size = int(rng.integers(min_size, max_size + 1))
         m = int(rng.integers(1, size))
         M = _random_null_matrix(rng, size, m)
-        vals, vecs = levi.jacobi_eigh(M)
+        vals, vecs = np.linalg.eigh(M)
         res = levi.schur_frame(M, m)
         max_resid = max(max_resid,
                         res.residual / max(np.linalg.norm(M), 1e-300))

@@ -39,10 +39,8 @@ __all__ = [
     "PointCalculus",
     "eta_value",
     "transversal",
-    "alpha",
     "omega_on_null",
     "dbar_omega",
-    "omega_wedge",
 ]
 
 # Global orientation of the dbar quadratic form; see module docstring.
@@ -238,20 +236,6 @@ def transversal(w):
     return N, -np.conj(N)
 
 
-def alpha(domain, point, Y, T=None):
-    """Value of the D'Angelo 1-form at a boundary point on a field Y.
-
-    Y may be a frame index (the pivoted frame field), an explicit list of 2n
-    coefficient jets, or the string "T" for the transversal itself.
-    """
-    pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
-    if isinstance(Y, str) and Y == "T":
-        Y = pc.transversal_jets()
-    elif isinstance(Y, int):
-        Y = pc.frame_field_jets()[Y]
-    return complex(pc.alpha_field_jet(Y, T).value)
-
-
 def omega_on_null(domain, point, L, T=None, null_tol=1e-6):
     """omega evaluated on a Levi-null (1,0) vector via its frame field."""
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
@@ -339,11 +323,6 @@ def _transversal_values(pc, T):
     vals = [x.value if isinstance(x, Jet) else x for x in T]
     n = pc.n
     return np.asarray(vals[:n], dtype=complex), np.asarray(vals[n:], dtype=complex)
-
-
-def omega_wedge(omega_val):
-    """(omega wedge conj(omega))(L, Lbar) = |omega(L)|^2."""
-    return float(abs(omega_val) ** 2)
 
 
 def perturbed_transversal(pc, h_coeffs):

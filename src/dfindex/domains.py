@@ -188,19 +188,17 @@ class DomainSpec:
     def rho(self, coords, order=3) -> Jet:
         return self.eval_fn(np.asarray(coords, dtype=float), order)
 
-    def rho_at(self, z, order=3) -> Jet:
-        return self.rho(coords_of_point(z), order)
-
     def value(self, coords) -> float:
         return self.rho(coords, order=1).value
 
-    def wirt(self, coords) -> WirtingerData:
-        return jets.wirtinger(self.rho(coords, order=3), self.n)
-
     def boundary_point(self, coords, t=None, tol_factor=1.0):
-        """Wrap coordinates as a BoundaryPoint, verifying the residual."""
+        """Wrap coordinates as a BoundaryPoint, verifying the residual.
+
+        The point carries the order-2 jet of rho and its Wirtinger data: the
+        Levi form needs no third derivatives.
+        """
         coords = np.asarray(coords, dtype=float)
-        j = self.rho(coords, order=3)
+        j = self.rho(coords, order=2)
         w = jets.wirtinger(j, self.n)
         scale = 1.0 + w.grad_norm()
         if abs(j.value) > tol_factor * BOUNDARY_TOL * scale:
@@ -214,7 +212,7 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A point on the zero set of a defining function with cached jets."""
+    """A point on the zero set of a defining function with its order-2 jet."""
 
     z: np.ndarray
     t: Optional[complex]

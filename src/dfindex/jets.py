@@ -307,13 +307,11 @@ def reciprocal(j):
 
 @dataclass(frozen=True)
 class WirtingerData:
-    """Complex derivative tensors of a real-valued function on C^n.
+    """Complex first and second derivatives of a real-valued function on C^n.
 
     grad[i]           = rho_{z_i}
     hess_hol[i, j]    = rho_{z_i z_j}           (complex symmetric)
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
-    third_zzb[i,j,k]  = rho_{z_i z_j zbar_k}
-    third_zbb[i,j,k]  = rho_{z_i zbar_j zbar_k}
     """
 
     n: int
@@ -321,8 +319,6 @@ class WirtingerData:
     grad: np.ndarray
     hess_hol: np.ndarray
     hess_mixed: np.ndarray
-    third_zzb: np.ndarray
-    third_zbb: np.ndarray
 
     def grad_norm(self):
         return float(np.linalg.norm(self.grad))
@@ -340,24 +336,20 @@ def _wirtinger_matrix(n):
 
 
 def wirtinger(j, n):
-    """Convert a third-order real-coordinate jet into Wirtinger tensors."""
+    """Convert a real-coordinate jet of order 2 or 3 into Wirtinger tensors."""
     if j.nvars != 2 * n:
         raise JetError(f"jet has {j.nvars} real variables, expected {2 * n}")
-    if j.order < 3:
-        raise JetError("wirtinger conversion needs a full third-order jet")
+    if j.order < 2:
+        raise JetError("wirtinger conversion needs a second-order jet")
     C = _wirtinger_matrix(n)
     grad_full = C @ j.d1.astype(complex)
     h_full = C @ j.d2.astype(complex) @ C.T
-    t_full = np.einsum("ap,bq,cr,pqr->abc", C, C, C, j.d3.astype(complex),
-                       optimize=True)
     return WirtingerData(
         n=n,
         value=float(np.real(j.value)),
         grad=grad_full[:n],
         hess_hol=h_full[:n, :n],
         hess_mixed=h_full[:n, n:],
-        third_zzb=t_full[:n, :n, n:],
-        third_zbb=t_full[:n, n:, n:],
     )
 
 

@@ -7,12 +7,15 @@ is Levi-null iff M conj(a) = 0, so null *coefficient* vectors are conjugated
 kernel eigenvectors of M.  The Schur transform Psi = [[I, 0], [-C^{-1}B*,
 C^{-1}]] block-diagonalizes M as Psi* M Psi = diag(A - B C^{-1} B*, C^{-1}),
 and the transformed frame is [X_1 .. X_{n-1}] conj(Psi).
+
+levi_matrix diagonalizes M with numpy's Hermitian eigensolver and returns
+it as NullData together with its null coefficients: an eigenvalue below
+NULL_TOL * max(1, spectral radius) counts as null.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ __all__ = [
     "TangentFrame",
     "NullData",
     "SchurResult",
-    "jacobi_eigh",
     "tangent_frame",
     "levi_form",
     "levi_matrix",
@@ -35,63 +37,6 @@ SCHUR_COND_LIMIT = 1e8
 
 class LeviError(ValueError):
     """Degenerate geometry: vanishing gradient, singular trailing block, ..."""
-
-
-# -- small dense Hermitian eigensolver -----------------------------------------
-
-def jacobi_eigh(M, tol=1e-14, max_sweeps=60):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
-
-    Deterministic row-major sweep order.  Returns (eigenvalues ascending,
-    eigenvector columns).  Matrices here are tiny (at most 8x8), so
-    simplicity and determinism beat asymptotics.
-    """
-    A = np.array(M, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise LeviError("matrix must be square")
-    herm = np.abs(A - A.conj().T).max()
-    if herm > 1e-12 * max(1.0, np.abs(A).max()):
-        raise LeviError(f"matrix is not Hermitian (defect {herm:.3e})")
-    A = 0.5 * (A + A.conj().T)
-    V = np.eye(n, dtype=complex)
-    norm = max(np.abs(A).max(), 1e-300)
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = A[p, q]
-                off = max(off, abs(b))
-                if abs(b) <= tol * norm:
-                    continue
-                a_pp = A[p, p].real
-                a_qq = A[q, q].real
-                phase = b / abs(b)
-                theta = 0.5 * np.arctan2(2.0 * abs(b), a_qq - a_pp)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                # unitary rotation in the (p, q) plane zeroing A[p, q]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - (s * np.conj(phase)) * col_q
-                A[:, q] = (s * phase) * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - (s * phase) * row_q
-                A[q, :] = (s * np.conj(phase)) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                col_p = V[:, p].copy()
-                col_q = V[:, q].copy()
-                V[:, p] = c * col_p - (s * np.conj(phase)) * col_q
-                V[:, q] = (s * phase) * col_p + c * col_q
-        if off <= tol * norm:
-            break
-
-    vals = np.diag(A).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
 
 
 # -- frames and Levi matrices ---------------------------------------------------
@@ -132,24 +77,29 @@ def levi_form(w, X, Y):
     return complex(X @ w.hess_mixed @ np.conj(Y))
 
 
+def _spectral_scale(eigenvalues):
+    return max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class NullData:
-    """Levi matrix in a tangent frame with its eigendecomposition."""
+    """Levi matrix in a tangent frame with its eigendata and null space."""
 
     M: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    frame: Optional[TangentFrame] = None
-    tol: float = NULL_TOL
-    null_coeffs: np.ndarray = field(default=None)
-    m: int = 0
+    eigenvalues: np.ndarray   # ascending
+    eigenvectors: np.ndarray  # columns
+    null_coeffs: np.ndarray   # (m, n-1), see null_basis
+
+    @property
+    def m(self):
+        return self.null_coeffs.shape[0]
 
     @property
     def scale(self):
-        return max(1.0, float(np.abs(self.eigenvalues).max(initial=0.0)))
+        return _spectral_scale(self.eigenvalues)
 
 
-def levi_matrix(w, frame, tol=NULL_TOL):
+def levi_matrix(w, frame):
     """Assemble M[i, j] = levi(X_i, X_j) and attach its eigendata."""
     X = frame.basis
     M = X @ w.hess_mixed @ X.conj().T
@@ -157,28 +107,24 @@ def levi_matrix(w, frame, tol=NULL_TOL):
     if defect > 1e-13 * max(1.0, np.abs(M).max()):
         raise LeviError(f"Levi matrix not Hermitian (defect {defect:.3e})")
     M = 0.5 * (M + M.conj().T)
-    vals, vecs = jacobi_eigh(M)
-    nd = NullData(M=M, eigenvalues=vals, eigenvectors=vecs, frame=frame, tol=tol)
-    coeffs = null_basis(nd, tol)
-    object.__setattr__(nd, "null_coeffs", coeffs)
-    object.__setattr__(nd, "m", coeffs.shape[0])
-    return nd
+    vals, vecs = np.linalg.eigh(M)
+    return NullData(M=M, eigenvalues=vals, eigenvectors=vecs,
+                    null_coeffs=null_basis(vals, vecs))
 
 
-def null_basis(nd, tol=NULL_TOL):
+def null_basis(eigenvalues, eigenvectors):
     """Frame-coefficient vectors spanning the numerical Levi null space.
 
-    Returns an (m, n-1) array of orthonormal coefficient vectors a such that
-    sum_j a_j X_j is annihilated by the Levi form; empty when the matrix is
+    Takes ascending eigenvalues and eigenvector columns of a frame Levi
+    matrix M.  Returns an (m, n-1) array of orthonormal coefficient vectors a
+    such that sum_j a_j X_j is annihilated by the Levi form; empty when M is
     positive definite at scale.
     """
-    cutoff = tol * nd.scale
-    mask = nd.eigenvalues < cutoff
+    mask = eigenvalues < NULL_TOL * _spectral_scale(eigenvalues)
     if not mask.any():
-        return np.zeros((0, nd.M.shape[0]), dtype=complex)
-    vecs = nd.eigenvectors[:, mask]
+        return np.zeros((0, eigenvectors.shape[0]), dtype=complex)
     # re-orthonormalize the cluster, then conjugate: M conj(a) = 0
-    q, _ = np.linalg.qr(vecs)
+    q, _ = np.linalg.qr(eigenvectors[:, mask])
     return q.conj().T
 
 

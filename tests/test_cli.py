@@ -57,6 +57,32 @@ def test_analyze_expression(tmp_path):
     assert data["spc"] is True
 
 
+def test_ground_truth_follows_beta(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--t", "0", "--beta", "2.0", "--annulus-count", "5",
+                "--output", str(out)]) == cli.EXIT_OK
+    data = load_without_stamp(out)
+    truth = data["ground_truth"]
+    assert truth["df"] == pytest.approx(math.pi / 4.0)
+    assert truth["s"] == pytest.approx(math.pi / (2.0 * math.pi - 4.0))
+    # computed bounds may not beat the exact values
+    assert data["df_lower"] <= truth["df"]
+    assert data["s_upper"] >= truth["s"]
+
+
+def test_sampled_reports_share_diagnostics(tmp_path):
+    runs = {"ball": ["--domain", "ball", "--count", "20"],
+            "expr": ["--expr", "abs2(z1) + 2*abs2(z2) - 1", "--count", "20"],
+            "deformed": ["--t", "0.3", "--spc-count", "20"]}
+    keys = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run(["analyze", *flags, "--output", str(out)]) == cli.EXIT_OK
+        keys[name] = set(load_without_stamp(out)["diagnostics"])
+    assert keys["ball"] == keys["expr"] == keys["deformed"] \
+        == {"min_levi_eigenvalue", "spc_samples"}
+
+
 def test_threads_flag_does_not_change_results(tmp_path, monkeypatch):
     argv = ["analyze", "--t", "0", "--budget", "40", "--annulus-count", "5"]
     out1, out2, out3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))

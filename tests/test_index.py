@@ -270,12 +270,12 @@ def test_report_json_file(tmp_path):
 # -- optimization and the sweep -------------------------------------------------------------
 
 def test_spc_check_ball_and_deformed_worm():
-    spc, min_eig = index.spc_check(domains.ball(2), np.zeros(4), count=60,
-                                   seed=1)
-    assert spc and min_eig > 0.1
-    spc, _ = index.spc_check(domains.worm_rho(BETA, 0.3), index.WORM_ANCHOR,
-                             count=60, seed=1)
-    assert spc
+    weak, min_eig = index.spc_check(domains.ball(2), np.zeros(4), 60, 1)
+    assert weak == [] and min_eig > index.SPC_THRESHOLD
+    assert min_eig > 0.1
+    weak, min_eig = index.spc_check(domains.worm_rho(BETA, 0.3),
+                                    index.WORM_ANCHOR, 60, 1)
+    assert weak == [] and min_eig > index.SPC_THRESHOLD
 
 
 def test_optimize_rho_improves_on_base():

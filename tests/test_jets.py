@@ -203,16 +203,25 @@ def richardson(diff, h0=0.04, levels=6):
 def test_wirtinger_of_hermitian_quadratic():
     # rho = |z1|^2 + 2|z2|^2 + 2 Re(z1 conj(z2))
     coords = np.array([0.3, 0.7, -0.2, 0.5])
-    x1, y1, x2, y2 = jets.lift(coords, 3)
-    rho = (x1 * x1 + y1 * y1 + 2.0 * (x2 * x2 + y2 * y2)
-           + 2.0 * (x1 * x2 + y1 * y2))
-    w = jets.wirtinger(rho, 2)
+
+    def rho(order):
+        x1, y1, x2, y2 = jets.lift(coords, order)
+        return (x1 * x1 + y1 * y1 + 2.0 * (x2 * x2 + y2 * y2)
+                + 2.0 * (x1 * x2 + y1 * y2))
+
+    w = jets.wirtinger(rho(3), 2)
     H = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.abs(w.hess_mixed - H).max() < 1e-12
     z = np.array([coords[0] + 1j * coords[1], coords[2] + 1j * coords[3]])
     assert np.abs(w.grad - H @ np.conj(z)).max() < 1e-12
     # purely Hermitian rho has no holomorphic Hessian
     assert np.abs(w.hess_hol).max() < 1e-12
+    # the conversion needs second derivatives and nothing beyond them
+    w2 = jets.wirtinger(rho(2), 2)
+    assert np.array_equal(w2.grad, w.grad)
+    assert np.array_equal(w2.hess_mixed, w.hess_mixed)
+    with pytest.raises(jets.JetError):
+        jets.wirtinger(rho(1), 2)
 
 
 def test_coords_roundtrip():

@@ -8,37 +8,6 @@ from hypothesis import strategies as st
 from dfindex import domains, jets, levi
 
 
-def random_hermitian(rng, n):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (A + A.conj().T)
-
-
-# -- Jacobi eigensolver vs library oracle ------------------------------------------
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
-@settings(max_examples=60, deadline=None)
-def test_jacobi_matches_eigh(seed, n):
-    rng = np.random.default_rng(seed)
-    M = random_hermitian(rng, n)
-    vals, vecs = levi.jacobi_eigh(M)
-    ref = np.linalg.eigvalsh(M)
-    assert np.abs(vals - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
-    # eigenvector columns diagonalize M and are orthonormal
-    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
-    D = vecs.conj().T @ M @ vecs
-    assert np.abs(D - np.diag(vals)).max() < 1e-11 * max(1.0, np.abs(ref).max())
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(levi.LeviError):
-        levi.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_jacobi_exact_on_diagonal():
-    vals, vecs = levi.jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.array_equal(vals, [-1.0, 2.0, 3.0])
-
-
 # -- tangent frames ------------------------------------------------------------------
 
 def test_tangent_frame_annihilates_gradient():
@@ -62,14 +31,21 @@ def test_levi_matrix_hermitian_and_psd_on_worm():
         assert nd.eigenvalues[0] > -1e-10 * nd.scale  # pseudoconvex side
 
 
+def test_levi_matrix_rejects_non_hermitian():
+    w = jets.WirtingerData(n=2, value=0.0, grad=np.array([1.0, 1.0 + 0j]),
+                           hess_hol=np.zeros((2, 2), dtype=complex),
+                           hess_mixed=np.diag([1.0, 1.0j]))
+    with pytest.raises(levi.LeviError):
+        levi.levi_matrix(w, levi.tangent_frame(w))
+
+
 def test_null_basis_convention():
     # M conj(a) = 0 for returned coefficient vectors a
     rng = np.random.default_rng(12)
     G = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     M = G.conj().T @ G
-    vals, vecs = levi.jacobi_eigh(M)
-    nd = levi.NullData(M=M, eigenvalues=vals, eigenvectors=vecs)
-    coeffs = levi.null_basis(nd)
+    vals, vecs = np.linalg.eigh(M)
+    coeffs = levi.null_basis(vals, vecs)
     assert coeffs.shape == (2, 4)
     for a in coeffs:
         assert np.linalg.norm(M @ np.conj(a)) < 1e-12
@@ -77,9 +53,8 @@ def test_null_basis_convention():
 
 def test_null_basis_empty_for_definite_matrix():
     M = np.diag([1.0, 2.0, 3.0])
-    vals, vecs = levi.jacobi_eigh(M)
-    nd = levi.NullData(M=M, eigenvalues=vals, eigenvectors=vecs)
-    assert levi.null_basis(nd).shape == (0, 3)
+    vals, vecs = np.linalg.eigh(M)
+    assert levi.null_basis(vals, vecs).shape == (0, 3)
 
 
 # -- Schur frame transform ------------------------------------------------------------
@@ -108,7 +83,7 @@ def test_schur_identity_and_null_containment(seed):
     err = np.linalg.norm(res.Psi.conj().T @ M @ res.Psi - target)
     assert err < 1e-10 * np.linalg.norm(M)
 
-    vals, vecs = levi.jacobi_eigh(M)
+    vals, vecs = np.linalg.eigh(M)
     kernel = vecs[:, vals < 1e-10 * max(1.0, np.abs(vals).max())]
     span = res.transformed[:m].T
     q, _ = np.linalg.qr(span)
