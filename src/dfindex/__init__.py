@@ -3,7 +3,7 @@
 Third-order jet arithmetic, boundary geometry (tangent frames, Levi
 matrices, Schur block-diagonalization), the D'Angelo 1-form and its
 quadratic forms on the Levi null space, and closed-form index bound
-aggregation with exact optimization over conformal defining-function families.
+aggregation with the extremal conformal factor of the central worm fiber.
 """
 
 from . import dangelo, domains, exprparse, index, jets, levi

@@ -111,7 +111,7 @@ def cmd_analyze(args):
     else:
         report = index.worm_fiber_report(
             args.beta, args.t, annulus_count=args.annulus_count,
-            spc_count=args.spc_count, budget=args.budget, seed=args.seed)
+            spc_count=args.spc_count, seed=args.seed)
         label = "worm"
     payload = report.to_dict()
     payload["domain"] = label
@@ -129,7 +129,7 @@ def cmd_analyze(args):
 def cmd_sweep(args):
     reports = index.deformation_sweep(
         args.beta, args.t, annulus_count=args.annulus_count,
-        spc_count=args.spc_count, budget=args.budget, seed=args.seed)
+        spc_count=args.spc_count, seed=args.seed)
     with open(args.output, "w") as fh:
         fh.write("t,df_lower,s_upper,null_count,spc\n")
         for rep in reports:
@@ -371,8 +371,8 @@ def build_parser():
     pa.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     pa.add_argument("--t", type=float, default=0.0)
     pa.add_argument("--budget", type=int, default=400,
-                    help="cap on the bisection steps of each objective "
-                         "over the conformal family (t = 0)")
+                    help="accepted for interface stability; the central "
+                         "fiber's certificate is closed-form and ignores it")
     pa.add_argument("--annulus-count", type=int, default=33)
     pa.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pa.add_argument("--count", type=int, default=400,
@@ -385,8 +385,8 @@ def build_parser():
     pw.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     pw.add_argument("--t", type=_parse_floats, default=[0.0, 0.05, 0.1, 0.3])
     pw.add_argument("--budget", type=int, default=400,
-                    help="cap on the bisection steps of each objective "
-                         "over the conformal family (t = 0)")
+                    help="accepted for interface stability; the central "
+                         "fiber's certificate is closed-form and ignores it")
     pw.add_argument("--annulus-count", type=int, default=33)
     pw.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pw.add_argument("--output", default="sweep.csv")

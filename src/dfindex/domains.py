@@ -151,7 +151,10 @@ def make_phi(beta, quadrature_tol=1e-12, grid_points=2001, grid_halfwidth=None):
     inside = np.abs(xs) <= r
     if np.any(np.abs(vals[inside]) > 1e-12):
         raise DomainError("profile self-check failed: zero set too small")
-    if np.any(vals[~inside] <= 0):
+    # exp(-1/s) underflows to 0 for s below ~1/745, so phi is positive only
+    # at representable distance outside [-r, r]; nearer, require growth
+    if (np.any(vals[np.abs(xs) >= r + 0.01] <= 0)
+            or np.any(np.diff(vals[xs >= r]) < 0)):
         raise DomainError("profile self-check failed: zero set too large")
     return phi
 
@@ -356,8 +359,6 @@ def annulus_points(beta, count, phi=None):
 
     The endpoints of the interval, and the point (0, 1), are always included.
     """
-    if not beta > math.pi / 2:
-        raise DomainError(f"beta must exceed pi/2, got {beta}")
     domain = worm_rho(beta, 0.0)
     r = beta - math.pi / 2
     us = np.linspace(-r, r, count)

@@ -14,17 +14,12 @@ gamma > s/(s - 1).  df_bound and s_bound take the inf and sup over samples;
 a gamma-bisection oracle in the test suite cross-checks the rearrangement.
 
 The defining-function degree of freedom is the conformal family
-rho = e^{sum c_i psi_i} delta over a small smooth basis.  By the conformal
-transformation law (ConformalLaw) one jet pass over the base samples gives
-dbar and omega of every member in closed form, both affine in the
-coefficients.  For fixed gamma each family of inequalities above is
-therefore linear minus convex quadratic in c, its feasible set is convex,
-and optimize_rho reaches the best bound over the coefficient box by
-bisection on gamma over max-margin subproblems (a quasiconvex program).  The
-winning coefficients are then realized and run through the full criterion
-pipeline; only that certificate is reported.  Computed DF bounds are lower
-bounds and Steinness bounds are upper bounds only: the family is
-finite-dimensional.
+rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
+supplies the extremal factor log(cos(kappa u))/kappa with kappa just below
+its critical value, and optimize_rho realizes it and reports only the
+certificate that the full criterion pipeline gives; the conformal
+transformation law (ConformalLaw) predicts that certificate from one jet
+pass, as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over random boundary
@@ -40,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from . import dangelo, domains, jets, levi
 
@@ -67,14 +61,9 @@ MSQ_EPS = 1e-10          # |omega(L)|^2 below this (times scale) counts as zero
 SPC_THRESHOLD = 1e-6     # normalized Levi eigenvalue gap for strong pseudoconvexity
 SPC_SAMPLES = 2000
 WORM_ANCHOR = np.array([1.0, 0.0, 1.0, 0.0])
-# Box |c_i| <= COEFF_BOUND on the conformal coefficients.  The worm optimum
-# sits on the box, and the bound gains only 3e-5 from 4 to 10, but e^psi
-# grows as e^c_1: from about c_1 = 7 the realized Levi matrix of the DF
-# winner exceeds the null cutoff at some annulus points, and from about 20
-# the Steinness winner's |omega|^2 falls below MSQ_EPS.  At 4 the realized
-# null eigenvalues of the DF winner stay 800 times below the cutoff.
-COEFF_BOUND = 4.0
-BISECTION_TOL = 1e-9     # final bracket width of the bisection on the bound
+# kappa = (1 - eps) kappa* of the worm's extremal factors, tightest first;
+# optimize_rho steps down when a realization loses a weak point.
+LOG_COS_GAPS = (1e-5, 1e-4, 1e-3)
 PREDICTION_GAP_TOL = 1e-10  # certificate vs law, relative; larger is a fault
 
 TOLERANCES = {"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS}
@@ -111,37 +100,59 @@ class PsiFunction:
         return self.fn(coords, order)
 
 
-ENV_SCALE = 2.0  # Gaussian envelope width; mild on the annulus, decays beyond
+def _smooth_step(x):
+    """Jet of m(x)/(m(x) + m(1 - x)) for the mollifier m: 0 for x <= 0, 1 for
+    x >= 1, C^inf in between."""
+
+    def m(y):
+        v = y.value
+        return jets.compose(y, domains.mollifier(v), domains.mollifier_d1(v),
+                            domains.mollifier_d2(v), domains.mollifier_d3(v))
+
+    a = m(x)
+    return a / (a + m(1.0 - x))
 
 
-def worm_psi_basis():
-    """Default conformal-factor basis adapted to the worm's symmetry.
+def _log_cos_factor(kappa, r0):
+    """psi = log(cos(kappa u))/kappa in u = log|w|^2 on |u| <= r0, blended
+    C^inf to 0 on r0 < |u| < r0 + h, h = (pi/(2 kappa) - r0)/2, and 0 beyond,
+    where the logarithm ceases to exist."""
+    h = 0.5 * (0.5 * math.pi / kappa - r0)
 
-    Even polynomials in u = log|w|^2 under a Gaussian envelope (smooth,
-    near 1 on the weak annulus, decaying beyond it).  Constant shifts of psi
-    leave every criterion quantity invariant, so the envelope itself stands
-    in for the constant.  Functions of z alone would do nothing here: on the
-    annulus the Levi-null direction is d/dw at z = 0, where their
-    differentials and complex Hessians vanish on it.
+    def fn(coords, order=3):
+        x1, y1, x2, y2 = jets.lift(coords, order)
+        u = jets.log(x2 * x2 + y2 * y2)
+        if abs(u.value) >= r0 + h:
+            return jets.constant(0.0, len(coords), order)
+        psi = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
+        if abs(u.value) <= r0:
+            return psi
+        abs_u = math.copysign(1.0, u.value) * u
+        return psi * _smooth_step((1.0 / h) * (r0 + h - abs_u))
+
+    return fn
+
+
+def worm_psi_basis(beta=3.0 * math.pi / 4.0):
+    """Extremal conformal factors of the worm with opening beta, tightest first.
+
+    On the weak annulus |u| <= r0 = beta - pi/2, u = log|w|^2, a psi of u
+    gives the criterion ratio r = -psi''/(1 + psi'^2).  r >= kappa forces
+    arctan(psi') to drop by 2 kappa r0 < pi, so kappa < kappa* = pi/(2 r0),
+    and psi_kappa = log(cos(kappa u))/kappa attains r = kappa.  Member i has
+    kappa = (1 - LOG_COS_GAPS[i]) kappa*: +psi_kappa certifies
+    DF >= kappa/(1 + kappa) < pi/(2 beta), and -psi_kappa certifies
+    S <= kappa/(kappa - 1) > pi/(2 pi - 2 beta) if kappa > 1.  Past the
+    annulus each member is blended to 0 (_log_cos_factor), so its annulus
+    jets are exactly those of psi_kappa.
     """
-
-    def u_even(power):
-        def fn(coords, order=3):
-            x1, y1, x2, y2 = jets.lift(coords, order)
-            u = jets.log(x2 * x2 + y2 * y2)
-            scaled = (1.0 / ENV_SCALE) * u
-            out = jets.exp(-(scaled * scaled))
-            for _ in range(power // 2):
-                out = out * (u * u)
-            return out.real_part()
-        return fn
-
-    return [
-        PsiFunction("env", u_even(0)),
-        PsiFunction("u2_env", u_even(2)),
-        PsiFunction("u4_env", u_even(4)),
-        PsiFunction("u6_env", u_even(6)),
-    ]
+    if not beta > math.pi / 2:
+        raise domains.DomainError(f"beta must exceed pi/2, got {beta}")
+    r0 = beta - math.pi / 2
+    kappa_star = math.pi / (2.0 * r0)
+    return [PsiFunction(f"log_cos_{eps:g}",
+                        _log_cos_factor((1.0 - eps) * kappa_star, r0))
+            for eps in LOG_COS_GAPS]
 
 
 class RhoFamily:
@@ -191,10 +202,10 @@ class RhoFamily:
         for coords in probes:
             a = self.base.value(coords)
             b = realized.value(coords)
-            if a * b < 0 or (a == 0.0) != (b == 0.0):
+            if not math.isfinite(b) or a * b < 0 or (a == 0.0) != (b == 0.0):
                 raise domains.DomainError(
-                    "realized rho changes sign against the base defining "
-                    f"function at {coords}")
+                    f"realized rho = {b} is not finite or changes sign "
+                    f"against the base defining function at {coords}")
 
 
 # -- criterion sampling and closed-form aggregation -----------------------------
@@ -369,65 +380,6 @@ def conformal_law(family, points):
                         A=A, H=H)
 
 
-# Both objectives bisect x in (0, 1) for the largest feasible x: x = gamma
-# with k = gamma/(1 - gamma) for DF, x = 1/gamma with k = gamma/(gamma - 1)
-# for Steinness.  Margins are sign * dbar - k |omega|^2.
-_OBJECTIVES = {
-    "df": (1.0, lambda x: x / (1.0 - x)),
-    "s": (-1.0, lambda x: 1.0 / (1.0 - x)),
-}
-
-def _margins(law, sign, k, c):
-    dbar, omega = law.predict(c)
-    return sign * dbar - k * np.abs(omega) ** 2
-
-
-def _max_margin(law, sign, k, c0):
-    """Coefficients in the box maximizing the smallest margin.
-
-    Each margin is linear minus convex quadratic in c, so the program is
-    concave and SLSQP on its epigraph form reaches the global optimum.
-    """
-    dim, m = law.A.shape
-
-    def margins(x):
-        return _margins(law, sign, k, x[:-1]) - x[-1]
-
-    def margins_jac(x):
-        _, omega = law.predict(x[:-1])
-        dc = -sign * law.H - 2.0 * k * (np.conj(omega) * law.A).real
-        return np.hstack([dc.T, -np.ones((m, 1))])
-
-    last = np.zeros(dim + 1)
-    last[-1] = 1.0
-    x0 = np.append(c0, _margins(law, sign, k, c0).min())
-    res = _sciopt.minimize(
-        lambda x: -x[-1], x0, jac=lambda x: -last, method="SLSQP",
-        bounds=[(-COEFF_BOUND, COEFF_BOUND)] * dim + [(None, None)],
-        constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
-        options={"maxiter": 200, "ftol": 1e-15})
-    return np.clip(res.x[:-1], -COEFF_BOUND, COEFF_BOUND)
-
-
-def _bisect(law, kind, budget):
-    """Coefficients of the largest x found feasible (None if none), and the
-    number of bisection steps taken, at most ``budget``."""
-    sign, k_of = _OBJECTIVES[kind]
-    lo, hi = 0.0, 1.0
-    c = np.zeros(law.A.shape[0])
-    best, steps = None, 0
-    while hi - lo > BISECTION_TOL and steps < budget:
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        trial = _max_margin(law, sign, k_of(mid), c)
-        if _margins(law, sign, k_of(mid), trial).min() > 0.0:
-            lo, c = mid, trial
-            best = trial
-        else:
-            hi = mid
-    return best, steps
-
-
 def _certify(family, points, law, c, kind):
     """(coefficients, certified bound, relative prediction gap).
 
@@ -440,8 +392,6 @@ def _certify(family, points, law, c, kind):
     """
     bound = df_bound if kind == "df" else s_bound
     base = (np.zeros(family.dim), bound(law.samples), 0.0)
-    if c is None:
-        return base
     try:
         samples = criterion_samples(family.realize(c), points)
     except (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
@@ -455,17 +405,16 @@ def _certify(family, points, law, c, kind):
     return base if gap > PREDICTION_GAP_TOL else (c, value, gap)
 
 
-def optimize_rho(family, points, budget=400, seed=0, t=0.0,
-                 beta=float("nan"), ground_truth=None):
-    """Best certified index bounds over the conformal family at weak points.
+def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
+                 ground_truth=None):
+    """Certified index bounds from the first accepted basis function.
 
-    One jet pass (conformal_law) gives the criterion of every member in
-    closed form.  For the DF objective (maximized) and the Steinness one
-    (minimized) separately, at most ``budget`` bisection steps on the bound
-    over max-margin subproblems find the best coefficients in the box
-    |c_i| <= COEFF_BOUND.  The reported bounds are the certificates of the
-    realized winners (see _certify), never worse than the base-delta bounds.
-    The result does not depend on ``seed``, which is only recorded.
+    Each basis function alone is a candidate, in basis order: coefficient +1
+    for the DF bound and -1 for the Steinness one.  The first candidate that
+    _certify accepts is reported; if none is, the base delta's bound is.
+    worm_psi_basis orders its extremal factors tightest first, so this is
+    the tightest one whose realization keeps every weak point.  The result
+    does not depend on ``seed``, which is only recorded.
     """
     law = conformal_law(family, points)
     null_count = len(law.samples)
@@ -480,11 +429,12 @@ def optimize_rho(family, points, budget=400, seed=0, t=0.0,
     diagnostics = {"base_df": df_bound(law.samples),
                    "base_s": "inf" if base_s == math.inf else base_s}
     best, values = {}, {}
-    for kind in ("df", "s"):
-        winner, steps = _bisect(law, kind, budget)
-        best[kind], values[kind], gap = _certify(family, points, law, winner,
-                                                 kind)
-        diagnostics[f"{kind}_bisection_steps"] = steps
+    for kind, sign in (("df", 1.0), ("s", -1.0)):
+        for c in np.diag(np.full(family.dim, sign)):
+            best[kind], values[kind], gap = _certify(family, points, law, c,
+                                                     kind)
+            if best[kind].any():
+                break
         diagnostics[f"{kind}_prediction_gap"] = gap
 
     return IndexReport(
@@ -546,13 +496,13 @@ def _worm_ground_truth(beta):
 
 
 def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
-                      budget=400, seed=0, psi_basis=None):
+                      seed=0):
     """Index report of the worm fiber at deformation parameter t.
 
     Nonzero t goes through sampled_report and raises LeviError unless the
-    fiber is found strongly pseudoconvex.  The central fiber runs the
-    conformal-family optimizer on its weak annulus, and its report carries
-    _worm_ground_truth(beta).
+    fiber is found strongly pseudoconvex.  The central fiber certifies the
+    extremal factors of worm_psi_basis(beta) on its weak annulus, and its
+    report carries _worm_ground_truth(beta).
     """
     domain = domains.worm_rho(beta, t)
     if t != 0.0:
@@ -563,20 +513,19 @@ def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
                 f"worm fiber t={t} fails the strong pseudoconvexity check "
                 f"(min eig {report.diagnostics['min_levi_eigenvalue']:.3e})")
         return report
-    family = RhoFamily(domain, psi_basis or worm_psi_basis())
+    family = RhoFamily(domain, worm_psi_basis(beta))
     return optimize_rho(family, domains.annulus_points(beta, annulus_count),
-                        budget=budget, seed=seed, t=0.0, beta=beta,
+                        seed=seed, t=0.0, beta=beta,
                         ground_truth=_worm_ground_truth(beta))
 
 
 def deformation_sweep(beta, t_grid, annulus_count=33, spc_count=SPC_SAMPLES,
-                      budget=400, seed=0, psi_basis=None):
+                      seed=0):
     """Index reports (worm_fiber_report) across a deformation grid through
     the weak fiber t = 0."""
     t_grid = [float(t) for t in t_grid]
     if 0.0 not in t_grid:
         raise domains.DomainError("the deformation grid must contain t = 0")
     return [worm_fiber_report(beta, t, annulus_count=annulus_count,
-                              spc_count=spc_count, budget=budget, seed=seed,
-                              psi_basis=psi_basis)
+                              spc_count=spc_count, seed=seed)
             for t in t_grid]

@@ -19,8 +19,7 @@ R = BETA - math.pi / 2.0
 @pytest.fixture(scope="module")
 def sweep():
     return index.deformation_sweep(BETA, [0.0, 0.05, 0.1, 0.3],
-                                   annulus_count=33, spc_count=2000,
-                                   budget=400, seed=0)
+                                   annulus_count=33, spc_count=2000, seed=0)
 
 
 def ok(n, detail):
@@ -76,21 +75,31 @@ def test_criterion_03_null_set_geometry():
 def test_criterion_04_index_bounds_vs_ground_truth(sweep):
     central = sweep[0]
     assert central.t == 0.0
-    assert 0.0 < central.df_lower <= 2.0 / 3.0 + 0.02
-    assert central.s_upper >= 2.0 - 0.05
+    assert central.null_count == 33
+    assert 2.0 / 3.0 - 1e-5 <= central.df_lower <= 2.0 / 3.0
+    assert 2.0 <= central.s_upper <= 2.0 + 1e-4
     truth = central.ground_truth
     assert truth["df"] == pytest.approx(2.0 / 3.0)
     assert truth["s"] == pytest.approx(2.0)
     assert truth["relation"] == pytest.approx(2.0)
-    s_text = "inf" if central.s_upper == math.inf else f"{central.s_upper:.4f}"
-    ok(4, f"df_lower = {central.df_lower:.4f} in (0, 0.687], "
-          f"s_upper = {s_text} >= 1.95; sign calibration discharged")
+    # best_params are +-unit vectors whose realizations reproduce the bounds
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    points = domains.annulus_points(BETA, 33)
+    for kind, sign, bound, value in (("df", 1.0, index.df_bound, central.df_lower),
+                                     ("s", -1.0, index.s_bound, central.s_upper)):
+        c = central.best_params[kind]
+        assert sorted(c) == sorted([sign, 0.0, 0.0])
+        samples = index.criterion_samples(family.realize(c), points)
+        assert abs(bound(samples) - value) <= 1e-12
+    ok(4, f"df_lower = {central.df_lower:.7f} in [2/3 - 1e-5, 2/3], "
+          f"s_upper = {central.s_upper:.7f} in [2, 2 + 1e-4]; "
+          f"sign calibration discharged")
 
 
 def test_criterion_05_semicontinuity_failure(sweep):
     central = sweep[0]
-    assert central.df_lower <= 0.687
-    assert central.s_upper >= 1.95
+    assert central.df_lower <= 2.0 / 3.0
+    assert central.s_upper >= 2.0
     for rep in sweep[1:]:
         assert rep.df_lower == 1.0
         assert rep.s_upper == 1.0

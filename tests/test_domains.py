@@ -95,6 +95,17 @@ class TestWorm:
         with pytest.raises(domains.DomainError):
             domains.worm_rho(BETA, 1.0)
 
+    @pytest.mark.parametrize("beta", [1.6, 1.8, 1.9, 2.1, 3.2, 0.6 * math.pi,
+                                      1.2 * math.pi])
+    def test_builds_where_phi_underflows_next_to_r(self, beta):
+        # exp(-1/s) is 0 in floating point within about 1e-3 of r, so the
+        # profile self-check must not demand phi > 0 there
+        dm = domains.worm_rho(beta, 0.0)
+        phi = dm.params["phi"]
+        assert phi.value(phi.r + 0.01) > 0.0
+        assert dm.value(jets.coords_of_point([0.0, 1.0])) == pytest.approx(
+            0.0, abs=1e-15)
+
     def test_interior_anchor(self):
         dm = domains.worm_rho(BETA, 0.3)
         assert dm.value(np.array([1.0, 0.0, 1.0, 0.0])) < 0.0

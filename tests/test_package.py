@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +20,13 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     missing = [attr for attr in dfindex.__all__ if not hasattr(dfindex, attr)]
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone costs about 200 ms and 23 MB at start-up
+    src = os.path.dirname(os.path.dirname(dfindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dfindex.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
