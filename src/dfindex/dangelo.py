@@ -37,8 +37,6 @@ __all__ = [
     "DAngeloError",
     "DBAR_SIGN",
     "PointCalculus",
-    "eta_value",
-    "transversal",
     "omega_on_null",
     "dbar_omega",
 ]
@@ -220,22 +218,6 @@ class PointCalculus:
 
 # -- public operations ----------------------------------------------------------
 
-def eta_value(w, v10, v01=None):
-    """eta on a complexified vector split into (1,0) and (0,1) parts."""
-    v10 = np.asarray(v10, dtype=complex)
-    v01 = np.zeros_like(v10) if v01 is None else np.asarray(v01, dtype=complex)
-    return complex(0.5 * (w.grad @ v10 - np.conj(w.grad) @ v01))
-
-
-def transversal(w):
-    """Coefficients of T = N - Nbar as ((1,0) part, (0,1) part)."""
-    g = float(np.vdot(w.grad, w.grad).real)
-    if g == 0.0:
-        raise LeviError("vanishing complex gradient")
-    N = np.conj(w.grad) / g
-    return N, -np.conj(N)
-
-
 def omega_on_null(domain, point, L, T=None, null_tol=1e-6):
     """omega evaluated on a Levi-null (1,0) vector via its frame field."""
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
@@ -324,24 +306,3 @@ def _transversal_values(pc, T):
     n = pc.n
     return np.asarray(vals[:n], dtype=complex), np.asarray(vals[n:], dtype=complex)
 
-
-def perturbed_transversal(pc, h_coeffs):
-    """Admissible perturbation T' = T + H - Hbar with H = sum h_j X_j.
-
-    This is exactly the class preserving eta(T) = 1 and pure imaginarity, so
-    all null-space quantities must be invariant under it.
-    """
-    n = pc.n
-    T = pc.transversal_jets()
-    fj = pc.frame_field_jets()
-    H = []
-    for i in range(n):
-        H.append(_field_sum([hj * Y[i] for hj, Y in zip(h_coeffs, fj)
-                             if not _is_zero(Y[i])]))
-    out = []
-    for i in range(n):
-        out.append(T[i] + H[i] if isinstance(H[i], Jet) else T[i])
-    for i in range(n):
-        hb = _conj_entry(H[i])
-        out.append(T[n + i] - hb if isinstance(hb, Jet) else T[n + i])
-    return out

@@ -3,7 +3,9 @@
 Provides the smooth even convex profile phi used by the worm family, the
 one-parameter deformed worm defining function, reference domains (ball,
 ellipsoid, user expressions), and boundary point sampling by ray bisection
-plus Newton polish.
+plus Newton polish.  All rays of one boundary_sample call run in lockstep:
+each doubling, bisection or Newton step evaluates one order-1 jet over the
+batch of rays that still move (see jets), instead of one jet per ray.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1
 
 from . import jets
 from .jets import Jet, WirtingerData, coords_of_point, point_of_coords
@@ -83,6 +84,10 @@ def _ramp(u):
     convex, and exact to machine precision (an adaptive-quadrature cross-check
     lives in phi_quadrature_check).
     """
+    # imported here: scipy.special costs about 25 MB and 0.3 s at start-up,
+    # which analyses without a worm profile never need
+    from scipy.special import exp1
+
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     pos = u > 0
@@ -180,7 +185,9 @@ class DomainSpec:
     """A defining function with jet evaluation over 2n real coordinates.
 
     ``eval_fn(coords, order)`` returns a real-valued Jet of the requested
-    order at the given interleaved real coordinates.
+    order at the given interleaved real coordinates.  boundary_sample passes
+    a (2n, B) batch, one point per column, at order 1 and needs the batched
+    jet back (see jets.lift).
     """
 
     n: int
@@ -237,7 +244,11 @@ def worm_rho(beta, t):
     tsq = abs(t) ** 2
 
     def ev(coords, order=3):
-        if coords[2] == 0.0 and coords[3] == 0.0:
+        if coords.ndim == 1:  # `and` on one point: np.any costs 50x more
+            singular = coords[2] == 0.0 and coords[3] == 0.0
+        else:
+            singular = np.any((coords[2] == 0.0) & (coords[3] == 0.0))
+        if singular:
             raise DomainError("worm defining function is singular at w = 0")
         x1, y1, x2, y2 = jets.lift(coords, order)
         wsq = x2 * x2 + y2 * y2
@@ -283,52 +294,65 @@ def ellipsoid(coeffs):
 
 # -- boundary sampling --------------------------------------------------------
 
-def _ray_root(domain, anchor, direction, radius):
-    """First zero of rho along anchor + s*direction, by bracketing + bisection
-    + Newton polish.  Returns the coordinates, or raises if the ray exits the
-    search radius without a sign change."""
+def _ray_roots(domain, anchor, directions, radius):
+    """First zero of rho along anchor + s*direction for every column of
+    ``directions`` (2n, B), by bracketing + bisection + Newton polish with
+    all rays in lockstep.  Returns the roots as rows of a (B, 2n) array, or
+    raises if a ray exits the search radius without a sign change."""
+    count = directions.shape[1]
+    # per-ray slopes as contiguous length-2n dot products, the same BLAS
+    # kernel, and so the same rounding, as one ray's d1 @ direction
+    rows = np.ascontiguousarray(directions.T)
 
-    def val_grad(s, order=1):
-        j = domain.rho(anchor + s * direction, order)
-        if order == 1:
-            return j.value, float(j.d1 @ direction)
-        return j
+    def probe(s, rays):
+        return domain.rho(anchor[:, None] + s * directions[:, rays], 1)
 
     # expand outward until the sign flips
-    lo, flo = 0.0, domain.value(anchor)
-    s = 0.25
-    hi = None
-    while s <= radius:
+    lo, hi = np.zeros(count), np.zeros(count)
+    s = np.full(count, 0.25)
+    rays = np.arange(count)
+    while rays.size:
+        if np.any(s[rays] > radius):
+            raise DomainError(
+                "ray exited the search radius without leaving the domain "
+                "(unbounded direction or invalid anchor)")
         try:
-            v, _ = val_grad(s)
+            v = probe(s[rays], rays).value
         except DomainError:
-            s *= 1.0 + 1e-9  # nudge off a coordinate singularity
+            # nudge only the rays whose probe hits a coordinate singularity
+            singular = []
+            for i in rays:
+                try:
+                    probe(s[i], [i])
+                except DomainError:
+                    singular.append(i)
+            if not singular:
+                raise
+            s[singular] *= 1.0 + 1e-9
             continue
-        if v > 0:
-            hi = s
-            break
-        lo, flo = s, v
-        s *= 2.0
-    if hi is None:
-        raise DomainError(
-            "ray exited the search radius without leaving the domain "
-            "(unbounded direction or invalid anchor)")
+        out = v > 0
+        hi[rays[out]] = s[rays[out]]
+        rays = rays[~out]
+        lo[rays] = s[rays]
+        s[rays] *= 2.0
 
+    every = np.arange(count)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        v, _ = val_grad(mid)
-        if v > 0:
-            hi = mid
-        else:
-            lo, flo = mid, v
+        out = probe(mid, every).value > 0
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
 
     s = 0.5 * (lo + hi)
+    rays = every
     for _ in range(5):
-        v, g = val_grad(s)
-        if g == 0.0:
-            break
-        s = min(max(s - v / g, lo), hi)
-    return anchor + s * direction
+        j = probe(s[rays], rays)
+        g = np.matmul(np.ascontiguousarray(j.d1.T)[:, None, :],
+                      rows[rays][:, :, None])[:, 0, 0]
+        moving = g != 0.0
+        rays, v, g = rays[moving], j.value[moving], g[moving]
+        s[rays] = np.minimum(np.maximum(s[rays] - v / g, lo[rays]), hi[rays])
+    return anchor + s[:, None] * rows
 
 
 def boundary_sample(domain, anchor, count, seed=0, radius=SEARCH_RADIUS, t=None):
@@ -343,14 +367,13 @@ def boundary_sample(domain, anchor, count, seed=0, radius=SEARCH_RADIUS, t=None)
     if domain.value(anchor) >= 0:
         raise DomainError("anchor must lie strictly inside the domain")
 
-    points = []
+    directions = np.empty((2 * domain.n, count))
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         direction = rng.normal(size=2 * domain.n)
-        direction /= np.linalg.norm(direction)
-        coords = _ray_root(domain, anchor, direction, radius)
-        points.append(domain.boundary_point(coords, t=t))
-    return points
+        directions[:, i] = direction / np.linalg.norm(direction)
+    roots = _ray_roots(domain, anchor, directions, radius)
+    return [domain.boundary_point(coords, t=t) for coords in roots]
 
 
 def annulus_points(beta, count, phi=None):

@@ -12,6 +12,13 @@ quantities such as z = x + iy); the underlying coordinates are always real.
 The real coordinates of a point in C^n are interleaved: (x1, y1, ..., xn, yn)
 with z_k = x_k + i*y_k.
 
+An order-1 jet may also carry a batch of B points: value of shape (B,) and
+d1 of shape (nvars, B), one column per point.  Its arithmetic and the
+univariate functions below act pointwise on the trailing axis, so one pass
+evaluates a defining function at every point of the batch (Taylor mode over
+a batch; Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Orders 2
+and 3 take one point at a time.
+
 Jets are immutable after construction and all operations are pure.
 """
 
@@ -66,7 +73,7 @@ class Jet:
         self.d1 = np.asarray(d1)
         self.d2 = None if order < 2 else np.asarray(d2)
         self.d3 = None if order < 3 else np.asarray(d3)
-        if self.d1.shape != (self.nvars,):
+        if self.d1.shape[:1] != (self.nvars,):
             raise JetError("d1 has wrong shape")
 
     # -- constructors -------------------------------------------------------
@@ -102,16 +109,18 @@ class Jet:
                    np.conj(self.d1), d2, d3)
 
     def real_part(self):
+        v = self.value
+        value = v.real.copy() if isinstance(v, np.ndarray) else float(np.real(v))
         d2 = None if self.d2 is None else self.d2.real.copy()
         d3 = None if self.d3 is None else self.d3.real.copy()
-        return Jet(self.nvars, self.order, float(np.real(self.value)),
-                   self.d1.real.copy(), d2, d3)
+        return Jet(self.nvars, self.order, value, self.d1.real.copy(), d2, d3)
 
     def imag_part(self):
+        v = self.value
+        value = v.imag.copy() if isinstance(v, np.ndarray) else float(np.imag(v))
         d2 = None if self.d2 is None else self.d2.imag.copy()
         d3 = None if self.d3 is None else self.d3.imag.copy()
-        return Jet(self.nvars, self.order, float(np.imag(self.value)),
-                   self.d1.imag.copy(), d2, d3)
+        return Jet(self.nvars, self.order, value, self.d1.imag.copy(), d2, d3)
 
     def max_imag(self):
         m = abs(np.imag(self.value))
@@ -224,12 +233,20 @@ def lift(coords, order=3):
     """Seed jets for the coordinate functions at a point.
 
     The i-th returned jet has value coords[i], unit gradient e_i and zero
-    higher derivatives.
+    higher derivatives.  Coordinates of shape (nvars, B), one point per
+    column, give order-1 seeds over the batch: value coords[i] of shape (B,)
+    and d1 = e_i as an (nvars, 1) column, which broadcasts over the batch.
     """
     coords = np.asarray(coords, dtype=float)
     if not np.all(np.isfinite(coords)):
         raise JetError("non-finite coordinates")
-    return [Jet.seed(c, i, coords.size, order) for i, c in enumerate(coords)]
+    if coords.ndim == 1:
+        return [Jet.seed(c, i, coords.size, order) for i, c in enumerate(coords)]
+    if order != 1:
+        raise JetError("batched jets are order 1 only")
+    nvars = coords.shape[0]
+    eye = np.eye(nvars)
+    return [Jet(nvars, 1, coords[i], eye[:, i:i + 1]) for i in range(nvars)]
 
 
 def variable(value, index, nvars, order=3):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
-from dfindex import domains, jets
+from dfindex import domains, exprparse, index, jets
 
 BETA = 3 * math.pi / 4
 R = BETA - math.pi / 2
@@ -150,6 +151,73 @@ class TestBoundarySampling:
         dm = domains.ball(2)
         with pytest.raises(domains.DomainError):
             dm.boundary_point(jets.coords_of_point([0.5, 0.0]))
+
+
+def _directions(seed, count, nvars):
+    # as boundary_sample draws them
+    out = []
+    for i in range(count):
+        d = np.random.default_rng([seed, i]).normal(size=nvars)
+        out.append(d / np.linalg.norm(d))
+    return out
+
+
+def _rel_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", [
+    "worm 0.05", "worm 0.1", "worm 0.3",
+    # expression workload shapes: a pluriharmonic term, the weak quartic
+    # egg, and a C^3 egg
+    "1.7*abs2(z1)+0.9*re(z1*z1)+abs2(z2)-1",
+    "abs2(z1)+abs2(z2)*abs2(z2)-1",
+    "abs2(z1)+abs2(z2)+abs2(z3)*abs2(z3)-1",
+])
+def test_lockstep_roots_match_one_ray_oracle(case, seed):
+    if case.startswith("worm"):
+        dm = domains.worm_rho(BETA, float(case.split()[1]))
+        anchor = index.WORM_ANCHOR
+    else:
+        dm = exprparse.parse_expression(case)
+        anchor = np.zeros(2 * dm.n)
+    pts = domains.boundary_sample(dm, anchor, 30, seed=seed)
+    for p, d in zip(pts, _directions(seed, 30, 2 * dm.n)):
+        assert _rel_gap(p.coords, reference.ray_root(dm, anchor, d)) <= 1e-15
+
+
+def test_singular_probe_nudges_only_its_ray():
+    # from WORM_ANCHOR, the first ray's probe at s = 2 lands exactly on w = 0;
+    # the second passes through w = 0 at s = 1, past its sign change at 0.5
+    singular = [np.array([-0.5, -math.sqrt(0.5), -0.5, 0.0]),
+                np.array([0.0, 0.0, -1.0, 0.0])]
+    # these three still probe at s = 2, alongside the first singular ray
+    others = [np.array([-0.5, math.sqrt(0.5), 0.5, 0.0]),
+              np.array([0.5, 0.5, 0.5, 0.5]),
+              np.array([-0.3, 0.6, 0.74, 0.0]) / math.sqrt(0.9976)]
+    others += _directions(4, 5, 4)
+    dm = domains.worm_rho(BETA, 0.05)
+    raised = []
+
+    def spy(coords, order=3):
+        try:
+            return dm.eval_fn(coords, order)
+        except domains.DomainError:
+            raised.append(coords.shape)
+            raise
+
+    watched = domains.DomainSpec(n=2, kind="worm", eval_fn=spy)
+    mixed = others[:3] + singular + others[3:]
+    roots = domains._ray_roots(watched, index.WORM_ANCHOR,
+                               np.array(mixed).T, domains.SEARCH_RADIUS)
+    assert (4, 1) in raised  # the probe on w = 0 was met and singled out
+    for root, d in zip(roots, mixed):
+        assert _rel_gap(root, reference.ray_root(dm, index.WORM_ANCHOR, d)) <= 1e-15
+    assert roots[4][2] == pytest.approx(0.5939, abs=1e-4)
+    alone = domains._ray_roots(dm, index.WORM_ANCHOR, np.array(others).T,
+                               domains.SEARCH_RADIUS)
+    assert np.array_equal(np.delete(roots, [3, 4], axis=0), alone)
 
 
 class TestAnnulusPoints:

@@ -97,6 +97,49 @@ def test_lift_seeds_coordinates():
         assert np.abs(x.d2).max() == 0.0
 
 
+def _batched_cases(x1, y1, x2, y2):
+    # every order-1 operation the boundary root finder's domains use
+    z = x1 + 1j * y1
+    return {
+        "+": x1 + y2 + 0.5,
+        "-": x2 - y1 - 0.25,
+        "*": (x1 * y2) * 1.5,
+        "/": x2 / (y1 + 2.0) + 3.0 / x1,
+        "compose": jets.compose(x2 * y1, (x2 * y1).value ** 3,
+                                3.0 * (x2 * y1).value ** 2),
+        "exp": jets.exp(x1 * y1),
+        "log": jets.log(x2 * x2 + y2 * y2),
+        "sqrt": jets.sqrt(x1 * x1 + 1.0),
+        "sin": jets.sin(x2 - y2),
+        "cos": jets.cos(y1 * x2),
+        "reciprocal": jets.reciprocal(y2 + 2.0),
+        "real_part": (z * x2 + 1j * y2).real_part(),
+        "imag_part": (z * x2 + 1j * y2).imag_part(),
+    }
+
+
+def test_batched_order1_jets_match_stacked_scalar_jets():
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.2, 1.5, size=(4, 6))
+    batched = _batched_cases(*jets.lift(coords, 1))
+    columns = [_batched_cases(*jets.lift(c, 1)) for c in coords.T]
+    for name, jet in batched.items():
+        assert jet.order == 1 and jet.value.shape == (6,), name
+        d1 = np.broadcast_to(jet.d1, (4, 6))
+        for k, col in enumerate(columns):
+            assert jet.value[k] == col[name].value, name
+            assert np.array_equal(d1[:, k], col[name].d1), name
+
+
+def test_batched_lift_is_order1_only():
+    coords = np.ones((4, 3))
+    xs = jets.lift(coords, 1)
+    assert [x.d1.shape for x in xs] == [(4, 1)] * 4
+    for order in (2, 3):
+        with pytest.raises(jets.JetError):
+            jets.lift(coords, order)
+
+
 def test_truncate_drops_higher_orders():
     rng = np.random.default_rng(1)
     a = rand_jet(rng)

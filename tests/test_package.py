@@ -30,3 +30,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_expression_analysis_leaves_scipy_unloaded(tmp_path):
+    # scipy.special serves only the worm profile, and costs about 25 MB
+    src = os.path.dirname(os.path.dirname(dfindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from dfindex import cli\n"
+        "heavy = ('scipy.special', 'scipy.optimize')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "rc = cli.main(['analyze', '--expr', 'abs2(z1)+2*abs2(z2)-1',\n"
+        "               '--count', '20', '--output', sys.argv[1]])\n"
+        "print(rc, [m for m in heavy if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip().splitlines() == ["[]", "0 []"]
