@@ -284,9 +284,9 @@ def run_phi_check(beta, grid_points=10000):
     phi = domains.make_phi(beta)
     r, a = phi.r, phi.a
     xs = np.linspace(-a - 1.0, a + 1.0, grid_points)
-    vals = np.array([phi.value(x) for x in xs])
-    second = np.array([phi.d2(x) for x in xs])
-    even_defect = max(abs(phi.value(x) - phi.value(-x)) for x in xs)
+    vals = phi.value(xs)
+    second = phi.d2(xs)
+    even_defect = np.abs(vals - phi.value(-xs)).max()
     inside = np.abs(xs) <= r
     zero_on_interval = float(np.abs(vals[inside]).max())
     # exp(-1/s) underflows for s below ~1/745, so positivity immediately

@@ -15,6 +15,13 @@ All derivatives come from third-order jets of rho: field coefficients are
 rational expressions in first derivatives of rho, carried as order-2 jets,
 and every directional derivative drops the order by one.
 
+The jets may carry a batch of points (see jets).  BatchCalculus runs the
+whole computation once for a batch of boundary points whose tangent frames
+share a pivot, and so share the structure of their frame fields: one
+(point, Levi-null vector) pair per batch column.  index.criterion_samples
+makes one such pass (null_forms) per pivot group.  PointCalculus,
+omega_on_null and dbar_omega are the same code on a batch of one point.
+
 With the standard exterior derivative d a(X, Y) = X a(Y) - Y a(X) - a([X, Y])
 and omega extended to vanish on the (0,1) space and on T, the right-hand side
 above with sigma = +1 is exactly d omega(L, Lbar), whose (1,1) part is
@@ -31,12 +38,14 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .levi import LeviError, levi_form, levi_matrix, tangent_frame
+from .levi import LeviError, levi_form, tangent_frame
 
 __all__ = [
     "DAngeloError",
     "DBAR_SIGN",
+    "BatchCalculus",
     "PointCalculus",
+    "null_forms",
     "omega_on_null",
     "dbar_omega",
 ]
@@ -52,7 +61,12 @@ class DAngeloError(ValueError):
 
 
 def _is_zero(x):
-    return not isinstance(x, Jet) and x == 0.0
+    # structural zero: the constant 0, never a jet or an array of values
+    return not isinstance(x, (Jet, np.ndarray)) and x == 0.0
+
+
+def _value(x):
+    return x.value if isinstance(x, Jet) else x
 
 
 def _field_sum(terms):
@@ -80,38 +94,47 @@ def _conj_entry(x):
     return x.conj() if isinstance(x, Jet) else np.conj(x)
 
 
-def _value_directional(f, v_values, n):
+def _value_directional(f, V, n):
     """Value of the directional derivative of the scalar field f along the
-    complexified vector with coefficient values v_values (2n entries)."""
+    complexified field V; a constant f differentiates to 0."""
+    if not isinstance(f, Jet):
+        return 0.0
     acc = 0.0
     for i in range(n):
-        if v_values[i] != 0.0:
-            acc += v_values[i] * f.wirt_value(i)
-        if v_values[n + i] != 0.0:
-            acc += v_values[n + i] * f.wirtbar_value(i)
+        if not _is_zero(V[i]):
+            acc = acc + _value(V[i]) * f.wirt_value(i)
+        if not _is_zero(V[n + i]):
+            acc = acc + _value(V[n + i]) * f.wirtbar_value(i)
     return acc
 
 
-class PointCalculus:
-    """Per-point jet machinery for a fixed defining function.
+def _pair(coeffs, fields):
+    """sum_j coeffs[j] * value(fields[j]) per batch column."""
+    acc = 0.0
+    for cj, fj in zip(coeffs, fields):
+        acc = acc + cj * _value(fj)
+    return acc
 
-    Caches the order-3 jet of rho, the order-2 jets of its holomorphic and
-    antiholomorphic first derivatives, the pivoted tangent frame, and the
-    canonical transversal field T = N - Nbar with
-    N = sum_j (rho_{zbar_j} / |d'rho|^2) d/dz_j.
+
+class BatchCalculus:
+    """Jet machinery of a fixed defining function at a batch of boundary
+    points whose pivoted tangent frames share the pivot coordinate.
+
+    Takes the order-3 jet of rho over the batch (one point per trailing
+    index) and caches the order-2 jets of its holomorphic and
+    antiholomorphic first derivatives, the frame fields, and the canonical
+    transversal field T = N - Nbar with
+    N = sum_j (rho_{zbar_j} / |d'rho|^2) d/dz_j.  Vectors are (n, B) arrays,
+    one column per batch point.
     """
 
-    def __init__(self, domain, point):
-        self.domain = domain
-        self.point = point
-        self.n = domain.n
-        self.rho_jet = domain.rho(point.coords, order=3)
-        self.wirt = jets.wirtinger(self.rho_jet, self.n)
-        if self.wirt.grad_norm() == 0.0:
-            raise LeviError("vanishing complex gradient")
-        self.rz = [self.rho_jet.wirt(k) for k in range(self.n)]
-        self.rzb = [self.rho_jet.wirtbar(k) for k in range(self.n)]
-        self.frame = tangent_frame(self.wirt)
+    def __init__(self, n, rho_jet, pivot):
+        self.n = n
+        self.count = rho_jet.value.shape[0]
+        self.pivot = pivot
+        self.others = tuple(j for j in range(n) if j != pivot)
+        self.rz = [rho_jet.wirt(k) for k in range(n)]
+        self.rzb = [rho_jet.wirtbar(k) for k in range(n)]
         self._T = None
         self._frame_jets = None
         self._omega_cache = {}
@@ -131,9 +154,9 @@ class PointCalculus:
         """Coefficient jets of the pivoted frame fields X_j (list of fields)."""
         if self._frame_jets is None:
             n = self.n
-            k = self.frame.pivot
+            k = self.pivot
             fields = []
-            for j in self.frame.others:
+            for j in self.others:
                 coeffs = [0.0] * (2 * n)
                 coeffs[j] = self.rz[k]
                 coeffs[k] = -self.rz[j]
@@ -154,7 +177,8 @@ class PointCalculus:
         return 0.5 * _field_sum(terms)
 
     def alpha_field_jet(self, Y, T=None):
-        """alpha(Y) = -T(eta(Y)) + eta([T, Y]) as an order-1 scalar jet."""
+        """alpha(Y) = -T(eta(Y)) + eta([T, Y]) as an order-1 scalar jet, or
+        the constant 0 when every term vanishes structurally."""
         n = self.n
         if T is None:
             T = self.transversal_jets()
@@ -167,10 +191,7 @@ class PointCalculus:
             yt = _field_directional(T[k], Y, n) if isinstance(T[k], Jet) else 0.0
             bracket.append(_field_sum([ty, -yt if isinstance(yt, Jet) else 0.0]))
         eta_br = self.eta_of_field(bracket)
-        out = _field_sum([-t_eta_Y if isinstance(t_eta_Y, Jet) else 0.0, eta_br])
-        if not isinstance(out, Jet):
-            out = jets.constant(0.0 + 0.0j, 2 * n, 1)
-        return out
+        return _field_sum([-t_eta_Y if isinstance(t_eta_Y, Jet) else 0.0, eta_br])
 
     def omega_frame_jets(self, T=None, frame_jets=None):
         """Order-1 jets of omega(X_j) for the frame fields."""
@@ -180,31 +201,102 @@ class PointCalculus:
             self._omega_cache[key] = [self.alpha_field_jet(Y, T) for Y in fj]
         return self._omega_cache[key]
 
-    # -- helpers ------------------------------------------------------------
+    # -- values per batch column ----------------------------------------------
 
-    def frame_values(self, frame_jets=None):
-        fj = frame_jets if frame_jets is not None else self.frame_field_jets()
-        n = self.n
-        vals = np.zeros((len(fj), n), dtype=complex)
-        for r, Y in enumerate(fj):
-            for i in range(n):
-                if isinstance(Y[i], Jet):
-                    vals[r, i] = Y[i].value
-                else:
-                    vals[r, i] = Y[i]
-        return vals
+    def _columns(self, entries):
+        """(len(entries), B) complex array of the entries' values."""
+        return np.array([np.broadcast_to(_value(x), (self.count,))
+                         for x in entries], dtype=complex)
 
     def frame_coefficients(self, L, frame_jets=None, tol=1e-8):
-        """Solve L = sum_j c_j X_j(p) for a tangent (1,0) vector L."""
-        vals = self.frame_values(frame_jets)
-        c, res, _, _ = np.linalg.lstsq(vals.T, np.asarray(L, dtype=complex),
-                                       rcond=None)
-        residual = np.linalg.norm(vals.T @ c - L)
-        if residual > tol * max(1.0, np.linalg.norm(L)):
+        """Solve L = sum_j c_j X_j(p) at each batch point, in the least-squares
+        sense, for tangent (1,0) vectors L, (n, B); returns the coefficients
+        as an (n-1, B) array."""
+        fj = frame_jets if frame_jets is not None else self.frame_field_jets()
+        # (B, n, n-1): the frame vectors X_j(p) as columns, one matrix per point
+        X = np.stack([self._columns(Y[:self.n]) for Y in fj], axis=1) \
+            .transpose(2, 0, 1)
+        L = np.asarray(L, dtype=complex).T[:, :, None]
+        c = np.linalg.pinv(X) @ L
+        residual = np.linalg.norm(X @ c - L, axis=(1, 2))
+        excess = residual / np.maximum(1.0, np.linalg.norm(L, axis=(1, 2)))
+        if np.any(excess > tol):
+            b = int(np.argmax(excess))
             raise DAngeloError(
                 f"vector is not in the holomorphic tangent space "
-                f"(decomposition residual {residual:.3e})")
-        return c
+                f"(decomposition residual {residual[b]:.3e})")
+        return c[:, :, 0].T
+
+    # -- the two forms on Levi-null vectors -----------------------------------
+
+    def omega(self, L, T=None):
+        """omega(L) at each batch point, (B,) complex, via the frame fields."""
+        return _pair(self.frame_coefficients(L), self.omega_frame_jets(T))
+
+    def dbar(self, L, T=None, frame_jets=None):
+        """dbar_omega(L, Lbar) at each batch point, (B,) real.
+
+        Raises if a column carries an imaginary residue beyond tolerance
+        (convention or extension bug).
+        """
+        return self._dbar(self.frame_coefficients(L, frame_jets), T,
+                          frame_jets)
+
+    def _dbar(self, c, T=None, frame_jets=None):
+        # c: frame coefficients of L, (n-1, B)
+        n = self.n
+        fj = frame_jets if frame_jets is not None else self.frame_field_jets()
+        om = self.omega_frame_jets(T, frame_jets)
+
+        # omega(L) as a scalar field along the constant-coefficient frame field
+        omega_L = _field_sum([oj * cj for cj, oj in zip(c, om)
+                              if not _is_zero(oj)])
+
+        # L and Lbar as coefficient fields
+        L10 = [_field_sum([Y[i] * cj for cj, Y in zip(c, fj)
+                           if not _is_zero(Y[i])]) for i in range(n)]
+        Lfield = L10 + [0.0] * n
+        Lbarfield = [0.0] * n + [_conj_entry(x) for x in L10]
+
+        # term 1: -Lbar(omega(L)) at p
+        term1 = -_value_directional(omega_L, Lbarfield, n)
+
+        # term 2: -omega_ext([L, Lbar]^{1,0}) at p
+        bracket = self._columns(
+            [_value_directional(Lbarfield[k], Lfield, n)
+             - _value_directional(Lfield[k], Lbarfield, n)
+             for k in range(2 * n)])
+        grad = self._columns(self.rz)
+        cT = 0.5 * (np.sum(grad * bracket[:n], axis=0)
+                    - np.sum(np.conj(grad) * bracket[n:], axis=0))
+        T10 = self._columns((T if T is not None else self.transversal_jets())[:n])
+        a_coeffs = self.frame_coefficients(bracket[:n] - cT * T10, frame_jets)
+        term2 = -_pair(a_coeffs, om)
+
+        raw = term1 + term2
+        scale = 1.0 + np.abs(term1) + np.abs(term2)
+        excess = np.abs(raw.imag) / scale
+        if np.any(excess > IMAG_RESIDUE_TOL):
+            b = int(np.argmax(excess))
+            raise DAngeloError(
+                f"imaginary residue {raw.imag[b]:.3e} exceeds tolerance "
+                f"(scale {scale[b]:.3e})")
+        return DBAR_SIGN * raw.real
+
+
+class PointCalculus(BatchCalculus):
+    """BatchCalculus at one boundary point, with that point's Wirtinger data
+    (wirt) and pivoted tangent frame (frame)."""
+
+    def __init__(self, domain, point):
+        self.domain = domain
+        self.point = point
+        rho_jet = domain.rho(point.coords[:, None], order=3)
+        self.wirt = jets.wirtinger(rho_jet, domain.n).take(0)
+        if self.wirt.grad_norm() == 0.0:
+            raise LeviError("vanishing complex gradient")
+        self.frame = tangent_frame(self.wirt)
+        super().__init__(domain.n, rho_jet, self.frame.pivot)
 
     def ambient_null_vector(self, L):
         """Accept either ambient (n,) vectors or frame coefficients (n-1,)."""
@@ -218,14 +310,25 @@ class PointCalculus:
 
 # -- public operations ----------------------------------------------------------
 
+def null_forms(n, rho_jet, pivot, L):
+    """(omega(L), dbar_omega(L, Lbar)) for a batch of Levi-null vectors.
+
+    rho_jet is the order-3 jet of rho over B boundary points whose tangent
+    frames share ``pivot``, and L is (n, B), one ambient null vector per
+    point.  Returns a (B,) complex and a (B,) real array; both forms share
+    one frame decomposition of L.
+    """
+    calc = BatchCalculus(n, rho_jet, pivot)
+    c = calc.frame_coefficients(L)
+    return _pair(c, calc.omega_frame_jets()), calc._dbar(c)
+
+
 def omega_on_null(domain, point, L, T=None, null_tol=1e-6):
     """omega evaluated on a Levi-null (1,0) vector via its frame field."""
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
     L = pc.ambient_null_vector(L)
     _require_null(pc, L, null_tol)
-    c = pc.frame_coefficients(L)
-    om = pc.omega_frame_jets(T)
-    return complex(sum(cj * oj.value for cj, oj in zip(c, om)))
+    return complex(pc.omega(L[:, None], T)[0])
 
 
 def _require_null(pc, L, tol):
@@ -245,64 +348,7 @@ def dbar_omega(domain, point, L, T=None, frame_jets=None, null_tol=1e-6,
     the numerical null space.
     """
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
-    n = pc.n
     L = pc.ambient_null_vector(L)
     if check_null:
         _require_null(pc, L, null_tol)
-
-    c = pc.frame_coefficients(L, frame_jets)
-    fj = frame_jets if frame_jets is not None else pc.frame_field_jets()
-    om = pc.omega_frame_jets(T, frame_jets)
-
-    # omega(L) as a scalar field along the constant-coefficient frame field
-    omega_L = _field_sum([cj * oj for cj, oj in zip(c, om)])
-    if _is_zero(omega_L):
-        omega_L = jets.constant(0.0 + 0.0j, 2 * n, 1)
-
-    # L and Lbar as coefficient fields
-    L10 = []
-    for i in range(n):
-        L10.append(_field_sum([cj * Y[i] for cj, Y in zip(c, fj)
-                               if not _is_zero(Y[i])]))
-    Lfield = L10 + [0.0] * n
-    Lbarfield = [0.0] * n + [_conj_entry(x) for x in L10]
-
-    # term 1: -Lbar(omega(L)) at p
-    lbar_vals = [np.conj(x.value if isinstance(x, Jet) else x) for x in L10]
-    term1 = -sum(v * omega_L.wirtbar_value(i) for i, v in enumerate(lbar_vals)
-                 if v != 0.0)
-
-    # term 2: -omega_ext([L, Lbar]^{1,0}) at p
-    l_vals = [x.value if isinstance(x, Jet) else x for x in Lfield]
-    lbar_full = [0.0] * n + list(lbar_vals)
-    bracket = np.zeros(2 * n, dtype=complex)
-    for k in range(2 * n):
-        av = _value_directional(Lbarfield[k], l_vals, n) \
-            if isinstance(Lbarfield[k], Jet) else 0.0
-        bv = _value_directional(Lfield[k], lbar_full, n) \
-            if isinstance(Lfield[k], Jet) else 0.0
-        bracket[k] = av - bv
-
-    grad = pc.wirt.grad
-    cT = 0.5 * (grad @ bracket[:n] - np.conj(grad) @ bracket[n:])
-    T10_p, _ = _transversal_values(pc, T)
-    v10 = bracket[:n] - cT * T10_p
-    a_coeffs = pc.frame_coefficients(v10, frame_jets)
-    term2 = -sum(aj * oj.value for aj, oj in zip(a_coeffs, om))
-
-    raw = term1 + term2
-    scale = 1.0 + abs(term1) + abs(term2)
-    if abs(raw.imag) > IMAG_RESIDUE_TOL * scale:
-        raise DAngeloError(
-            f"imaginary residue {raw.imag:.3e} exceeds tolerance "
-            f"(scale {scale:.3e})")
-    return float(DBAR_SIGN * raw.real)
-
-
-def _transversal_values(pc, T):
-    if T is None:
-        T = pc.transversal_jets()
-    vals = [x.value if isinstance(x, Jet) else x for x in T]
-    n = pc.n
-    return np.asarray(vals[:n], dtype=complex), np.asarray(vals[n:], dtype=complex)
-
+    return float(pc.dbar(L[:, None], T, frame_jets)[0])

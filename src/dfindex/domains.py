@@ -38,6 +38,8 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-12
 SEARCH_RADIUS = 10.0
+# 1 / _ramp(1), so that phi(r + 1) = 1; a test pins it against _ramp
+RAMP_NORMALIZER = 6.734210493715406
 
 
 class DomainError(ValueError):
@@ -84,15 +86,21 @@ def _ramp(u):
     convex, and exact to machine precision (an adaptive-quadrature cross-check
     lives in phi_quadrature_check).
     """
-    # imported here: scipy.special costs about 25 MB and 0.3 s at start-up,
-    # which analyses without a worm profile never need
-    from scipy.special import exp1
-
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
+    e = np.zeros_like(u)
     pos = u > 0
-    up = u[pos]
-    out[pos] = up * np.exp(-1.0 / up) - exp1(1.0 / up)
+    e[pos] = np.exp(-1.0 / u[pos])
+    # where exp(-1/u) underflows to 0, E1(1/u) < exp(-1/u) does too and the
+    # ramp is exactly 0.  Only the other arguments import scipy.special,
+    # which costs about 25 MB and 0.3 s at start-up: the central worm fiber,
+    # whose arguments all lie below 1e-15, never loads it.
+    live = e > 0.0
+    if live.any():
+        from scipy.special import exp1
+
+        up = u[live]
+        out[live] = up * e[live] - exp1(1.0 / up)
     return out if out.ndim else float(out)
 
 
@@ -137,29 +145,29 @@ class PhiSpec:
 def make_phi(beta, quadrature_tol=1e-12, grid_points=2001, grid_halfwidth=None):
     """Build the profile for a given opening parameter beta > pi/2.
 
-    Runs a construction self-check (convexity and zero-set on a grid); a
-    failure there indicates a bug, not bad input.
+    Runs a construction self-check on a grid (convexity, the zero set, and
+    outward growth through phi'); a failure there indicates a bug, not bad
+    input.  The value-level axioms are cli.run_phi_check's.
     """
     if not beta > math.pi / 2:
         raise DomainError(f"beta must exceed pi/2, got {beta}")
     r = beta - math.pi / 2
-    K = 1.0 / _ramp(1.0)
-    phi = PhiSpec(beta=beta, r=r, K=K, a=r + 1.0, quadrature_tol=quadrature_tol)
+    phi = PhiSpec(beta=beta, r=r, K=RAMP_NORMALIZER, a=r + 1.0,
+                  quadrature_tol=quadrature_tol)
 
     half = grid_halfwidth if grid_halfwidth is not None else r + 3.0
     xs = np.linspace(-half, half, grid_points)
-    vals = phi.value(xs)
-    if np.any(vals < 0):
-        raise DomainError("profile self-check failed: negative values")
     if np.any(phi.d2(xs) < -1e-12):
         raise DomainError("profile self-check failed: convexity")
     inside = np.abs(xs) <= r
-    if np.any(np.abs(vals[inside]) > 1e-12):
+    if np.any(np.abs(phi.value(xs[inside])) > 1e-12):
         raise DomainError("profile self-check failed: zero set too small")
-    # exp(-1/s) underflows to 0 for s below ~1/745, so phi is positive only
-    # at representable distance outside [-r, r]; nearer, require growth
-    if (np.any(vals[np.abs(xs) >= r + 0.01] <= 0)
-            or np.any(np.diff(vals[xs >= r]) < 0)):
+    # outside [-r, r], phi grows away from the interval: phi' points outward,
+    # strictly from r + 0.01 on (exp(-1/s) underflows to 0 for s below about
+    # 1/745).  The slope needs no scipy; the values are checked by phi-check.
+    outside = xs[~inside]
+    slope = np.sign(outside) * phi.d1(outside)
+    if np.any(slope < 0) or np.any(slope[np.abs(outside) >= r + 0.01] <= 0):
         raise DomainError("profile self-check failed: zero set too large")
     return phi
 
@@ -185,9 +193,9 @@ class DomainSpec:
     """A defining function with jet evaluation over 2n real coordinates.
 
     ``eval_fn(coords, order)`` returns a real-valued Jet of the requested
-    order at the given interleaved real coordinates.  boundary_sample passes
-    a (2n, B) batch, one point per column, at order 1 and needs the batched
-    jet back (see jets.lift).
+    order at the given interleaved real coordinates.  boundary_sample (at
+    order 1) and index.criterion_samples (at order 3) pass a (2n, B) batch,
+    one point per column, and need the batched jet back (see jets.lift).
     """
 
     n: int
@@ -376,13 +384,16 @@ def boundary_sample(domain, anchor, count, seed=0, radius=SEARCH_RADIUS, t=None)
     return [domain.boundary_point(coords, t=t) for coords in roots]
 
 
-def annulus_points(beta, count, phi=None):
+def annulus_points(beta, count, domain=None):
     """Weak boundary points of the undeformed worm: z = 0 and
     |log|w|^2| <= beta - pi/2.
 
     The endpoints of the interval, and the point (0, 1), are always included.
+    ``domain`` is the worm_rho(beta, 0) to place them on; by default it is
+    built here.
     """
-    domain = worm_rho(beta, 0.0)
+    if domain is None:
+        domain = worm_rho(beta, 0.0)
     r = beta - math.pi / 2
     us = np.linspace(-r, r, count)
     thetas = 2.0 * math.pi * np.arange(count) / count

@@ -13,13 +13,18 @@ gamma < r/(1 + r), with s = -dbar/msq the second iff s > 1 and
 gamma > s/(s - 1).  df_bound and s_bound take the inf and sup over samples;
 a gamma-bisection oracle in the test suite cross-checks the rearrangement.
 
+criterion_samples works on all of its points at once: one order-3 jet pass
+of rho over the batch, each point's frame and Levi null directions from
+levi.levi_matrix, and one D'Angelo pass (dangelo.null_forms) over all
+(point, null direction) pairs whose frames share a pivot.
+
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
 supplies the extremal factor log(cos(kappa u))/kappa with kappa just below
 its critical value, and optimize_rho realizes it and reports only the
 certificate that the full criterion pipeline gives; the conformal
-transformation law (ConformalLaw) predicts that certificate from one jet
-pass, as a health check.
+transformation law (ConformalLaw) predicts that certificate from one
+order-2 jet pass per basis function, as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over random boundary
@@ -91,7 +96,8 @@ class CriterionSample:
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A named smooth real scalar on C^n, evaluated as a jet."""
+    """A named smooth real scalar on C^n, evaluated as a jet at one point
+    or, for coordinates of shape (2n, B), over a batch (see jets.lift)."""
 
     name: str
     fn: Callable
@@ -113,22 +119,42 @@ def _smooth_step(x):
     return a / (a + m(1.0 - x))
 
 
+def _scatter(count, pieces, nvars, order):
+    """Jet over a batch of ``count`` points that is 0 except on the columns
+    of each (columns, jet) piece, where it is that jet."""
+    arrays = [np.zeros((nvars,) * k + (count,)) for k in range(order + 1)]
+    for idx, j in pieces:
+        for a, part in zip(arrays, (j.value, j.d1, j.d2, j.d3)):
+            a[..., idx] = part
+    return jets.Jet(nvars, order, *arrays)
+
+
 def _log_cos_factor(kappa, r0):
     """psi = log(cos(kappa u))/kappa in u = log|w|^2 on |u| <= r0, blended
     C^inf to 0 on r0 < |u| < r0 + h, h = (pi/(2 kappa) - r0)/2, and 0 beyond,
-    where the logarithm ceases to exist."""
+    where the logarithm ceases to exist.  Each region is evaluated on its own
+    columns of the batch (one point is a batch of one), so log and cos never
+    see an argument outside their domain."""
     h = 0.5 * (0.5 * math.pi / kappa - r0)
 
+    def log_cos(u):
+        return (1.0 / kappa) * jets.log(jets.cos(kappa * u))
+
     def fn(coords, order=3):
-        x1, y1, x2, y2 = jets.lift(coords, order)
+        coords = np.asarray(coords, dtype=float)
+        x1, y1, x2, y2 = jets.lift(coords.reshape(len(coords), -1), order)
         u = jets.log(x2 * x2 + y2 * y2)
-        if abs(u.value) >= r0 + h:
-            return jets.constant(0.0, len(coords), order)
-        psi = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
-        if abs(u.value) <= r0:
-            return psi
-        abs_u = math.copysign(1.0, u.value) * u
-        return psi * _smooth_step((1.0 / h) * (r0 + h - abs_u))
+        a = np.abs(u.value)
+        inner = np.flatnonzero(a <= r0)
+        edge = np.flatnonzero((a > r0) & (a < r0 + h))
+        pieces = [(inner, log_cos(u.take(inner)))]
+        if edge.size:
+            ue = u.take(edge)
+            abs_u = ue * np.copysign(1.0, ue.value)
+            pieces.append((edge, log_cos(ue)
+                           * _smooth_step((1.0 / h) * (r0 + h - abs_u))))
+        out = _scatter(a.size, pieces, len(coords), order)
+        return out if coords.ndim > 1 else out.take(0)
 
     return fn
 
@@ -212,21 +238,42 @@ class RhoFamily:
 
 
 def criterion_samples(domain, points):
-    """One CriterionSample per (weak point, Levi-null basis direction).
+    """One CriterionSample per (weak point, Levi-null basis direction), in
+    point order and then null-direction order.
 
-    Strongly pseudoconvex points contribute nothing; a fully strongly
-    pseudoconvex point list yields the empty list (vacuous criterion).
+    One order-3 jet pass of rho covers every point; each point's frame and
+    Levi null directions come from levi.levi_matrix, and one
+    dangelo.null_forms pass covers all (point, null direction) pairs that
+    share a frame pivot.  Strongly pseudoconvex points contribute nothing; a
+    fully strongly pseudoconvex point list yields the empty list (vacuous
+    criterion).
     """
+    points = list(points)
+    if not points:
+        return []
+    rho = domain.rho(np.stack([p.coords for p in points], axis=1), order=3)
+    wirt = jets.wirtinger(rho, domain.n)
+    rows, pivots, nulls = [], [], []
+    for b in range(len(points)):
+        w = wirt.take(b)
+        frame = levi.tangent_frame(w)
+        for a in levi.levi_matrix(w, frame).null_coeffs:
+            rows.append(b)
+            pivots.append(frame.pivot)
+            nulls.append(a @ frame.basis)
+    if not rows:
+        return []
+    rows, pivots, L = np.array(rows), np.array(pivots), np.array(nulls).T
+    dbar = np.empty(rows.size)
+    omega = np.empty(rows.size, dtype=complex)
+    for k in sorted(set(pivots.tolist())):  # np.unique would load numpy.ma
+        sel = np.flatnonzero(pivots == k)
+        omega[sel], dbar[sel] = dangelo.null_forms(
+            domain.n, rho.take(rows[sel]), k, L[:, sel])
     out = []
-    for p in points:
-        pc = dangelo.PointCalculus(domain, p)
-        nd = levi.levi_matrix(pc.wirt, pc.frame)
-        for a in nd.null_coeffs:
-            L = pc.ambient_null_vector(a)
-            om = dangelo.omega_on_null(domain, pc, L)
-            db = dangelo.dbar_omega(domain, pc, L, check_null=False)
-            out.append(CriterionSample(point=p, L=L, dbar=db,
-                                       msq=abs(om) ** 2, omega=om))
+    for b, Lb, db, om in zip(rows, nulls, dbar.tolist(), omega.tolist()):
+        out.append(CriterionSample(point=points[b], L=Lb, dbar=db,
+                                   msq=abs(om) ** 2, omega=om))
     return out
 
 
@@ -365,15 +412,19 @@ class ConformalLaw:
 
 
 def conformal_law(family, points):
-    """The base criterion samples of a family and its basis columns A, H."""
+    """The base criterion samples of a family and its basis columns A, H,
+    from one order-2 jet pass per basis function over all sample points."""
     samples = criterion_samples(family.base, points)
     A = np.zeros((family.dim, len(samples)), dtype=complex)
     H = np.zeros((family.dim, len(samples)))
-    for j, s in enumerate(samples):
+    if samples:
+        coords = np.stack([s.point.coords for s in samples], axis=1)
+        L = np.stack([s.L for s in samples], axis=1)
         for i, psi in enumerate(family.psi_basis):
-            w = jets.wirtinger(psi(s.point.coords, 2), family.base.n)
-            A[i, j] = w.grad @ s.L
-            H[i, j] = (s.L @ w.hess_mixed @ np.conj(s.L)).real
+            w = jets.wirtinger(psi(coords, 2), family.base.n)
+            A[i] = np.sum(w.grad * L, axis=0)
+            H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
+                          axis=(0, 1)).real
     return ConformalLaw(samples=samples,
                         omega0=np.array([s.omega for s in samples], dtype=complex),
                         dbar0=np.array([s.dbar for s in samples], dtype=float),
@@ -514,7 +565,8 @@ def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
                 f"(min eig {report.diagnostics['min_levi_eigenvalue']:.3e})")
         return report
     family = RhoFamily(domain, worm_psi_basis(beta))
-    return optimize_rho(family, domains.annulus_points(beta, annulus_count),
+    return optimize_rho(family,
+                        domains.annulus_points(beta, annulus_count, domain),
                         seed=seed, t=0.0, beta=beta,
                         ground_truth=_worm_ground_truth(beta))
 

@@ -12,12 +12,16 @@ quantities such as z = x + iy); the underlying coordinates are always real.
 The real coordinates of a point in C^n are interleaved: (x1, y1, ..., xn, yn)
 with z_k = x_k + i*y_k.
 
-An order-1 jet may also carry a batch of B points: value of shape (B,) and
-d1 of shape (nvars, B), one column per point.  Its arithmetic and the
-univariate functions below act pointwise on the trailing axis, so one pass
-evaluates a defining function at every point of the batch (Taylor mode over
-a batch; Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Orders 2
-and 3 take one point at a time.
+A jet may also carry a batch of B points, one per trailing index: value of
+shape (B,), d1 (nvars, B), d2 (nvars, nvars, B) and d3 (nvars, nvars,
+nvars, B).  Its arithmetic, the univariate functions and the Wirtinger
+conversion below act pointwise on the trailing axis, so one pass evaluates
+a defining function and its derivatives up to order 3 at every point of the
+batch (Taylor mode over a batch; Griewank & Walther, *Evaluating
+Derivatives*, ch. 13), and each point's entries are bit-identical to those
+of the jet at that point alone.  (That is why the derivative rules below
+write powers as products: numpy's array power rounds differently from the
+scalar one.)
 
 Jets are immutable after construction and all operations are pure.
 """
@@ -55,14 +59,18 @@ class JetError(ValueError):
 def _sym_outer(t2, t1):
     # symmetrized product of a symmetric 2-tensor with a 1-tensor:
     # S_{ijk} = t2_{ij} t1_k + t2_{ik} t1_j + t2_{jk} t1_i
+    # (a batch axis trails the three tensor axes and stays in place)
     a = t2[:, :, None] * t1[None, None, :]
-    return a + a.transpose(0, 2, 1) + a.transpose(2, 0, 1)
+    batch = tuple(range(3, a.ndim))
+    return a + a.transpose(0, 2, 1, *batch) + a.transpose(2, 0, 1, *batch)
 
 
 class Jet:
     """Value plus derivative tensors up to ``order`` (1, 2 or 3)."""
 
     __slots__ = ("nvars", "order", "value", "d1", "d2", "d3")
+    # numpy arrays defer to Jet's operators: array * jet is a jet
+    __array_ufunc__ = None
 
     def __init__(self, nvars, order, value, d1, d2=None, d3=None):
         if order not in (1, 2, 3):
@@ -122,8 +130,20 @@ class Jet:
         d3 = None if self.d3 is None else self.d3.imag.copy()
         return Jet(self.nvars, self.order, value, self.d1.imag.copy(), d2, d3)
 
+    def take(self, idx):
+        """Jet of the batch columns ``idx``: an index array keeps a batch,
+        an integer gives the jet at that one point."""
+        count = self.value.shape[0]
+
+        def pick(a):
+            return None if a is None else \
+                np.broadcast_to(a, a.shape[:-1] + (count,))[..., idx]
+
+        return Jet(self.nvars, self.order, self.value[idx], pick(self.d1),
+                   pick(self.d2), pick(self.d3))
+
     def max_imag(self):
-        m = abs(np.imag(self.value))
+        m = float(np.abs(np.imag(self.value)).max())
         m = max(m, np.abs(self.d1.imag).max())
         if self.d2 is not None:
             m = max(m, np.abs(self.d2.imag).max())
@@ -201,7 +221,8 @@ class Jet:
         d2 = d3 = None
         if k >= 2:
             cross = a.d1[:, None] * b.d1[None, :]
-            d2 = a.d2 * b.value + a.value * b.d2 + cross + cross.T
+            d2 = (a.d2 * b.value + a.value * b.d2
+                  + cross + cross.swapaxes(0, 1))
         if k >= 3:
             d3 = (a.d3 * b.value + a.value * b.d3
                   + _sym_outer(a.d2, b.d1) + _sym_outer(b.d2, a.d1))
@@ -220,8 +241,11 @@ class Jet:
     def __pow__(self, p):
         if not isinstance(p, int) or p < 0:
             raise JetError("jet powers must be nonnegative integers")
-        out = Jet.const(1.0, self.nvars, self.order)
-        for _ in range(p):
+        if p == 0:
+            return Jet.const(1.0, self.nvars, self.order)
+        # starting from self keeps a batch: a constant jet has no batch axis
+        out = self
+        for _ in range(p - 1):
             out = out * self
         return out
 
@@ -234,19 +258,21 @@ def lift(coords, order=3):
 
     The i-th returned jet has value coords[i], unit gradient e_i and zero
     higher derivatives.  Coordinates of shape (nvars, B), one point per
-    column, give order-1 seeds over the batch: value coords[i] of shape (B,)
-    and d1 = e_i as an (nvars, 1) column, which broadcasts over the batch.
+    column, give seeds over the batch: value coords[i] of shape (B,), d1 =
+    e_i as an (nvars, 1) column and zero d2, d3 with the same singleton
+    batch axis, which broadcasts over the batch.
     """
     coords = np.asarray(coords, dtype=float)
     if not np.all(np.isfinite(coords)):
         raise JetError("non-finite coordinates")
     if coords.ndim == 1:
         return [Jet.seed(c, i, coords.size, order) for i, c in enumerate(coords)]
-    if order != 1:
-        raise JetError("batched jets are order 1 only")
     nvars = coords.shape[0]
     eye = np.eye(nvars)
-    return [Jet(nvars, 1, coords[i], eye[:, i:i + 1]) for i in range(nvars)]
+    d2 = np.zeros((nvars, nvars, 1)) if order >= 2 else None
+    d3 = np.zeros((nvars, nvars, nvars, 1)) if order >= 3 else None
+    return [Jet(nvars, order, coords[i], eye[:, i:i + 1], d2, d3)
+            for i in range(nvars)]
 
 
 def variable(value, index, nvars, order=3):
@@ -292,13 +318,15 @@ def exp(j):
 @_lift_scalar
 def log(j):
     v = j.value
-    return compose(j, np.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+    v2 = v * v
+    return compose(j, np.log(v), 1.0 / v, -1.0 / v2, 2.0 / (v2 * v))
 
 
 @_lift_scalar
 def sqrt(j):
     s = np.sqrt(j.value)
-    return compose(j, s, 0.5 / s, -0.25 / s ** 3, 0.375 / s ** 5)
+    s3 = s * s * s
+    return compose(j, s, 0.5 / s, -0.25 / s3, 0.375 / (s3 * s * s))
 
 
 @_lift_scalar
@@ -317,7 +345,8 @@ def reciprocal(j):
     if not isinstance(j, Jet):
         return 1.0 / j
     v = j.value
-    return compose(j, 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4)
+    v2 = v * v
+    return compose(j, 1.0 / v, -1.0 / v2, 2.0 / (v2 * v), -6.0 / (v2 * v2))
 
 
 # -- Wirtinger conversion ----------------------------------------------------
@@ -329,6 +358,9 @@ class WirtingerData:
     grad[i]           = rho_{z_i}
     hess_hol[i, j]    = rho_{z_i z_j}           (complex symmetric)
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
+
+    The Wirtinger data of a batched jet carry the same trailing batch axis;
+    take(b) gives the data of one point.
     """
 
     n: int
@@ -340,33 +372,42 @@ class WirtingerData:
     def grad_norm(self):
         return float(np.linalg.norm(self.grad))
 
+    def take(self, b):
+        """The data of point ``b`` of a batch, as contiguous arrays."""
+        count = self.value.shape[0]
 
-def _wirtinger_matrix(n):
-    # rows 0..n-1: d/dz_k, rows n..2n-1: d/dzbar_k, columns are real coords
-    C = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        C[k, 2 * k] = 0.5
-        C[k, 2 * k + 1] = -0.5j
-        C[n + k, 2 * k] = 0.5
-        C[n + k, 2 * k + 1] = 0.5j
-    return C
+        def pick(a):
+            return np.ascontiguousarray(
+                np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
+
+        return WirtingerData(n=self.n, value=float(self.value[b]),
+                             grad=pick(self.grad), hess_hol=pick(self.hess_hol),
+                             hess_mixed=pick(self.hess_mixed))
 
 
 def wirtinger(j, n):
-    """Convert a real-coordinate jet of order 2 or 3 into Wirtinger tensors."""
+    """Convert a real-coordinate jet of order 2 or 3 into Wirtinger tensors.
+
+    Entrywise, with x = x_k, y = y_k and so on: grad = (d_x - i d_y)/2,
+    mixed = ((xx + yy) + i(xy - yx))/4 and hol = ((xx - yy) - i(xy + yx))/4,
+    formed like the matrix product C d2 C^T that they equal: first the rows,
+    then the columns, each a combination of two exact terms.  A batched jet
+    gives tensors with its trailing batch axis.
+    """
     if j.nvars != 2 * n:
         raise JetError(f"jet has {j.nvars} real variables, expected {2 * n}")
     if j.order < 2:
         raise JetError("wirtinger conversion needs a second-order jet")
-    C = _wirtinger_matrix(n)
-    grad_full = C @ j.d1.astype(complex)
-    h_full = C @ j.d2.astype(complex) @ C.T
+    x, y = slice(0, None, 2), slice(1, None, 2)
+    rows = j.d2[x] - 1j * j.d2[y]        # (xx - i yx, xy - i yy) per column
+    dx, dy = rows[:, x], 1j * rows[:, y]
+    value = np.real(j.value)
     return WirtingerData(
         n=n,
-        value=float(np.real(j.value)),
-        grad=grad_full[:n],
-        hess_hol=h_full[:n, :n],
-        hess_mixed=h_full[:n, n:],
+        value=float(value) if np.ndim(value) == 0 else value,
+        grad=0.5 * (j.d1[x] - 1j * j.d1[y]),
+        hess_hol=0.25 * (dx - dy),
+        hess_mixed=0.25 * (dx + dy),
     )
 
 

@@ -8,12 +8,15 @@ None of these is used by dfindex itself:
   T = N - Nbar from the Wirtinger data alone, as value-level references for
   ``dangelo.PointCalculus.transversal_jets``;
 - ``perturbed_transversal`` builds the admissible perturbations of T under
-  which every null-space quantity must stay invariant.
+  which every null-space quantity must stay invariant;
+- ``criterion_samples`` runs the criterion one point at a time through the
+  per-point D'Angelo API, the oracle for the batched
+  ``index.criterion_samples``.
 """
 
 import numpy as np
 
-from dfindex import domains
+from dfindex import dangelo, domains, index, levi
 from dfindex.dangelo import _conj_entry, _field_sum, _is_zero
 from dfindex.jets import Jet
 from dfindex.levi import LeviError
@@ -96,4 +99,20 @@ def perturbed_transversal(pc, h_coeffs):
     for i in range(n):
         hb = _conj_entry(H[i])
         out.append(T[n + i] - hb if isinstance(hb, Jet) else T[n + i])
+    return out
+
+
+def criterion_samples(domain, points):
+    """One CriterionSample per (weak point, Levi-null basis direction), one
+    point and one direction at a time."""
+    out = []
+    for p in points:
+        pc = dangelo.PointCalculus(domain, p)
+        nd = levi.levi_matrix(pc.wirt, pc.frame)
+        for a in nd.null_coeffs:
+            L = pc.ambient_null_vector(a)
+            om = dangelo.omega_on_null(domain, pc, L)
+            db = dangelo.dbar_omega(domain, pc, L, check_null=False)
+            out.append(index.CriterionSample(point=p, L=L, dbar=db,
+                                             msq=abs(om) ** 2, omega=om))
     return out

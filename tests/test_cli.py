@@ -145,6 +145,17 @@ def test_phi_check_passes(tmp_path):
     assert data["r"] == pytest.approx(3 * math.pi / 4 - math.pi / 2)
 
 
+# make_phi checks growth outside [-r, r] through phi' only; the value-level
+# axioms are phi-check's, for the beta grid of the central fiber and the
+# openings where phi underflows next to r
+@pytest.mark.parametrize("beta", [0.6 * math.pi, 0.7 * math.pi, 0.75 * math.pi,
+                                  0.9 * math.pi, 1.2 * math.pi, 1.6, 1.8, 1.9,
+                                  2.1, 3.2])
+def test_phi_axioms_hold_across_beta(beta):
+    result = cli.run_phi_check(beta)
+    assert result["passed"], result["checks"]
+
+
 # -- config file -------------------------------------------------------------------------
 
 def test_config_file_with_override(tmp_path):

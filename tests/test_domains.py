@@ -56,6 +56,10 @@ class TestPhi:
         with pytest.raises(domains.DomainError):
             domains.make_phi(math.pi / 2)
 
+    def test_normalizer_is_one_over_ramp_at_one(self):
+        assert domains.RAMP_NORMALIZER == 1.0 / domains._ramp(1.0)
+        assert self.phi.K == domains.RAMP_NORMALIZER
+
 
 def test_mollifier_vanishes_left_of_zero():
     assert domains.mollifier(-1.0) == 0.0
@@ -235,6 +239,25 @@ class TestAnnulusPoints:
     def test_includes_base_point(self):
         pts = domains.annulus_points(BETA, 9)
         assert any(abs(p.z[1] - 1.0) < 1e-15 for p in pts)
+
+    def test_places_points_on_a_given_domain(self):
+        dm = domains.worm_rho(BETA, 0.0)
+        given = domains.annulus_points(BETA, 9, dm)
+        built = domains.annulus_points(BETA, 9)
+        assert [p.z.tolist() for p in given] == [p.z.tolist() for p in built]
+
+
+def test_central_fiber_builds_phi_once(monkeypatch):
+    calls = []
+    make_phi = domains.make_phi
+
+    def counted(beta, *args, **kwargs):
+        calls.append(beta)
+        return make_phi(beta, *args, **kwargs)
+
+    monkeypatch.setattr(domains, "make_phi", counted)
+    index.worm_fiber_report(BETA, 0.0, annulus_count=5)
+    assert calls == [BETA]
 
 
 def test_samples_to_csv(tmp_path):

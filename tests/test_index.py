@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex import domains, index, jets, levi
+from dfindex import domains, exprparse, index, jets, levi
 
 BETA = 3 * math.pi / 4
 
@@ -264,6 +265,81 @@ def test_criterion_samples_on_worm_annulus():
         assert abs(s.dbar) < 1e-12
     assert index.df_bound(samples) == 0.0
     assert index.s_bound(samples) == math.inf
+
+
+def assert_match_reference(domain, points):
+    # same count and order as the per-point oracle, forms within 1e-12
+    got = index.criterion_samples(domain, points)
+    want = reference.criterion_samples(domain, points)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.point is w.point
+        assert np.array_equal(g.L, w.L)
+        assert abs(g.dbar - w.dbar) <= 1e-12 * max(abs(w.dbar), 1e-300)
+        assert abs(g.omega - w.omega) <= 1e-12 * max(abs(w.omega), 1e-300)
+    return got
+
+
+def test_criterion_samples_match_per_point_oracle_on_the_annulus():
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    pts = domains.annulus_points(BETA, 33)
+    for c in [np.zeros(family.dim), *np.eye(family.dim), *-np.eye(family.dim)]:
+        assert len(assert_match_reference(family.realize(c), pts)) == 33
+
+
+# a conformal factor keeps the zero set and the null directions but makes
+# omega and dbar nonzero, so the comparison is not between zeros
+FACTOR3 = "exp(0.5*re(z2)+0.3*im(z3)+0.7*abs2(z2)+0.2*abs2(z2+z3)+0.1*re(z1))"
+FACTOR2 = "exp(0.4*re(z1)+0.6*im(z2)+0.5*abs2(z1)+0.3*abs2(z1+z2))"
+
+
+@pytest.mark.parametrize("factor", ["", FACTOR3 + "*"])
+def test_criterion_samples_match_oracle_on_a_two_dimensional_null_space(factor):
+    dm = exprparse.parse_expression(
+        factor + "(abs2(z1)+abs2(z2)*abs2(z2)+abs2(z3)*abs2(z3)-1)")
+    pts = [dm.boundary_point(jets.coords_of_point([np.exp(1j * t), 0.0, 0.0]))
+           for t in (0.0, 1.0, 2.5)]
+    samples = assert_match_reference(dm, pts)
+    # two null directions per point, point order first
+    assert [s.point for s in samples] == [p for p in pts for _ in range(2)]
+
+
+@pytest.mark.parametrize("factor", ["", FACTOR2 + "*"])
+def test_criterion_samples_match_oracle_across_pivot_groups(factor):
+    dm = exprparse.parse_expression(
+        factor + "(abs2(z1)*abs2(z1)+abs2(z2)*abs2(z2)-1)")
+    zs = ([0, 1], [1, 0], [0, np.exp(0.7j)], [np.exp(2j), 0], [0, -1j])
+    pts = [dm.boundary_point(jets.coords_of_point(z)) for z in zs]
+    pivots = [levi.tangent_frame(p.wirt).pivot for p in pts]
+    assert pivots == [1, 0, 1, 0, 1]
+    samples = assert_match_reference(dm, pts)
+    assert [s.point for s in samples] == pts
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_log_cos_factor_batch_matches_each_point(order):
+    # the three u-regions of the factor: log cos, the blend to 0, and 0
+    r0 = BETA - math.pi / 2
+    kappa = (1.0 - index.LOG_COS_GAPS[-1]) * math.pi / (2.0 * r0)
+    h = 0.5 * (0.5 * math.pi / kappa - r0)
+    fn = index._log_cos_factor(kappa, r0)
+    us = np.concatenate([np.linspace(-r0, r0, 9),
+                         r0 + h * np.array([0.1, 0.5, 0.9, 1.5, 3.0]),
+                         -r0 - h * np.array([0.2, 0.7, 1.0, 2.0]), [1.2, -2.0]])
+    rng = np.random.default_rng(4)
+    ws = np.exp(us / 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi, us.size))
+    coords = np.array([jets.coords_of_point([0.1 * k, w])
+                       for k, w in enumerate(ws)]).T
+    a = np.abs(np.log(coords[2] ** 2 + coords[3] ** 2))
+    assert (a <= r0).sum() >= 9 and ((a > r0) & (a < r0 + h)).sum() >= 4
+    assert (a >= r0 + h).sum() >= 5
+    batch = fn(coords, order)
+    for k in range(us.size):
+        one = fn(coords[:, k], order)
+        assert batch.value[k] == one.value
+        for part in ("d1", "d2", "d3")[:order]:
+            assert np.array_equal(getattr(batch, part)[..., k],
+                                  getattr(one, part))
 
 
 # -- reports -----------------------------------------------------------------------------

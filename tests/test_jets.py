@@ -97,16 +97,22 @@ def test_lift_seeds_coordinates():
         assert np.abs(x.d2).max() == 0.0
 
 
+def _cube(g):
+    # powers as products: numpy's array power rounds unlike the scalar one
+    v = g.value
+    return jets.compose(g, v * v * v, 3.0 * v * v, 6.0 * v, 6.0)
+
+
 def _batched_cases(x1, y1, x2, y2):
-    # every order-1 operation the boundary root finder's domains use
+    # every operation the domains' defining functions use
     z = x1 + 1j * y1
     return {
         "+": x1 + y2 + 0.5,
         "-": x2 - y1 - 0.25,
         "*": (x1 * y2) * 1.5,
+        "**": (x1 + y1) ** 3,
         "/": x2 / (y1 + 2.0) + 3.0 / x1,
-        "compose": jets.compose(x2 * y1, (x2 * y1).value ** 3,
-                                3.0 * (x2 * y1).value ** 2),
+        "compose": _cube(x2 * y1),
         "exp": jets.exp(x1 * y1),
         "log": jets.log(x2 * x2 + y2 * y2),
         "sqrt": jets.sqrt(x1 * x1 + 1.0),
@@ -131,13 +137,60 @@ def test_batched_order1_jets_match_stacked_scalar_jets():
             assert np.array_equal(d1[:, k], col[name].d1), name
 
 
-def test_batched_lift_is_order1_only():
-    coords = np.ones((4, 3))
-    xs = jets.lift(coords, 1)
-    assert [x.d1.shape for x in xs] == [(4, 1)] * 4
-    for order in (2, 3):
-        with pytest.raises(jets.JetError):
-            jets.lift(coords, order)
+def _column(a, k, count):
+    # column k of a batched array whose batch axis may be a singleton
+    a = np.asarray(a)
+    return np.broadcast_to(a, a.shape[:-1] + (count,))[..., k]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_batched_jets_match_stacked_scalar_jets(order):
+    def cases(coords):
+        out = _batched_cases(*jets.lift(coords, order))
+        f = out["log"] * out["cos"] + out["exp"]
+        out["deriv"] = f.deriv(1)
+        out["wirt"] = f.wirt(0)
+        out["wirtbar"] = f.wirtbar(1)
+        return out
+
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.2, 1.5, size=(4, 6))
+    batched = cases(coords)
+    columns = [cases(c) for c in coords.T]
+    for name, jet in batched.items():
+        assert jet.value.shape == (6,), name
+        for k, col in enumerate(columns):
+            scalar = col[name]
+            assert jet.order == scalar.order, name
+            for part in ("value", "d1", "d2", "d3"):
+                want = getattr(scalar, part)
+                if want is None:
+                    continue
+                got = _column(getattr(jet, part), k, 6)
+                assert np.array_equal(got, want), (name, part, k)
+            assert np.array_equal(jet.take(k).d1, scalar.d1), name
+    for name in ("real_part", "imag_part", "+", "sqrt"):
+        w = jets.wirtinger(batched[name], 2)
+        for k, col in enumerate(columns):
+            one = jets.wirtinger(col[name], 2)
+            for field in ("value", "grad", "hess_hol", "hess_mixed"):
+                assert np.array_equal(getattr(w.take(k), field),
+                                      getattr(one, field)), (name, field)
+
+
+def test_batched_lift_seeds_every_order():
+    coords = np.arange(12.0).reshape(4, 3)
+    for order in (1, 2, 3):
+        xs = jets.lift(coords, order)
+        for i, x in enumerate(xs):
+            assert x.order == order
+            assert np.array_equal(x.value, coords[i])
+            assert x.d1.shape == (4, 1)
+            assert np.array_equal(x.d1[:, 0], np.eye(4)[i])
+            if order >= 2:
+                assert x.d2.shape == (4, 4, 1) and not x.d2.any()
+            if order >= 3:
+                assert x.d3.shape == (4, 4, 4, 1) and not x.d3.any()
 
 
 def test_truncate_drops_higher_orders():

@@ -48,3 +48,25 @@ def test_expression_analysis_leaves_scipy_unloaded(tmp_path):
                          env=env, check=True, capture_output=True,
                          text=True).stdout
     assert out.strip().splitlines() == ["[]", "0 []"]
+
+
+def test_central_fiber_leaves_scipy_special_unloaded(tmp_path):
+    # the central fiber's ramp arguments all underflow exp(-1/u); a deformed
+    # fiber's boundary rays reach past the annulus and need E1
+    src = os.path.dirname(os.path.dirname(dfindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, sys\n"
+        "from dfindex import cli\n"
+        "out = sys.argv[1]\n"
+        "rc = cli.main(['analyze', '--t', '0', '--annulus-count', '5',\n"
+        "               '--output', out])\n"
+        "print(rc, json.load(open(out))['null_count'],\n"
+        "      'scipy.special' in sys.modules)\n"
+        "rc = cli.main(['analyze', '--t', '0.3', '--spc-count', '20',\n"
+        "               '--output', out])\n"
+        "print(rc, json.load(open(out))['spc'], 'scipy.special' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip().splitlines() == ["0 5 False", "0 True True"]
