@@ -37,8 +37,11 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 LEVI_VERIFY_TOL = 1e-8
-SCHUR_RESIDUAL_TOL = 1e-10
+LEVI_VERIFY_MIN_W = 1e-6     # |w| below this is the w-logarithm's singularity
 SCHUR_PROJECTION_TOL = 1e-8
+SCHUR_SIZES = (2, 8)         # schur-test draws matrix sizes in this range
+SCHUR_TRAILING_COND = 1e6    # condition bound of a drawn trailing block
+PHI_CHECK_POINTS = 10000
 
 
 class VerificationError(RuntimeError):
@@ -180,7 +183,7 @@ def worm_levi_closed_form(phi, z, w, tsq=0.0):
     return math.exp(2.0 * cmath.phase(w)) / abs(w) ** 2 * inner
 
 
-def run_verify_levi(beta, t, count, seed, w_floor=1e-6):
+def run_verify_levi(beta, t, count, seed):
     """Compare AD Levi values against the closed form on random samples.
 
     The AD side multiplies Levi_rho(L, L) by e^{2 arg w} (the conformal
@@ -195,7 +198,7 @@ def run_verify_levi(beta, t, count, seed, w_floor=1e-6):
     used = 0
     for p in points:
         z, w = complex(p.z[0]), complex(p.z[1])
-        if abs(w) < w_floor:
+        if abs(w) < LEVI_VERIFY_MIN_W:
             continue  # coordinate singularity of the w-logarithm
         used += 1
         grad = p.wirt.grad
@@ -223,7 +226,7 @@ def cmd_verify_levi(args):
 # -- schur-test -------------------------------------------------------------------
 
 
-def _random_null_matrix(rng, size, null_dim, cond_limit=1e6):
+def _random_null_matrix(rng, size, null_dim):
     """Random PSD Hermitian matrix with an exact null space of the given
     dimension and a well-conditioned trailing block."""
     for _ in range(100):
@@ -231,18 +234,18 @@ def _random_null_matrix(rng, size, null_dim, cond_limit=1e6):
             + 1j * rng.normal(size=(size - null_dim, size))
         M = G.conj().T @ G
         C = M[null_dim:, null_dim:]
-        if np.linalg.cond(C) < cond_limit:
+        if np.linalg.cond(C) < SCHUR_TRAILING_COND:
             return M
     raise VerificationError("failed to draw a well-conditioned test matrix")
 
 
-def run_schur_suite(count=1000, seed=0, min_size=2, max_size=8):
+def run_schur_suite(count=1000, seed=0):
     """Randomized identity and null-containment checks for schur_frame."""
     rng = np.random.default_rng(seed)
     max_resid = 0.0
     max_proj = 0.0
     for _ in range(count):
-        size = int(rng.integers(min_size, max_size + 1))
+        size = int(rng.integers(SCHUR_SIZES[0], SCHUR_SIZES[1] + 1))
         m = int(rng.integers(1, size))
         M = _random_null_matrix(rng, size, m)
         vals, vecs = np.linalg.eigh(M)
@@ -261,9 +264,9 @@ def run_schur_suite(count=1000, seed=0, min_size=2, max_size=8):
     return {"count": count, "seed": seed,
             "max_identity_residual": float(max_resid),
             "max_projection_residual": float(max_proj),
-            "identity_tolerance": SCHUR_RESIDUAL_TOL,
+            "identity_tolerance": levi.SCHUR_IDENTITY_TOL,
             "projection_tolerance": SCHUR_PROJECTION_TOL,
-            "passed": bool(max_resid < SCHUR_RESIDUAL_TOL
+            "passed": bool(max_resid < levi.SCHUR_IDENTITY_TOL
                            and max_proj < SCHUR_PROJECTION_TOL)}
 
 
@@ -279,11 +282,11 @@ def cmd_schur_test(args):
 # -- phi-check --------------------------------------------------------------------
 
 
-def run_phi_check(beta, grid_points=10000):
+def run_phi_check(beta):
     """Axiom suite for the profile function phi."""
     phi = domains.make_phi(beta)
     r, a = phi.r, phi.a
-    xs = np.linspace(-a - 1.0, a + 1.0, grid_points)
+    xs = np.linspace(-a - 1.0, a + 1.0, PHI_CHECK_POINTS)
     vals = phi.value(xs)
     second = phi.d2(xs)
     even_defect = np.abs(vals - phi.value(-xs)).max()

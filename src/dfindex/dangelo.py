@@ -21,6 +21,9 @@ share a pivot, and so share the structure of their frame fields: one
 (point, Levi-null vector) pair per batch column.  index.criterion_samples
 makes one such pass (null_forms) per pivot group.  PointCalculus,
 omega_on_null and dbar_omega are the same code on a batch of one point.
+T and the frame fields are fixed when a calculus is built, together with
+omega on the frame fields; evaluating with another admissible T or frame
+means building another calculus (PointCalculus(domain, point, T=...)).
 
 With the standard exterior derivative d a(X, Y) = X a(Y) - Y a(X) - a([X, Y])
 and omega extended to vanish on the (0,1) space and on T, the right-hand side
@@ -54,6 +57,10 @@ __all__ = [
 DBAR_SIGN = 1.0
 
 IMAG_RESIDUE_TOL = 1e-8
+# relative least-squares residual above which a vector is not tangent
+DECOMPOSITION_TOL = 1e-8
+# relative Levi pairing above which a vector is not Levi-null
+NULL_PAIRING_TOL = 1e-6
 
 
 class DAngeloError(ValueError):
@@ -121,48 +128,37 @@ class BatchCalculus:
     points whose pivoted tangent frames share the pivot coordinate.
 
     Takes the order-3 jet of rho over the batch (one point per trailing
-    index) and caches the order-2 jets of its holomorphic and
-    antiholomorphic first derivatives, the frame fields, and the canonical
-    transversal field T = N - Nbar with
-    N = sum_j (rho_{zbar_j} / |d'rho|^2) d/dz_j.  Vectors are (n, B) arrays,
-    one column per batch point.
+    index) and builds, once, the order-2 jets of its holomorphic and
+    antiholomorphic first derivatives, the transversal field T, the frame
+    fields, and omega on each frame field.  T and the frame fields are fixed
+    here for the life of the calculus: by default T = N - Nbar with
+    N = sum_j (rho_{zbar_j} / |d'rho|^2) d/dz_j, and the pivoted fields
+    X_j = rho_{z_pivot} d/dz_j - rho_{z_j} d/dz_pivot.  A caller that wants
+    another admissible T or frame (the invariance tests do) passes its
+    coefficient jets (2n entries each, (1,0) first) and gets a second
+    calculus.  Vectors are (n, B) arrays, one column per batch point.
     """
 
-    def __init__(self, n, rho_jet, pivot):
+    def __init__(self, n, rho_jet, pivot, T=None, frame_fields=None):
         self.n = n
         self.count = rho_jet.value.shape[0]
-        self.pivot = pivot
-        self.others = tuple(j for j in range(n) if j != pivot)
         self.rz = [rho_jet.wirt(k) for k in range(n)]
         self.rzb = [rho_jet.wirtbar(k) for k in range(n)]
-        self._T = None
-        self._frame_jets = None
-        self._omega_cache = {}
-
-    # -- canonical fields ---------------------------------------------------
-
-    def transversal_jets(self):
-        """Coefficient jets of T = N - Nbar (2n entries, (1,0) first)."""
-        if self._T is None:
-            n = self.n
+        if T is None:
             g = _field_sum([self.rz[i] * self.rzb[i] for i in range(n)])
             N = [self.rzb[i] / g for i in range(n)]
-            self._T = N + [-(Ni.conj()) for Ni in N]
-        return self._T
-
-    def frame_field_jets(self):
-        """Coefficient jets of the pivoted frame fields X_j (list of fields)."""
-        if self._frame_jets is None:
-            n = self.n
-            k = self.pivot
-            fields = []
-            for j in self.others:
-                coeffs = [0.0] * (2 * n)
-                coeffs[j] = self.rz[k]
-                coeffs[k] = -self.rz[j]
-                fields.append(coeffs)
-            self._frame_jets = fields
-        return self._frame_jets
+            T = N + [-(Ni.conj()) for Ni in N]
+        if frame_fields is None:
+            frame_fields = []
+            for j in range(n):
+                if j != pivot:
+                    coeffs = [0.0] * (2 * n)
+                    coeffs[j] = self.rz[pivot]
+                    coeffs[pivot] = -self.rz[j]
+                    frame_fields.append(coeffs)
+        self.T = T
+        self.frame_fields = frame_fields
+        self.omega_frame = [self.alpha_field_jet(Y) for Y in frame_fields]
 
     # -- eta and alpha ------------------------------------------------------
 
@@ -176,12 +172,11 @@ class BatchCalculus:
                 terms.append(-(self.rzb[i] * V[n + i]))
         return 0.5 * _field_sum(terms)
 
-    def alpha_field_jet(self, Y, T=None):
+    def alpha_field_jet(self, Y):
         """alpha(Y) = -T(eta(Y)) + eta([T, Y]) as an order-1 scalar jet, or
         the constant 0 when every term vanishes structurally."""
         n = self.n
-        if T is None:
-            T = self.transversal_jets()
+        T = self.T
         eta_Y = self.eta_of_field(Y)
         t_eta_Y = _field_directional(eta_Y, T, n) if isinstance(eta_Y, Jet) else 0.0
         bracket = []
@@ -193,14 +188,6 @@ class BatchCalculus:
         eta_br = self.eta_of_field(bracket)
         return _field_sum([-t_eta_Y if isinstance(t_eta_Y, Jet) else 0.0, eta_br])
 
-    def omega_frame_jets(self, T=None, frame_jets=None):
-        """Order-1 jets of omega(X_j) for the frame fields."""
-        key = (id(T), id(frame_jets))
-        if key not in self._omega_cache:
-            fj = frame_jets if frame_jets is not None else self.frame_field_jets()
-            self._omega_cache[key] = [self.alpha_field_jet(Y, T) for Y in fj]
-        return self._omega_cache[key]
-
     # -- values per batch column ----------------------------------------------
 
     def _columns(self, entries):
@@ -208,19 +195,18 @@ class BatchCalculus:
         return np.array([np.broadcast_to(_value(x), (self.count,))
                          for x in entries], dtype=complex)
 
-    def frame_coefficients(self, L, frame_jets=None, tol=1e-8):
+    def frame_coefficients(self, L):
         """Solve L = sum_j c_j X_j(p) at each batch point, in the least-squares
         sense, for tangent (1,0) vectors L, (n, B); returns the coefficients
         as an (n-1, B) array."""
-        fj = frame_jets if frame_jets is not None else self.frame_field_jets()
         # (B, n, n-1): the frame vectors X_j(p) as columns, one matrix per point
-        X = np.stack([self._columns(Y[:self.n]) for Y in fj], axis=1) \
-            .transpose(2, 0, 1)
+        X = np.stack([self._columns(Y[:self.n]) for Y in self.frame_fields],
+                     axis=1).transpose(2, 0, 1)
         L = np.asarray(L, dtype=complex).T[:, :, None]
         c = np.linalg.pinv(X) @ L
         residual = np.linalg.norm(X @ c - L, axis=(1, 2))
         excess = residual / np.maximum(1.0, np.linalg.norm(L, axis=(1, 2)))
-        if np.any(excess > tol):
+        if np.any(excess > DECOMPOSITION_TOL):
             b = int(np.argmax(excess))
             raise DAngeloError(
                 f"vector is not in the holomorphic tangent space "
@@ -229,31 +215,29 @@ class BatchCalculus:
 
     # -- the two forms on Levi-null vectors -----------------------------------
 
-    def omega(self, L, T=None):
+    def omega(self, L):
         """omega(L) at each batch point, (B,) complex, via the frame fields."""
-        return _pair(self.frame_coefficients(L), self.omega_frame_jets(T))
+        return _pair(self.frame_coefficients(L), self.omega_frame)
 
-    def dbar(self, L, T=None, frame_jets=None):
+    def dbar(self, L):
         """dbar_omega(L, Lbar) at each batch point, (B,) real.
 
         Raises if a column carries an imaginary residue beyond tolerance
         (convention or extension bug).
         """
-        return self._dbar(self.frame_coefficients(L, frame_jets), T,
-                          frame_jets)
+        return self._dbar(self.frame_coefficients(L))
 
-    def _dbar(self, c, T=None, frame_jets=None):
+    def _dbar(self, c):
         # c: frame coefficients of L, (n-1, B)
         n = self.n
-        fj = frame_jets if frame_jets is not None else self.frame_field_jets()
-        om = self.omega_frame_jets(T, frame_jets)
+        om = self.omega_frame
 
         # omega(L) as a scalar field along the constant-coefficient frame field
         omega_L = _field_sum([oj * cj for cj, oj in zip(c, om)
                               if not _is_zero(oj)])
 
         # L and Lbar as coefficient fields
-        L10 = [_field_sum([Y[i] * cj for cj, Y in zip(c, fj)
+        L10 = [_field_sum([Y[i] * cj for cj, Y in zip(c, self.frame_fields)
                            if not _is_zero(Y[i])]) for i in range(n)]
         Lfield = L10 + [0.0] * n
         Lbarfield = [0.0] * n + [_conj_entry(x) for x in L10]
@@ -269,8 +253,8 @@ class BatchCalculus:
         grad = self._columns(self.rz)
         cT = 0.5 * (np.sum(grad * bracket[:n], axis=0)
                     - np.sum(np.conj(grad) * bracket[n:], axis=0))
-        T10 = self._columns((T if T is not None else self.transversal_jets())[:n])
-        a_coeffs = self.frame_coefficients(bracket[:n] - cT * T10, frame_jets)
+        T10 = self._columns(self.T[:n])
+        a_coeffs = self.frame_coefficients(bracket[:n] - cT * T10)
         term2 = -_pair(a_coeffs, om)
 
         raw = term1 + term2
@@ -286,17 +270,17 @@ class BatchCalculus:
 
 class PointCalculus(BatchCalculus):
     """BatchCalculus at one boundary point, with that point's Wirtinger data
-    (wirt) and pivoted tangent frame (frame)."""
+    (wirt) and pivoted tangent frame (frame); T and frame_fields as for
+    BatchCalculus."""
 
-    def __init__(self, domain, point):
-        self.domain = domain
-        self.point = point
+    def __init__(self, domain, point, T=None, frame_fields=None):
         rho_jet = domain.rho(point.coords[:, None], order=3)
         self.wirt = jets.wirtinger(rho_jet, domain.n).take(0)
         if self.wirt.grad_norm() == 0.0:
             raise LeviError("vanishing complex gradient")
         self.frame = tangent_frame(self.wirt)
-        super().__init__(domain.n, rho_jet, self.frame.pivot)
+        super().__init__(domain.n, rho_jet, self.frame.pivot, T,
+                         frame_fields)
 
     def ambient_null_vector(self, L):
         """Accept either ambient (n,) vectors or frame coefficients (n-1,)."""
@@ -320,27 +304,26 @@ def null_forms(n, rho_jet, pivot, L):
     """
     calc = BatchCalculus(n, rho_jet, pivot)
     c = calc.frame_coefficients(L)
-    return _pair(c, calc.omega_frame_jets()), calc._dbar(c)
+    return _pair(c, calc.omega_frame), calc._dbar(c)
 
 
-def omega_on_null(domain, point, L, T=None, null_tol=1e-6):
+def omega_on_null(domain, point, L):
     """omega evaluated on a Levi-null (1,0) vector via its frame field."""
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
     L = pc.ambient_null_vector(L)
-    _require_null(pc, L, null_tol)
-    return complex(pc.omega(L[:, None], T)[0])
+    _require_null(pc, L)
+    return complex(pc.omega(L[:, None])[0])
 
 
-def _require_null(pc, L, tol):
+def _require_null(pc, L):
     scale = max(1.0, float(np.abs(pc.wirt.hess_mixed).max()))
     worst = max(abs(levi_form(pc.wirt, L, X)) for X in pc.frame.basis)
-    if worst > tol * scale * max(1.0, np.linalg.norm(L) ** 2):
+    if worst > NULL_PAIRING_TOL * scale * max(1.0, np.linalg.norm(L) ** 2):
         raise DAngeloError(
             f"vector is not Levi-null (pairing {worst:.3e} above tolerance)")
 
 
-def dbar_omega(domain, point, L, T=None, frame_jets=None, null_tol=1e-6,
-               check_null=True):
+def dbar_omega(domain, point, L, check_null=True):
     """The quadratic form dbar_omega(L, Lbar) on a Levi-null vector L.
 
     Returns a real number; raises if the computed value carries an imaginary
@@ -350,5 +333,5 @@ def dbar_omega(domain, point, L, T=None, frame_jets=None, null_tol=1e-6,
     pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
     L = pc.ambient_null_vector(L)
     if check_null:
-        _require_null(pc, L, null_tol)
-    return float(pc.dbar(L[:, None], T, frame_jets)[0])
+        _require_null(pc, L)
+    return float(pc.dbar(L[:, None])[0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -109,31 +109,35 @@ class PhiSpec:
     """Even convex profile phi with phi^{-1}(0) = [-r, r] and phi(r+1) = 1.
 
     phi(x) = K * (ramp(x - r) + ramp(-x - r)) where ramp is the integral of
-    exp(-1/s).  K normalizes phi(r + 1) = 1, which fixes the threshold
-    a = r + 1 beyond which phi exceeds 1 with nonvanishing slope.
+    exp(-1/s).  K = RAMP_NORMALIZER normalizes phi(r + 1) = 1, which fixes
+    the threshold a = r + 1 beyond which phi exceeds 1 with nonvanishing
+    slope.
     """
 
-    beta: float
     r: float
-    K: float
-    a: float
-    quadrature_tol: float = 1e-12
+
+    @property
+    def a(self):
+        return self.r + 1.0
 
     def value(self, x):
-        return self.K * (_ramp(np.asarray(x, dtype=float) - self.r)
-                         + _ramp(-np.asarray(x, dtype=float) - self.r))
+        x = np.asarray(x, dtype=float)
+        return RAMP_NORMALIZER * (_ramp(x - self.r) + _ramp(-x - self.r))
 
     def d1(self, x):
         x = np.asarray(x, dtype=float)
-        return self.K * (mollifier(x - self.r) - mollifier(-x - self.r))
+        return RAMP_NORMALIZER * (mollifier(x - self.r)
+                                  - mollifier(-x - self.r))
 
     def d2(self, x):
         x = np.asarray(x, dtype=float)
-        return self.K * (mollifier_d1(x - self.r) + mollifier_d1(-x - self.r))
+        return RAMP_NORMALIZER * (mollifier_d1(x - self.r)
+                                  + mollifier_d1(-x - self.r))
 
     def d3(self, x):
         x = np.asarray(x, dtype=float)
-        return self.K * (mollifier_d2(x - self.r) - mollifier_d2(-x - self.r))
+        return RAMP_NORMALIZER * (mollifier_d2(x - self.r)
+                                  - mollifier_d2(-x - self.r))
 
     def jet(self, xj: Jet) -> Jet:
         """phi composed with xj; only the derivatives its order needs."""
@@ -142,21 +146,20 @@ class PhiSpec:
         return jets.compose(xj, *(f(v) for f in derivs))
 
 
-def make_phi(beta, quadrature_tol=1e-12, grid_points=2001, grid_halfwidth=None):
+def make_phi(beta):
     """Build the profile for a given opening parameter beta > pi/2.
 
-    Runs a construction self-check on a grid (convexity, the zero set, and
-    outward growth through phi'); a failure there indicates a bug, not bad
-    input.  The value-level axioms are cli.run_phi_check's.
+    Runs a construction self-check on 2001 points of [-r - 3, r + 3]
+    (convexity, the zero set, and outward growth through phi'); a failure
+    there indicates a bug, not bad input.  The value-level axioms are
+    cli.run_phi_check's.
     """
     if not beta > math.pi / 2:
         raise DomainError(f"beta must exceed pi/2, got {beta}")
     r = beta - math.pi / 2
-    phi = PhiSpec(beta=beta, r=r, K=RAMP_NORMALIZER, a=r + 1.0,
-                  quadrature_tol=quadrature_tol)
+    phi = PhiSpec(r=r)
 
-    half = grid_halfwidth if grid_halfwidth is not None else r + 3.0
-    xs = np.linspace(-half, half, grid_points)
+    xs = np.linspace(-r - 3.0, r + 3.0, 2001)
     if np.any(phi.d2(xs) < -1e-12):
         raise DomainError("profile self-check failed: convexity")
     inside = np.abs(xs) <= r
@@ -172,16 +175,15 @@ def make_phi(beta, quadrature_tol=1e-12, grid_points=2001, grid_halfwidth=None):
     return phi
 
 
-def phi_quadrature_check(phi, points=None):
-    """Max deviation of the closed-form ramp from adaptive quadrature."""
+def phi_quadrature_check(phi):
+    """Max deviation of the closed-form ramp from adaptive quadrature at 17
+    points of [0.05, r + 2]."""
     from scipy.integrate import quad
 
-    if points is None:
-        points = np.linspace(0.05, phi.r + 2.0, 17)
     worst = 0.0
-    for u in points:
+    for u in np.linspace(0.05, phi.r + 2.0, 17):
         q, _ = quad(lambda s: math.exp(-1.0 / s) if s > 0 else 0.0, 0.0, u,
-                    epsabs=phi.quadrature_tol, epsrel=1e-13)
+                    epsabs=1e-12, epsrel=1e-13)
         worst = max(worst, abs(q - _ramp(u)))
     return worst
 
@@ -209,7 +211,7 @@ class DomainSpec:
     def value(self, coords) -> float:
         return self.rho(coords, order=1).value
 
-    def boundary_point(self, coords, t=None, tol_factor=1.0):
+    def boundary_point(self, coords):
         """Wrap coordinates as a BoundaryPoint, verifying the residual.
 
         The point carries the order-2 jet of rho and its Wirtinger data: the
@@ -219,13 +221,13 @@ class DomainSpec:
         j = self.rho(coords, order=2)
         w = jets.wirtinger(j, self.n)
         scale = 1.0 + w.grad_norm()
-        if abs(j.value) > tol_factor * BOUNDARY_TOL * scale:
+        if abs(j.value) > BOUNDARY_TOL * scale:
             raise DomainError(
                 f"point is not on the boundary: |rho| = {abs(j.value):.3e}")
         if w.grad_norm() < 1e-10 * scale:
             raise DomainError("vanishing complex gradient at boundary point")
-        return BoundaryPoint(z=point_of_coords(coords), t=t, coords=coords,
-                             jet=j, wirt=w)
+        return BoundaryPoint(z=point_of_coords(coords), coords=coords, jet=j,
+                             wirt=w)
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,6 @@ class BoundaryPoint:
     """A point on the zero set of a defining function with its order-2 jet."""
 
     z: np.ndarray
-    t: Optional[complex]
     coords: np.ndarray
     jet: Jet
     wirt: WirtingerData
@@ -302,11 +303,11 @@ def ellipsoid(coeffs):
 
 # -- boundary sampling --------------------------------------------------------
 
-def _ray_roots(domain, anchor, directions, radius):
+def _ray_roots(domain, anchor, directions):
     """First zero of rho along anchor + s*direction for every column of
     ``directions`` (2n, B), by bracketing + bisection + Newton polish with
     all rays in lockstep.  Returns the roots as rows of a (B, 2n) array, or
-    raises if a ray exits the search radius without a sign change."""
+    raises if a ray exits SEARCH_RADIUS without a sign change."""
     count = directions.shape[1]
     # per-ray slopes as contiguous length-2n dot products, the same BLAS
     # kernel, and so the same rounding, as one ray's d1 @ direction
@@ -320,7 +321,7 @@ def _ray_roots(domain, anchor, directions, radius):
     s = np.full(count, 0.25)
     rays = np.arange(count)
     while rays.size:
-        if np.any(s[rays] > radius):
+        if np.any(s[rays] > SEARCH_RADIUS):
             raise DomainError(
                 "ray exited the search radius without leaving the domain "
                 "(unbounded direction or invalid anchor)")
@@ -363,7 +364,7 @@ def _ray_roots(domain, anchor, directions, radius):
     return anchor + s[:, None] * rows
 
 
-def boundary_sample(domain, anchor, count, seed=0, radius=SEARCH_RADIUS, t=None):
+def boundary_sample(domain, anchor, count, seed=0):
     """Sample boundary points along random rays from an interior anchor.
 
     Deterministic: the i-th ray derives its direction from (seed, i).  Every
@@ -380,33 +381,28 @@ def boundary_sample(domain, anchor, count, seed=0, radius=SEARCH_RADIUS, t=None)
         rng = np.random.default_rng([seed, i])
         direction = rng.normal(size=2 * domain.n)
         directions[:, i] = direction / np.linalg.norm(direction)
-    roots = _ray_roots(domain, anchor, directions, radius)
-    return [domain.boundary_point(coords, t=t) for coords in roots]
+    roots = _ray_roots(domain, anchor, directions)
+    return [domain.boundary_point(coords) for coords in roots]
 
 
 def annulus_points(beta, count, domain=None):
     """Weak boundary points of the undeformed worm: z = 0 and
     |log|w|^2| <= beta - pi/2.
 
-    The endpoints of the interval, and the point (0, 1), are always included.
-    ``domain`` is the worm_rho(beta, 0) to place them on; by default it is
-    built here.
+    The worm depends on w only through |w|, so every quantity of the
+    criterion is invariant under w -> e^{i theta} w; the points therefore
+    sit at real w = e^{u/2}, for ``count`` values of u spread over the
+    interval.  The endpoints of the interval, and the point (0, 1), are
+    always included.  ``domain`` is the worm_rho(beta, 0) to place them on;
+    by default it is built here.
     """
     if domain is None:
         domain = worm_rho(beta, 0.0)
     r = beta - math.pi / 2
     us = np.linspace(-r, r, count)
-    thetas = 2.0 * math.pi * np.arange(count) / count
-    mid = count // 2
-    us[mid] = 0.0
-    thetas[0] = thetas[mid] = thetas[-1] = 0.0
-
-    points = []
-    for u, theta in zip(us, thetas):
-        w = math.exp(u / 2.0) * complex(math.cos(theta), math.sin(theta))
-        coords = coords_of_point([0.0, w])
-        points.append(domain.boundary_point(coords, t=0.0))
-    return points
+    us[count // 2] = 0.0
+    return [domain.boundary_point(coords_of_point([0.0, math.exp(u / 2.0)]))
+            for u in us]
 
 
 def samples_to_csv(points, path):

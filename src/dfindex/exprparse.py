@@ -26,6 +26,11 @@ from .domains import DomainSpec
 __all__ = ["ParseError", "parse", "pretty", "parse_expression"]
 
 FUNCTIONS = ("abs2", "re", "im", "exp", "log", "sqrt", "sin", "cos")
+# parse_expression checks realness at REALNESS_POINTS points drawn with
+# this seed, to IMAG_PART_TOL relative to the jet's value and gradient
+REALNESS_POINTS = 8
+REALNESS_SEED = 7
+IMAG_PART_TOL = 1e-9
 
 _TOKEN_RE = re.compile(r"""
     (?P<number>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
@@ -266,8 +271,7 @@ def _eval_at(node, coords, n, order):
     return out
 
 
-def parse_expression(text, n=None, check_points=8, check_seed=7,
-                     realness_tol=1e-9):
+def parse_expression(text, n=None):
     """Parse text into a DomainSpec over C^n.
 
     If n is omitted it is inferred from the highest variable index.  The
@@ -285,12 +289,12 @@ def parse_expression(text, n=None, check_points=8, check_seed=7,
             f"unknown identifier: z{used} exceeds declared dimension n={n}",
             text.find(f"z{used}") if f"z{used}" in text else 0)
 
-    rng = np.random.default_rng(check_seed)
-    for _ in range(check_points):
+    rng = np.random.default_rng(REALNESS_SEED)
+    for _ in range(REALNESS_POINTS):
         coords = rng.uniform(0.3, 1.7, size=2 * n)
         j = _eval_at(ast, coords, n, order=2)
         scale = 1.0 + abs(j.value) + float(np.abs(j.d1).max())
-        if j.max_imag() > realness_tol * scale:
+        if j.max_imag() > IMAG_PART_TOL * scale:
             raise ParseError("expression is not real-valued", 0)
 
     def ev(coords, order=3):

@@ -34,10 +34,9 @@ feeds the weak points it finds to criterion_samples.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from . import dangelo, domains, jets, levi
 
 __all__ = [
     "CriterionSample",
-    "PsiFunction",
     "RhoFamily",
     "ConformalLaw",
     "IndexReport",
@@ -92,18 +90,6 @@ class CriterionSample:
             raise ValueError(f"dbar is not finite: {self.dbar}")
         if not self.msq >= 0.0:
             raise ValueError(f"msq must be nonnegative, got {self.msq}")
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    """A named smooth real scalar on C^n, evaluated as a jet at one point
-    or, for coordinates of shape (2n, B), over a batch (see jets.lift)."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, coords, order=3):
-        return self.fn(coords, order)
 
 
 def _smooth_step(x):
@@ -176,8 +162,7 @@ def worm_psi_basis(beta=3.0 * math.pi / 4.0):
         raise domains.DomainError(f"beta must exceed pi/2, got {beta}")
     r0 = beta - math.pi / 2
     kappa_star = math.pi / (2.0 * r0)
-    return [PsiFunction(f"log_cos_{eps:g}",
-                        _log_cos_factor((1.0 - eps) * kappa_star, r0))
+    return [_log_cos_factor((1.0 - eps) * kappa_star, r0)
             for eps in LOG_COS_GAPS]
 
 
@@ -186,7 +171,9 @@ class RhoFamily:
 
     Any smooth real psi keeps the zero set, the interior sign, and the
     nonvanishing differential of delta, so every member is again a defining
-    function; check_defining spot-checks this on probe points.
+    function; check_defining spot-checks this on probe points.  Each psi_i
+    is a callable psi(coords, order) giving its jet at one point or, for
+    coordinates of shape (2n, B), over a batch (see jets.lift).
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):
@@ -277,7 +264,7 @@ def criterion_samples(domain, points):
     return out
 
 
-def df_bound(samples, eps=MSQ_EPS):
+def df_bound(samples):
     """Largest gamma in [0, 1] admissible for every sample.
 
     Empty list -> 1 (vacuous).  Degenerate msq with dbar > 0 -> the sample
@@ -286,7 +273,7 @@ def df_bound(samples, eps=MSQ_EPS):
     best = 1.0
     for s in samples:
         scale = max(1.0, abs(s.dbar))
-        if s.msq <= eps * scale:
+        if s.msq <= MSQ_EPS * scale:
             contrib = 1.0 if s.dbar > 0.0 else 0.0
         elif s.dbar <= 0.0:
             contrib = 0.0
@@ -299,7 +286,7 @@ def df_bound(samples, eps=MSQ_EPS):
     return best
 
 
-def s_bound(samples, eps=MSQ_EPS):
+def s_bound(samples):
     """Smallest gamma in [1, inf] admissible for every sample.
 
     Empty list -> 1 (vacuous).  A sample with dbar >= -msq (at honest msq)
@@ -308,7 +295,7 @@ def s_bound(samples, eps=MSQ_EPS):
     worst = 1.0
     for s in samples:
         scale = max(1.0, abs(s.dbar))
-        if s.msq <= eps * scale:
+        if s.msq <= MSQ_EPS * scale:
             contrib = 1.0 if s.dbar < 0.0 else math.inf
         else:
             ratio = -s.dbar / s.msq
@@ -365,13 +352,6 @@ class IndexReport:
         if self.diagnostics:
             out["diagnostics"] = dict(self.diagnostics)
         return out
-
-    def to_json(self, path=None, indent=2):
-        text = json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
 
 
 # -- the conformal transformation law and the exact optimizer ---------------------

@@ -37,7 +37,6 @@ __all__ = [
     "JetError",
     "WirtingerData",
     "lift",
-    "variable",
     "constant",
     "compose",
     "exp",
@@ -188,11 +187,11 @@ class Jet:
             return Jet(self.nvars, self.order, self.value + other,
                        self.d1, self.d2, self.d3)
         self._check(other)
+        # the sum has the lower order of the two; higher tensors go unread
         k = min(self.order, other.order)
-        a, b = self.truncate(k), other.truncate(k)
-        return Jet(self.nvars, k, a.value + b.value, a.d1 + b.d1,
-                   None if k < 2 else a.d2 + b.d2,
-                   None if k < 3 else a.d3 + b.d3)
+        return Jet(self.nvars, k, self.value + other.value, self.d1 + other.d1,
+                   None if k < 2 else self.d2 + other.d2,
+                   None if k < 3 else self.d3 + other.d3)
 
     __radd__ = __add__
 
@@ -214,18 +213,19 @@ class Jet:
                        None if self.d2 is None else self.d2 * other,
                        None if self.d3 is None else self.d3 * other)
         self._check(other)
+        # the product has the lower order of the two; higher tensors go unread
         k = min(self.order, other.order)
-        a, b = self.truncate(k), other.truncate(k)
-        value = a.value * b.value
-        d1 = a.d1 * b.value + a.value * b.d1
+        value = self.value * other.value
+        d1 = self.d1 * other.value + self.value * other.d1
         d2 = d3 = None
         if k >= 2:
-            cross = a.d1[:, None] * b.d1[None, :]
-            d2 = (a.d2 * b.value + a.value * b.d2
+            cross = self.d1[:, None] * other.d1[None, :]
+            d2 = (self.d2 * other.value + self.value * other.d2
                   + cross + cross.swapaxes(0, 1))
         if k >= 3:
-            d3 = (a.d3 * b.value + a.value * b.d3
-                  + _sym_outer(a.d2, b.d1) + _sym_outer(b.d2, a.d1))
+            d3 = (self.d3 * other.value + self.value * other.d3
+                  + _sym_outer(self.d2, other.d1)
+                  + _sym_outer(other.d2, self.d1))
         return Jet(self.nvars, k, value, d1, d2, d3)
 
     __rmul__ = __mul__
@@ -275,10 +275,6 @@ def lift(coords, order=3):
             for i in range(nvars)]
 
 
-def variable(value, index, nvars, order=3):
-    return Jet.seed(value, index, nvars, order)
-
-
 def constant(value, nvars, order=3):
     dtype = complex if isinstance(value, complex) else float
     return Jet.const(value, nvars, order, dtype=dtype)
@@ -302,40 +298,28 @@ def compose(g, f0, f1, f2=None, f3=None):
     return Jet(g.nvars, g.order, value, d1, d2, d3)
 
 
-def _lift_scalar(fn):
-    def wrapped(x):
-        return fn(x) if isinstance(x, Jet) else getattr(np, fn.__name__)(x)
-    wrapped.__name__ = fn.__name__
-    return wrapped
-
-
-@_lift_scalar
 def exp(j):
     e = np.exp(j.value)
     return compose(j, e, e, e, e)
 
 
-@_lift_scalar
 def log(j):
     v = j.value
     v2 = v * v
     return compose(j, np.log(v), 1.0 / v, -1.0 / v2, 2.0 / (v2 * v))
 
 
-@_lift_scalar
 def sqrt(j):
     s = np.sqrt(j.value)
     s3 = s * s * s
     return compose(j, s, 0.5 / s, -0.25 / s3, 0.375 / (s3 * s * s))
 
 
-@_lift_scalar
 def sin(j):
     s, c = np.sin(j.value), np.cos(j.value)
     return compose(j, s, c, -s, -c)
 
 
-@_lift_scalar
 def cos(j):
     s, c = np.sin(j.value), np.cos(j.value)
     return compose(j, c, -s, -c, s)
@@ -356,7 +340,6 @@ class WirtingerData:
     """Complex first and second derivatives of a real-valued function on C^n.
 
     grad[i]           = rho_{z_i}
-    hess_hol[i, j]    = rho_{z_i z_j}           (complex symmetric)
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
 
     The Wirtinger data of a batched jet carry the same trailing batch axis;
@@ -366,7 +349,6 @@ class WirtingerData:
     n: int
     value: float
     grad: np.ndarray
-    hess_hol: np.ndarray
     hess_mixed: np.ndarray
 
     def grad_norm(self):
@@ -381,17 +363,17 @@ class WirtingerData:
                 np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
 
         return WirtingerData(n=self.n, value=float(self.value[b]),
-                             grad=pick(self.grad), hess_hol=pick(self.hess_hol),
+                             grad=pick(self.grad),
                              hess_mixed=pick(self.hess_mixed))
 
 
 def wirtinger(j, n):
     """Convert a real-coordinate jet of order 2 or 3 into Wirtinger tensors.
 
-    Entrywise, with x = x_k, y = y_k and so on: grad = (d_x - i d_y)/2,
-    mixed = ((xx + yy) + i(xy - yx))/4 and hol = ((xx - yy) - i(xy + yx))/4,
-    formed like the matrix product C d2 C^T that they equal: first the rows,
-    then the columns, each a combination of two exact terms.  A batched jet
+    Entrywise, with x = x_k, y = y_k and so on: grad = (d_x - i d_y)/2 and
+    mixed = ((xx + yy) + i(xy - yx))/4, formed like the matrix product
+    C d2 conj(C)^T that it equals: first the rows, then the columns, each a
+    combination of two exact terms.  A batched jet
     gives tensors with its trailing batch axis.
     """
     if j.nvars != 2 * n:
@@ -400,14 +382,12 @@ def wirtinger(j, n):
         raise JetError("wirtinger conversion needs a second-order jet")
     x, y = slice(0, None, 2), slice(1, None, 2)
     rows = j.d2[x] - 1j * j.d2[y]        # (xx - i yx, xy - i yy) per column
-    dx, dy = rows[:, x], 1j * rows[:, y]
     value = np.real(j.value)
     return WirtingerData(
         n=n,
         value=float(value) if np.ndim(value) == 0 else value,
         grad=0.5 * (j.d1[x] - 1j * j.d1[y]),
-        hess_hol=0.25 * (dx - dy),
-        hess_mixed=0.25 * (dx + dy),
+        hess_mixed=0.25 * (rows[:, x] + 1j * rows[:, y]),
     )
 
 

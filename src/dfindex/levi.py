@@ -33,6 +33,7 @@ __all__ = [
 
 NULL_TOL = 1e-7  # eigenvalue < NULL_TOL * max(1, spectral radius) counts as null
 SCHUR_COND_LIMIT = 1e8
+SCHUR_IDENTITY_TOL = 1e-10  # |Psi* M Psi - diag| relative to |M|
 
 
 class LeviError(ValueError):
@@ -52,7 +53,6 @@ class TangentFrame:
 
     basis: np.ndarray       # (n-1, n) complex, rows are frame vectors
     pivot: int
-    others: tuple           # coordinate index carried by each row
 
 
 def tangent_frame(w):
@@ -62,12 +62,12 @@ def tangent_frame(w):
         raise LeviError("vanishing complex gradient")
     k = int(np.argmax(np.abs(grad)))
     n = grad.size
-    others = tuple(j for j in range(n) if j != k)
+    others = [j for j in range(n) if j != k]
     basis = np.zeros((n - 1, n), dtype=complex)
     for row, j in enumerate(others):
         basis[row, j] = grad[k]
         basis[row, k] = -grad[j]
-    return TangentFrame(basis=basis, pivot=k, others=others)
+    return TangentFrame(basis=basis, pivot=k)
 
 
 def levi_form(w, X, Y):
@@ -83,11 +83,10 @@ def _spectral_scale(eigenvalues):
 
 @dataclass(frozen=True)
 class NullData:
-    """Levi matrix in a tangent frame with its eigendata and null space."""
+    """Levi matrix in a tangent frame with its eigenvalues and null space."""
 
     M: np.ndarray
     eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # columns
     null_coeffs: np.ndarray   # (m, n-1), see null_basis
 
     @property
@@ -108,8 +107,7 @@ def levi_matrix(w, frame):
         raise LeviError(f"Levi matrix not Hermitian (defect {defect:.3e})")
     M = 0.5 * (M + M.conj().T)
     vals, vecs = np.linalg.eigh(M)
-    return NullData(M=M, eigenvalues=vals, eigenvectors=vecs,
-                    null_coeffs=null_basis(vals, vecs))
+    return NullData(M=M, eigenvalues=vals, null_coeffs=null_basis(vals, vecs))
 
 
 def null_basis(eigenvalues, eigenvectors):
@@ -137,7 +135,7 @@ class SchurResult:
     residual: float
 
 
-def schur_frame(nd, m, frame_vectors=None, residual_tol=1e-10):
+def schur_frame(nd, m, frame_vectors=None):
     """Block-diagonalize the Levi matrix around an m-dimensional null block.
 
     Returns Psi, the diagonal blocks, and the transformed frame (ambient
@@ -167,7 +165,7 @@ def schur_frame(nd, m, frame_vectors=None, residual_tol=1e-10):
     target[:m, :m] = block_null
     target[m:, m:] = Cinv
     residual = float(np.linalg.norm(Psi.conj().T @ M @ Psi - target))
-    if residual > residual_tol * max(np.linalg.norm(M), 1e-300):
+    if residual > SCHUR_IDENTITY_TOL * max(np.linalg.norm(M), 1e-300):
         raise LeviError(f"Schur identity violated (residual {residual:.3e})")
 
     base = np.asarray(frame_vectors, dtype=complex) if frame_vectors is not None \

@@ -6,7 +6,7 @@ None of these is used by dfindex itself:
   for the lockstep ``domains._ray_roots``;
 - ``eta_value`` and ``transversal`` evaluate eta and the transversal field
   T = N - Nbar from the Wirtinger data alone, as value-level references for
-  ``dangelo.PointCalculus.transversal_jets``;
+  ``dangelo.BatchCalculus.T``;
 - ``perturbed_transversal`` builds the admissible perturbations of T under
   which every null-space quantity must stay invariant;
 - ``criterion_samples`` runs the criterion one point at a time through the
@@ -87,8 +87,8 @@ def perturbed_transversal(pc, h_coeffs):
     all null-space quantities must be invariant under it.
     """
     n = pc.n
-    T = pc.transversal_jets()
-    fj = pc.frame_field_jets()
+    T = pc.T
+    fj = pc.frame_fields
     H = []
     for i in range(n):
         H.append(_field_sum([hj * Y[i] for hj, Y in zip(h_coeffs, fj)

@@ -189,6 +189,12 @@ def test_bad_expression_is_input_error(tmp_path):
                 "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
 
 
+def test_unbounded_expression_is_input_error(tmp_path):
+    # boundary rays leave the search radius inside the half-space
+    assert run(["analyze", "--expr", "re(z1)-1", "--dim", "2", "--count", "10",
+                "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
+
+
 def test_complex_expression_is_input_error(tmp_path):
     assert run(["analyze", "--expr", "z1 + abs2(z2) - 1", "--count", "5",
                 "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT

@@ -47,7 +47,7 @@ def test_eta_annihilates_tangent_vectors():
 def test_transversal_jets_match_values():
     dm, p = worm_point()
     pc = PointCalculus(dm, p)
-    T = pc.transversal_jets()
+    T = pc.T
     T10, T01 = reference.transversal(p.wirt)
     for i in range(dm.n):
         assert T[i].value == pytest.approx(T10[i], abs=1e-14)
@@ -95,8 +95,9 @@ def test_invariance_under_admissible_transversal_perturbation():
         for _ in range(4):
             h = rng.normal(size=dm.n - 1) + 1j * rng.normal(size=dm.n - 1)
             Tp = reference.perturbed_transversal(pc, h)
-            omp = dangelo.omega_on_null(dm, pc, L, T=Tp)
-            dbp = dangelo.dbar_omega(dm, pc, L, T=Tp)
+            perturbed = PointCalculus(dm, p, T=Tp)
+            omp = dangelo.omega_on_null(dm, perturbed, L)
+            dbp = dangelo.dbar_omega(dm, perturbed, L)
             assert omp == pytest.approx(om0, abs=1e-10)
             assert dbp == pytest.approx(db0, abs=1e-10)
 
@@ -107,8 +108,8 @@ def test_frame_independence():
     L = null_vector(pc)
     db0 = dangelo.dbar_omega(dm, pc, L)
     scaled = [[1.7 * x if isinstance(x, Jet) else 0.0 for x in Y]
-              for Y in pc.frame_field_jets()]
-    db1 = dangelo.dbar_omega(dm, pc, L, frame_jets=scaled)
+              for Y in pc.frame_fields]
+    db1 = dangelo.dbar_omega(dm, PointCalculus(dm, p, frame_fields=scaled), L)
     assert db1 == pytest.approx(db0, abs=1e-12)
 
 

@@ -45,7 +45,7 @@ class TestPhi:
 
     def test_jet_evaluation_matches_pointwise(self):
         x = R + 0.35
-        xj = jets.variable(x, 0, 2, order=3)
+        xj = jets.lift([x, 0.0], order=3)[0]
         pj = self.phi.jet(xj)
         assert pj.value == pytest.approx(self.phi.value(x), rel=1e-14)
         assert pj.d1[0] == pytest.approx(self.phi.d1(x), rel=1e-12)
@@ -58,7 +58,6 @@ class TestPhi:
 
     def test_normalizer_is_one_over_ramp_at_one(self):
         assert domains.RAMP_NORMALIZER == 1.0 / domains._ramp(1.0)
-        assert self.phi.K == domains.RAMP_NORMALIZER
 
 
 def test_mollifier_vanishes_left_of_zero():
@@ -151,6 +150,12 @@ class TestBoundarySampling:
         with pytest.raises(domains.DomainError):
             domains.boundary_sample(dm, np.array([2.0, 0.0, 0.0, 0.0]), 3)
 
+    def test_unbounded_domain_exits_the_search_radius(self):
+        # a ray into the half-space never meets re(z1) = 1 again
+        dm = exprparse.parse_expression("re(z1)-1", n=2)
+        with pytest.raises(domains.DomainError, match="search radius"):
+            domains.boundary_sample(dm, np.zeros(4), 10)
+
     def test_boundary_point_rejects_off_boundary(self):
         dm = domains.ball(2)
         with pytest.raises(domains.DomainError):
@@ -213,14 +218,12 @@ def test_singular_probe_nudges_only_its_ray():
 
     watched = domains.DomainSpec(n=2, kind="worm", eval_fn=spy)
     mixed = others[:3] + singular + others[3:]
-    roots = domains._ray_roots(watched, index.WORM_ANCHOR,
-                               np.array(mixed).T, domains.SEARCH_RADIUS)
+    roots = domains._ray_roots(watched, index.WORM_ANCHOR, np.array(mixed).T)
     assert (4, 1) in raised  # the probe on w = 0 was met and singled out
     for root, d in zip(roots, mixed):
         assert _rel_gap(root, reference.ray_root(dm, index.WORM_ANCHOR, d)) <= 1e-15
     assert roots[4][2] == pytest.approx(0.5939, abs=1e-4)
-    alone = domains._ray_roots(dm, index.WORM_ANCHOR, np.array(others).T,
-                               domains.SEARCH_RADIUS)
+    alone = domains._ray_roots(dm, index.WORM_ANCHOR, np.array(others).T)
     assert np.array_equal(np.delete(roots, [3, 4], axis=0), alone)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -162,8 +163,8 @@ class TestRhoFamily:
         self.family.check_defining(params, probes)
 
     def test_check_defining_detects_sign_flip(self):
-        bad = index.RhoFamily(self.base, [index.PsiFunction(
-            "flip", lambda coords, order=3: jets.constant(1.0, 4, order))])
+        bad = index.RhoFamily(
+            self.base, [lambda coords, order=3: jets.constant(1.0, 4, order)])
 
         # negate instead of scaling: not a conformal factor
         def flip_ev(coords, order=3):
@@ -199,7 +200,7 @@ class TestRhoFamily:
             u = jets.log(x2 * x2 + y2 * y2)
             return (1.0 / kappa) * jets.log(jets.cos(kappa * u))
 
-        raw = index.RhoFamily(self.base, [index.PsiFunction("raw", raw_log_cos)])
+        raw = index.RhoFamily(self.base, [raw_log_cos])
         probe = jets.coords_of_point([0.1, math.exp(0.6)])  # u = 1.2
         with np.errstate(invalid="ignore"):
             assert math.isnan(raw.realize([1.0]).value(probe))
@@ -232,10 +233,10 @@ def test_conformal_law_pins_sign_of_omega_shift():
     def im_w(coords, order=3):
         return jets.lift(coords, order)[3]
 
-    basis = [index.PsiFunction("im_w", im_w), index.worm_psi_basis()[1]]
+    basis = [im_w, index.worm_psi_basis()[1]]
     family = index.RhoFamily(domains.worm_rho(BETA, 0.0), basis)
     pts = [p for p in domains.annulus_points(BETA, 9) if p.z[1].imag == 0.0]
-    assert len(pts) == 3
+    assert len(pts) == 9
     law = index.conformal_law(family, pts)
     c = np.array([0.7, 0.5])
     realized = ratios(index.criterion_samples(family.realize(c), pts))
@@ -265,6 +266,41 @@ def test_criterion_samples_on_worm_annulus():
         assert abs(s.dbar) < 1e-12
     assert index.df_bound(samples) == 0.0
     assert index.s_bound(samples) == math.inf
+
+
+def _forms(domain, points):
+    samples = index.criterion_samples(domain, points)
+    return (np.array([s.dbar for s in samples]),
+            np.array([s.msq for s in samples]))
+
+
+def _wsq(p):
+    # |w|^2 as the worm computes it, before its logarithm
+    return p.coords[2] * p.coords[2] + p.coords[3] * p.coords[3]
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+def test_criterion_samples_are_invariant_under_rotation_of_w(c):
+    # the worm and every factor of worm_psi_basis depend on w only through
+    # |w|, which is why annulus_points puts every point at real w.  Rotating
+    # w can round |w|^2 one ulp away; at the annulus ends the tightest
+    # factor's e^{2 psi}, common to dbar and |omega|^2, amplifies that to
+    # about 1e-10 relative.  So dbar and |omega|^2 are compared where |w|^2
+    # is unchanged, and their ratio, which is all the bounds read, everywhere.
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    dm = family.realize(c * np.eye(family.dim)[0])
+    pts = domains.annulus_points(BETA, 9)
+    dbar, msq = _forms(dm, pts)
+    scale = np.abs(dbar) + msq
+    for theta in (0.7, 2.0, -2.9):
+        turned = [dm.boundary_point(jets.coords_of_point(
+            [p.z[0], cmath.exp(1j * theta) * p.z[1]])) for p in pts]
+        same = np.array([_wsq(q) == _wsq(p) for p, q in zip(pts, turned)])
+        assert same.sum() >= 3
+        d, m = _forms(dm, turned)
+        assert np.all(np.abs(d / m - dbar / msq) <= 1e-12 * scale / msq)
+        assert np.all(np.abs(d - dbar)[same] <= 1e-12 * scale[same])
+        assert np.all(np.abs(m - msq)[same] <= 1e-12 * msq[same])
 
 
 def assert_match_reference(domain, points):
@@ -360,19 +396,11 @@ def test_report_serialization():
     rep = index.IndexReport(df_lower=0.5, s_upper=math.inf, null_count=3,
                             spc=False, t=0.0, beta=math.nan, seed=4,
                             best_params={"df": np.array([0.1, 0.2])})
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["s_upper"] == "inf"
     assert data["beta"] is None
     assert data["schema_version"] == index.SCHEMA_VERSION
     assert data["best_params"]["df"] == [0.1, 0.2]
-
-
-def test_report_json_file(tmp_path):
-    rep = index.IndexReport(df_lower=1.0, s_upper=1.0, null_count=0, spc=True,
-                            t=0.2, beta=BETA, seed=0)
-    path = tmp_path / "report.json"
-    rep.to_json(path)
-    assert json.loads(path.read_text())["spc"] is True
 
 
 # -- optimization and the sweep -------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_batched_jets_match_stacked_scalar_jets(order):
         w = jets.wirtinger(batched[name], 2)
         for k, col in enumerate(columns):
             one = jets.wirtinger(col[name], 2)
-            for field in ("value", "grad", "hess_hol", "hess_mixed"):
+            for field in ("value", "grad", "hess_mixed"):
                 assert np.array_equal(getattr(w.take(k), field),
                                       getattr(one, field)), (name, field)
 
@@ -199,6 +199,20 @@ def test_truncate_drops_higher_orders():
     t = a.truncate(1)
     assert t.order == 1 and t.d2 is None and t.d3 is None
     assert t.value == a.value
+
+
+@pytest.mark.parametrize("low", [1, 2])
+def test_mixed_order_arithmetic_is_truncated_arithmetic(low):
+    # a sum or product has the lower order of its operands, bit for bit the
+    # result of truncating the higher one first
+    rng = np.random.default_rng(5)
+    a, b = rand_jet(rng), rand_jet(rng, order=low)
+    cut = a.truncate(low)
+    for got, want in ((a + b, cut + b), (b + a, b + cut),
+                      (a * b, cut * b), (b * a, b * cut)):
+        assert got.order == low
+        for part in ("value", "d1", "d2", "d3"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_conj_real_imag_decomposition():
@@ -310,8 +324,6 @@ def test_wirtinger_of_hermitian_quadratic():
     assert np.abs(w.hess_mixed - H).max() < 1e-12
     z = np.array([coords[0] + 1j * coords[1], coords[2] + 1j * coords[3]])
     assert np.abs(w.grad - H @ np.conj(z)).max() < 1e-12
-    # purely Hermitian rho has no holomorphic Hessian
-    assert np.abs(w.hess_hol).max() < 1e-12
     # the conversion needs second derivatives and nothing beyond them
     w2 = jets.wirtinger(rho(2), 2)
     assert np.array_equal(w2.grad, w.grad)

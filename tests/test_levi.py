@@ -33,7 +33,6 @@ def test_levi_matrix_hermitian_and_psd_on_worm():
 
 def test_levi_matrix_rejects_non_hermitian():
     w = jets.WirtingerData(n=2, value=0.0, grad=np.array([1.0, 1.0 + 0j]),
-                           hess_hol=np.zeros((2, 2), dtype=complex),
                            hess_mixed=np.diag([1.0, 1.0j]))
     with pytest.raises(levi.LeviError):
         levi.levi_matrix(w, levi.tangent_frame(w))
