@@ -1,13 +1,13 @@
 """Numerical toolkit for Diederich-Fornaess and Steinness index bounds.
 
-Third-order jet arithmetic, boundary geometry (tangent frames, Levi
-matrices, Schur block-diagonalization), the D'Angelo 1-form and its
+Third-order jet arithmetic, boundary geometry (batched tangent frames and
+Levi matrices, Schur block-diagonalization), the D'Angelo 1-form and its
 quadratic forms on the Levi null space, and closed-form index bound
 aggregation with the extremal conformal factor of the central worm fiber.
 """
 
 from . import dangelo, domains, exprparse, index, jets, levi
-from .dangelo import PointCalculus, dbar_omega, omega_on_null
+from .dangelo import PointCalculus, null_forms
 from .domains import (BoundaryPoint, DomainSpec, annulus_points, ball,
                       boundary_sample, ellipsoid, make_phi, worm_rho)
 from .exprparse import parse_expression
@@ -16,7 +16,7 @@ from .index import (CriterionSample, IndexReport, RhoFamily, criterion_samples,
                     sampled_report, spc_check, worm_fiber_report,
                     worm_psi_basis)
 from .jets import Jet, wirtinger
-from .levi import levi_matrix, schur_frame, tangent_frame
+from .levi import levi_batch, schur_frame
 
 __version__ = "0.1.0"
 
@@ -26,8 +26,8 @@ __all__ = [
     "DomainSpec", "BoundaryPoint", "worm_rho", "ball", "ellipsoid",
     "make_phi", "boundary_sample", "annulus_points",
     "parse_expression",
-    "tangent_frame", "levi_matrix", "schur_frame",
-    "PointCalculus", "omega_on_null", "dbar_omega",
+    "levi_batch", "schur_frame",
+    "PointCalculus", "null_forms",
     "CriterionSample", "RhoFamily", "IndexReport", "criterion_samples",
     "df_bound", "s_bound", "optimize_rho", "spc_check", "sampled_report",
     "deformation_sweep",

@@ -75,23 +75,19 @@ def _stamp(payload, args):
 
 
 def _domain_from_args(args):
-    if getattr(args, "expr", None):
-        return exprparse.parse_expression(args.expr, n=getattr(args, "dim", None))
-    name = getattr(args, "domain", "worm")
-    if name == "worm":
+    if args.expr:
+        return exprparse.parse_expression(args.expr, n=args.dim)
+    if args.domain == "worm":
         return domains.worm_rho(args.beta, args.t)
-    if name == "ball":
-        return domains.ball(getattr(args, "dim", None) or 2)
-    if name == "ellipsoid":
-        coeffs = getattr(args, "coeffs", None)
-        if not coeffs:
-            raise domains.DomainError("ellipsoid requires --coeffs")
-        return domains.ellipsoid(coeffs)
-    raise domains.DomainError(f"unknown domain {name!r}")
+    if args.domain == "ball":
+        return domains.ball(args.dim or 2)
+    if not args.coeffs:
+        raise domains.DomainError("ellipsoid requires --coeffs")
+    return domains.ellipsoid(args.coeffs)
 
 
 def _anchor_for(args, domain):
-    anchor = getattr(args, "anchor", None)
+    anchor = args.anchor
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.size == domain.n:
@@ -106,11 +102,11 @@ def _anchor_for(args, domain):
 
 
 def cmd_analyze(args):
-    if getattr(args, "expr", None) or args.domain != "worm":
+    if args.expr or args.domain != "worm":
         domain = _domain_from_args(args)
         report = index.sampled_report(domain, _anchor_for(args, domain),
                                       args.count, args.seed)
-        label = args.expr if getattr(args, "expr", None) else args.domain
+        label = args.expr or args.domain
     else:
         report = index.worm_fiber_report(
             args.beta, args.t, annulus_count=args.annulus_count,
@@ -355,27 +351,33 @@ def build_parser():
     common.add_argument("--config", default=None,
                         help="flat key=value config file; explicit flags win")
 
+    # the domain options of analyze and sample
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("--domain", default="worm",
+                        choices=["worm", "ball", "ellipsoid"])
+    domain.add_argument("--expr", default=None,
+                        help="defining function expression in z1..zn")
+    domain.add_argument("--dim", type=int, default=None)
+    domain.add_argument("--coeffs", type=_parse_floats, default=None)
+    domain.add_argument("--anchor", type=_parse_floats, default=None,
+                        help="interior anchor, interleaved re/im coordinates")
+    domain.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
+    domain.add_argument("--t", type=float, default=0.0)
+
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=400,
+                        help="accepted for interface stability; the central "
+                             "fiber's certificate is closed-form and ignores "
+                             "it")
+
     parser = argparse.ArgumentParser(
         prog="dfindex",
         description="Index bound analyses for pseudoconvex domains")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", parents=[common],
+    pa = sub.add_parser("analyze", parents=[common, domain, budget],
                         help="index bounds for one domain")
-    pa.add_argument("--domain", default="worm",
-                    choices=["worm", "ball", "ellipsoid"])
-    pa.add_argument("--expr", default=None,
-                    help="defining function expression in z1..zn")
-    pa.add_argument("--dim", type=int, default=None)
-    pa.add_argument("--coeffs", type=_parse_floats, default=None)
-    pa.add_argument("--anchor", type=_parse_floats, default=None,
-                    help="interior anchor, interleaved re/im coordinates")
-    pa.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
-    pa.add_argument("--t", type=float, default=0.0)
-    pa.add_argument("--budget", type=int, default=400,
-                    help="accepted for interface stability; the central "
-                         "fiber's certificate is closed-form and ignores it")
     pa.add_argument("--annulus-count", type=int, default=33)
     pa.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pa.add_argument("--count", type=int, default=400,
@@ -383,29 +385,18 @@ def build_parser():
     pa.add_argument("--output", default="report.json")
     pa.set_defaults(func=cmd_analyze)
 
-    pw = sub.add_parser("sweep", parents=[common],
+    pw = sub.add_parser("sweep", parents=[common, budget],
                         help="deformation sweep over a t-grid")
     pw.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     pw.add_argument("--t", type=_parse_floats, default=[0.0, 0.05, 0.1, 0.3])
-    pw.add_argument("--budget", type=int, default=400,
-                    help="accepted for interface stability; the central "
-                         "fiber's certificate is closed-form and ignores it")
     pw.add_argument("--annulus-count", type=int, default=33)
     pw.add_argument("--spc-count", type=int, default=index.SPC_SAMPLES)
     pw.add_argument("--output", default="sweep.csv")
     pw.add_argument("--json", default=None)
     pw.set_defaults(func=cmd_sweep)
 
-    ps = sub.add_parser("sample", parents=[common],
+    ps = sub.add_parser("sample", parents=[common, domain],
                         help="sample boundary points to CSV")
-    ps.add_argument("--domain", default="worm",
-                    choices=["worm", "ball", "ellipsoid"])
-    ps.add_argument("--expr", default=None)
-    ps.add_argument("--dim", type=int, default=None)
-    ps.add_argument("--coeffs", type=_parse_floats, default=None)
-    ps.add_argument("--anchor", type=_parse_floats, default=None)
-    ps.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
-    ps.add_argument("--t", type=float, default=0.0)
     ps.add_argument("--count", type=int, default=500)
     ps.add_argument("--output", default="samples.csv")
     ps.set_defaults(func=cmd_sample)

@@ -19,11 +19,12 @@ The jets may carry a batch of points (see jets).  BatchCalculus runs the
 whole computation once for a batch of boundary points whose tangent frames
 share a pivot, and so share the structure of their frame fields: one
 (point, Levi-null vector) pair per batch column.  index.criterion_samples
-makes one such pass (null_forms) per pivot group.  PointCalculus,
-omega_on_null and dbar_omega are the same code on a batch of one point.
-T and the frame fields are fixed when a calculus is built, together with
-omega on the frame fields; evaluating with another admissible T or frame
-means building another calculus (PointCalculus(domain, point, T=...)).
+makes one such pass (null_forms) per pivot group.  PointCalculus builds
+the same calculus at one boundary point.  T and the frame fields are fixed
+when a calculus is built, together with omega on the frame fields;
+evaluating with another admissible T or frame means building another
+calculus (PointCalculus(domain, point, T=...)), whose forms method then
+gives omega(L) and dbar_omega(L, Lbar) for the same vectors L.
 
 With the standard exterior derivative d a(X, Y) = X a(Y) - Y a(X) - a([X, Y])
 and omega extended to vanish on the (0,1) space and on T, the right-hand side
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jets
+from . import jets, levi
 from .jets import Jet
-from .levi import LeviError, levi_form, tangent_frame
 
 __all__ = [
     "DAngeloError",
@@ -49,8 +49,6 @@ __all__ = [
     "BatchCalculus",
     "PointCalculus",
     "null_forms",
-    "omega_on_null",
-    "dbar_omega",
 ]
 
 # Global orientation of the dbar quadratic form; see module docstring.
@@ -59,12 +57,10 @@ DBAR_SIGN = 1.0
 IMAG_RESIDUE_TOL = 1e-8
 # relative least-squares residual above which a vector is not tangent
 DECOMPOSITION_TOL = 1e-8
-# relative Levi pairing above which a vector is not Levi-null
-NULL_PAIRING_TOL = 1e-6
 
 
 class DAngeloError(ValueError):
-    """Convention violation (imaginary residue) or misuse (non-null input)."""
+    """Convention violation (imaginary residue) or misuse (non-tangent input)."""
 
 
 def _is_zero(x):
@@ -215,20 +211,16 @@ class BatchCalculus:
 
     # -- the two forms on Levi-null vectors -----------------------------------
 
-    def omega(self, L):
-        """omega(L) at each batch point, (B,) complex, via the frame fields."""
-        return _pair(self.frame_coefficients(L), self.omega_frame)
+    def forms(self, L):
+        """(omega(L), dbar_omega(L, Lbar)) at each batch point for Levi-null
+        (1,0) vectors L, (n, B): a (B,) complex and a (B,) real array, from
+        one frame decomposition of L.
 
-    def dbar(self, L):
-        """dbar_omega(L, Lbar) at each batch point, (B,) real.
-
-        Raises if a column carries an imaginary residue beyond tolerance
-        (convention or extension bug).
+        Raises if L leaves the holomorphic tangent space, or if a dbar
+        column carries an imaginary residue beyond tolerance (convention or
+        extension bug).
         """
-        return self._dbar(self.frame_coefficients(L))
-
-    def _dbar(self, c):
-        # c: frame coefficients of L, (n-1, B)
+        c = self.frame_coefficients(L)
         n = self.n
         om = self.omega_frame
 
@@ -265,31 +257,17 @@ class BatchCalculus:
             raise DAngeloError(
                 f"imaginary residue {raw.imag[b]:.3e} exceeds tolerance "
                 f"(scale {scale[b]:.3e})")
-        return DBAR_SIGN * raw.real
+        return _pair(c, om), DBAR_SIGN * raw.real
 
 
 class PointCalculus(BatchCalculus):
-    """BatchCalculus at one boundary point, with that point's Wirtinger data
-    (wirt) and pivoted tangent frame (frame); T and frame_fields as for
-    BatchCalculus."""
+    """BatchCalculus at one boundary point, a batch of one; T and
+    frame_fields as for BatchCalculus."""
 
     def __init__(self, domain, point, T=None, frame_fields=None):
         rho_jet = domain.rho(point.coords[:, None], order=3)
-        self.wirt = jets.wirtinger(rho_jet, domain.n).take(0)
-        if self.wirt.grad_norm() == 0.0:
-            raise LeviError("vanishing complex gradient")
-        self.frame = tangent_frame(self.wirt)
-        super().__init__(domain.n, rho_jet, self.frame.pivot, T,
-                         frame_fields)
-
-    def ambient_null_vector(self, L):
-        """Accept either ambient (n,) vectors or frame coefficients (n-1,)."""
-        L = np.asarray(L, dtype=complex)
-        if L.size == self.n - 1:
-            return L @ self.frame.basis
-        if L.size == self.n:
-            return L
-        raise DAngeloError("null vector has wrong length")
+        pivot = int(levi.levi_batch(jets.wirtinger(rho_jet, domain.n)).pivot[0])
+        super().__init__(domain.n, rho_jet, pivot, T, frame_fields)
 
 
 # -- public operations ----------------------------------------------------------
@@ -299,39 +277,6 @@ def null_forms(n, rho_jet, pivot, L):
 
     rho_jet is the order-3 jet of rho over B boundary points whose tangent
     frames share ``pivot``, and L is (n, B), one ambient null vector per
-    point.  Returns a (B,) complex and a (B,) real array; both forms share
-    one frame decomposition of L.
+    point.  Returns a (B,) complex and a (B,) real array (BatchCalculus.forms).
     """
-    calc = BatchCalculus(n, rho_jet, pivot)
-    c = calc.frame_coefficients(L)
-    return _pair(c, calc.omega_frame), calc._dbar(c)
-
-
-def omega_on_null(domain, point, L):
-    """omega evaluated on a Levi-null (1,0) vector via its frame field."""
-    pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
-    L = pc.ambient_null_vector(L)
-    _require_null(pc, L)
-    return complex(pc.omega(L[:, None])[0])
-
-
-def _require_null(pc, L):
-    scale = max(1.0, float(np.abs(pc.wirt.hess_mixed).max()))
-    worst = max(abs(levi_form(pc.wirt, L, X)) for X in pc.frame.basis)
-    if worst > NULL_PAIRING_TOL * scale * max(1.0, np.linalg.norm(L) ** 2):
-        raise DAngeloError(
-            f"vector is not Levi-null (pairing {worst:.3e} above tolerance)")
-
-
-def dbar_omega(domain, point, L, check_null=True):
-    """The quadratic form dbar_omega(L, Lbar) on a Levi-null vector L.
-
-    Returns a real number; raises if the computed value carries an imaginary
-    residue beyond tolerance (convention or extension bug) or if L is not in
-    the numerical null space.
-    """
-    pc = point if isinstance(point, PointCalculus) else PointCalculus(domain, point)
-    L = pc.ambient_null_vector(L)
-    if check_null:
-        _require_null(pc, L)
-    return float(pc.dbar(L[:, None])[0])
+    return BatchCalculus(n, rho_jet, pivot).forms(L)

@@ -368,8 +368,12 @@ def boundary_sample(domain, anchor, count, seed=0):
     """Sample boundary points along random rays from an interior anchor.
 
     Deterministic: the i-th ray derives its direction from (seed, i).  Every
-    returned point satisfies |rho| <= 1e-12 * (1 + |grad|).
+    returned point satisfies |rho| <= 1e-12 * (1 + |grad|).  A count below 1
+    raises: no verdict rests on an empty sample.
     """
+    if count < 1:
+        raise DomainError(f"boundary sample count must be at least 1, "
+                          f"got {count}")
     anchor = np.asarray(anchor, dtype=float)
     if anchor.size != 2 * domain.n:
         anchor = coords_of_point(anchor)
@@ -393,9 +397,12 @@ def annulus_points(beta, count, domain=None):
     criterion is invariant under w -> e^{i theta} w; the points therefore
     sit at real w = e^{u/2}, for ``count`` values of u spread over the
     interval.  The endpoints of the interval, and the point (0, 1), are
-    always included.  ``domain`` is the worm_rho(beta, 0) to place them on;
-    by default it is built here.
+    always included, so ``count`` must be at least 3.  ``domain`` is the
+    worm_rho(beta, 0) to place them on; by default it is built here.
     """
+    if count < 3:
+        raise DomainError(f"annulus point count must be at least 3 (both "
+                          f"ends and the middle), got {count}")
     if domain is None:
         domain = worm_rho(beta, 0.0)
     r = beta - math.pi / 2

@@ -14,8 +14,8 @@ gamma > s/(s - 1).  df_bound and s_bound take the inf and sup over samples;
 a gamma-bisection oracle in the test suite cross-checks the rearrangement.
 
 criterion_samples works on all of its points at once: one order-3 jet pass
-of rho over the batch, each point's frame and Levi null directions from
-levi.levi_matrix, and one D'Angelo pass (dangelo.null_forms) over all
+of rho over the batch, one levi.levi_batch call for every point's frame and
+Levi null directions, and one D'Angelo pass (dangelo.null_forms) over all
 (point, null direction) pairs whose frames share a pivot.
 
 The defining-function degree of freedom is the conformal family
@@ -28,8 +28,9 @@ order-2 jet pass per basis function, as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over random boundary
-rays (boundary point, Wirtinger data, Levi matrix, smallest eigenvalue) and
-feeds the weak points it finds to criterion_samples.
+rays (boundary points with their Wirtinger data, then one levi.levi_batch
+call for every point's smallest Levi eigenvalue) and feeds the weak points
+it finds to criterion_samples.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def criterion_samples(domain, points):
     """One CriterionSample per (weak point, Levi-null basis direction), in
     point order and then null-direction order.
 
-    One order-3 jet pass of rho covers every point; each point's frame and
-    Levi null directions come from levi.levi_matrix, and one
+    One order-3 jet pass of rho covers every point, one levi.levi_batch
+    call gives every point's frame and Levi null directions, and one
     dangelo.null_forms pass covers all (point, null direction) pairs that
     share a frame pivot.  Strongly pseudoconvex points contribute nothing; a
     fully strongly pseudoconvex point list yields the empty list (vacuous
@@ -239,29 +240,19 @@ def criterion_samples(domain, points):
     if not points:
         return []
     rho = domain.rho(np.stack([p.coords for p in points], axis=1), order=3)
-    wirt = jets.wirtinger(rho, domain.n)
-    rows, pivots, nulls = [], [], []
-    for b in range(len(points)):
-        w = wirt.take(b)
-        frame = levi.tangent_frame(w)
-        for a in levi.levi_matrix(w, frame).null_coeffs:
-            rows.append(b)
-            pivots.append(frame.pivot)
-            nulls.append(a @ frame.basis)
-    if not rows:
-        return []
-    rows, pivots, L = np.array(rows), np.array(pivots), np.array(nulls).T
+    lb = levi.levi_batch(jets.wirtinger(rho, domain.n))
+    rows, L = lb.point, lb.L.T
+    pivots = lb.pivot[rows]
     dbar = np.empty(rows.size)
     omega = np.empty(rows.size, dtype=complex)
     for k in sorted(set(pivots.tolist())):  # np.unique would load numpy.ma
         sel = np.flatnonzero(pivots == k)
         omega[sel], dbar[sel] = dangelo.null_forms(
             domain.n, rho.take(rows[sel]), k, L[:, sel])
-    out = []
-    for b, Lb, db, om in zip(rows, nulls, dbar.tolist(), omega.tolist()):
-        out.append(CriterionSample(point=points[b], L=Lb, dbar=db,
-                                   msq=abs(om) ** 2, omega=om))
-    return out
+    return [CriterionSample(point=points[b], L=Lb, dbar=db, msq=abs(om) ** 2,
+                            omega=om)
+            for b, Lb, db, om in zip(rows, lb.L, dbar.tolist(),
+                                     omega.tolist())]
 
 
 def df_bound(samples):
@@ -482,17 +473,13 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
     """Scan ``count`` sampled boundary points for Levi-null directions.
 
     Returns (weak, min_eig): the sampled points with a numerically null Levi
-    eigenvalue (see levi.null_basis), and the smallest eigenvalue over all
+    eigenvalue (see levi.levi_batch), and the smallest eigenvalue over all
     samples, normalized per point by the Levi matrix's spectral scale.
     """
-    weak = []
-    min_eig = math.inf
-    for p in domains.boundary_sample(domain, anchor, count, seed=seed):
-        nd = levi.levi_matrix(p.wirt, levi.tangent_frame(p.wirt))
-        min_eig = min(min_eig, float(nd.eigenvalues[0]) / nd.scale)
-        if nd.m > 0:
-            weak.append(p)
-    return weak, min_eig
+    points = domains.boundary_sample(domain, anchor, count, seed=seed)
+    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in points]))
+    weak = [points[b] for b in sorted(set(lb.point.tolist()))]
+    return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
 
 
 def sampled_report(domain, anchor, count=SPC_SAMPLES, seed=0, t=0.0,

@@ -343,7 +343,7 @@ class WirtingerData:
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
 
     The Wirtinger data of a batched jet carry the same trailing batch axis;
-    take(b) gives the data of one point.
+    stack(ws) puts the data of single points into one batch.
     """
 
     n: int
@@ -354,17 +354,12 @@ class WirtingerData:
     def grad_norm(self):
         return float(np.linalg.norm(self.grad))
 
-    def take(self, b):
-        """The data of point ``b`` of a batch, as contiguous arrays."""
-        count = self.value.shape[0]
-
-        def pick(a):
-            return np.ascontiguousarray(
-                np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
-
-        return WirtingerData(n=self.n, value=float(self.value[b]),
-                             grad=pick(self.grad),
-                             hess_mixed=pick(self.hess_mixed))
+    @classmethod
+    def stack(cls, ws):
+        """The data of single points ``ws`` as one batch, in order."""
+        return cls(n=ws[0].n, value=np.array([w.value for w in ws]),
+                   grad=np.stack([w.grad for w in ws], axis=-1),
+                   hess_mixed=np.stack([w.hess_mixed for w in ws], axis=-1))
 
 
 def wirtinger(j, n):

@@ -8,9 +8,12 @@ kernel eigenvectors of M.  The Schur transform Psi = [[I, 0], [-C^{-1}B*,
 C^{-1}]] block-diagonalizes M as Psi* M Psi = diag(A - B C^{-1} B*, C^{-1}),
 and the transformed frame is [X_1 .. X_{n-1}] conj(Psi).
 
-levi_matrix diagonalizes M with numpy's Hermitian eigensolver and returns
-it as NullData together with its null coefficients: an eigenvalue below
-NULL_TOL * max(1, spectral radius) counts as null.
+levi_batch works on a whole batch of boundary points at once: it builds
+every point's pivoted frame and Levi matrix, diagonalizes all of them with
+one stacked Hermitian eigensolve, and returns the Levi-null directions of
+the batch as flat arrays.  An eigenvalue below NULL_TOL * max(1, spectral
+radius) counts as null.  Each point's entries are bit-identical to those of
+the same computation on that point alone.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ import numpy as np
 
 __all__ = [
     "LeviError",
-    "TangentFrame",
-    "NullData",
+    "LeviBatch",
     "SchurResult",
-    "tangent_frame",
     "levi_form",
-    "levi_matrix",
-    "null_basis",
+    "levi_batch",
     "schur_frame",
 ]
 
@@ -42,34 +42,6 @@ class LeviError(ValueError):
 
 # -- frames and Levi matrices ---------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Basis of the holomorphic tangent space at a boundary point.
-
-    basis[j] = grad[pivot] * e_{k_j} - grad[k_j] * e_{pivot}, where pivot is
-    the index of the largest gradient component and k_j runs over the other
-    coordinates; every basis vector is annihilated by the (1,0) differential.
-    """
-
-    basis: np.ndarray       # (n-1, n) complex, rows are frame vectors
-    pivot: int
-
-
-def tangent_frame(w):
-    """Pivoted holomorphic tangent frame from Wirtinger data."""
-    grad = w.grad
-    if np.abs(grad).max() < 1e-300:
-        raise LeviError("vanishing complex gradient")
-    k = int(np.argmax(np.abs(grad)))
-    n = grad.size
-    others = [j for j in range(n) if j != k]
-    basis = np.zeros((n - 1, n), dtype=complex)
-    for row, j in enumerate(others):
-        basis[row, j] = grad[k]
-        basis[row, k] = -grad[j]
-    return TangentFrame(basis=basis, pivot=k)
-
-
 def levi_form(w, X, Y):
     """Levi form on ambient (1,0) vectors: sum rho_{i jbar} X_i conj(Y_j)."""
     X = np.asarray(X, dtype=complex)
@@ -77,53 +49,82 @@ def levi_form(w, X, Y):
     return complex(X @ w.hess_mixed @ np.conj(Y))
 
 
-def _spectral_scale(eigenvalues):
-    return max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-
-
 @dataclass(frozen=True)
-class NullData:
-    """Levi matrix in a tangent frame with its eigenvalues and null space."""
+class LeviBatch:
+    """Levi matrices of a batch of B boundary points and their null directions.
 
-    M: np.ndarray
-    eigenvalues: np.ndarray   # ascending
-    null_coeffs: np.ndarray   # (m, n-1), see null_basis
-
-    @property
-    def m(self):
-        return self.null_coeffs.shape[0]
-
-    @property
-    def scale(self):
-        return _spectral_scale(self.eigenvalues)
-
-
-def levi_matrix(w, frame):
-    """Assemble M[i, j] = levi(X_i, X_j) and attach its eigendata."""
-    X = frame.basis
-    M = X @ w.hess_mixed @ X.conj().T
-    defect = np.abs(M - M.conj().T).max()
-    if defect > 1e-13 * max(1.0, np.abs(M).max()):
-        raise LeviError(f"Levi matrix not Hermitian (defect {defect:.3e})")
-    M = 0.5 * (M + M.conj().T)
-    vals, vecs = np.linalg.eigh(M)
-    return NullData(M=M, eigenvalues=vals, null_coeffs=null_basis(vals, vecs))
-
-
-def null_basis(eigenvalues, eigenvectors):
-    """Frame-coefficient vectors spanning the numerical Levi null space.
-
-    Takes ascending eigenvalues and eigenvector columns of a frame Levi
-    matrix M.  Returns an (m, n-1) array of orthonormal coefficient vectors a
-    such that sum_j a_j X_j is annihilated by the Levi form; empty when M is
-    positive definite at scale.
+    Per point b: the pivot (index of the largest gradient component), the
+    pivoted tangent frame frame[b] with rows
+    X_j = grad[pivot] e_{k_j} - grad[k_j] e_{pivot} for the other coordinates
+    k_j, the Levi matrix M[b] in that frame, its ascending eigenvalues and
+    its spectral scale max(1, max |eigenvalue|).  Per Levi-null direction,
+    in point order and then direction order: the point index, the
+    orthonormal frame coefficients a with M conj(a) = 0, and the ambient
+    (1,0) vector L = sum_j a_j X_j.
     """
-    mask = eigenvalues < NULL_TOL * _spectral_scale(eigenvalues)
-    if not mask.any():
-        return np.zeros((0, eigenvectors.shape[0]), dtype=complex)
-    # re-orthonormalize the cluster, then conjugate: M conj(a) = 0
-    q, _ = np.linalg.qr(eigenvectors[:, mask])
-    return q.conj().T
+
+    pivot: np.ndarray        # (B,) int
+    frame: np.ndarray        # (B, n-1, n) complex
+    M: np.ndarray            # (B, n-1, n-1) complex Hermitian
+    eigenvalues: np.ndarray  # (B, n-1) ascending
+    scale: np.ndarray        # (B,)
+    point: np.ndarray        # (K,) int
+    coeffs: np.ndarray       # (K, n-1) complex
+    L: np.ndarray            # (K, n) complex
+
+
+def levi_batch(w):
+    """Frames, Levi matrices, eigendata and null directions of every point
+    of batched Wirtinger data (grad (n, B), hess_mixed (n, n, B)).
+
+    All points share one stacked eigh.  An eigenvalue below
+    NULL_TOL * scale counts as null; the null eigenvectors of a point are
+    re-orthonormalized by QR and conjugated into coefficients.
+    """
+    count = np.shape(w.value)[0]
+
+    def points_first(a):
+        # batch axis first, each point's block contiguous as for one point
+        # alone, so that the stacked matmul rounds as the single one does
+        a = np.broadcast_to(a, a.shape[:-1] + (count,))
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+    grad, hess = points_first(w.grad), points_first(w.hess_mixed)
+    n = grad.shape[1]
+    mag = np.abs(grad)
+    if np.any(mag.max(axis=1) < 1e-300):
+        raise LeviError("vanishing complex gradient")
+    pivot = np.argmax(mag, axis=1)
+    rows = np.arange(n - 1)
+    others = rows + (rows >= pivot[:, None])  # the coordinates but the pivot
+    at = np.arange(count)[:, None]
+    X = np.zeros((count, n - 1, n), dtype=complex)
+    X[at, rows, others] = grad[np.arange(count), pivot][:, None]
+    X[at, rows, pivot[:, None]] = -grad[at, others]
+
+    M = X @ hess @ np.swapaxes(X.conj(), 1, 2)
+    MH = np.swapaxes(M.conj(), 1, 2)
+    defect = np.abs(M - MH).max(axis=(1, 2))
+    bad = defect > 1e-13 * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+    if bad.any():
+        raise LeviError(f"Levi matrix not Hermitian "
+                        f"(defect {defect[np.argmax(bad)]:.3e})")
+    M = 0.5 * (M + MH)
+    vals, vecs = np.linalg.eigh(M)
+    scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+
+    # eigenvalues ascend, so each point's null eigenvalues come first
+    nulls = np.sum(vals < NULL_TOL * scale[:, None], axis=1)
+    first = np.cumsum(nulls) - nulls
+    coeffs = np.zeros((int(nulls.sum()), n - 1), dtype=complex)
+    for m in set(nulls[nulls > 0].tolist()):  # one QR per null dimension
+        sel = np.flatnonzero(nulls == m)
+        q, _ = np.linalg.qr(vecs[sel, :, :m])
+        coeffs[first[sel][:, None] + np.arange(m)] = np.swapaxes(q.conj(), 1, 2)
+    point = np.repeat(np.arange(count), nulls)
+    L = np.matmul(coeffs[:, None, :], X[point])[:, 0]
+    return LeviBatch(pivot=pivot, frame=X, M=M, eigenvalues=vals, scale=scale,
+                     point=point, coeffs=coeffs, L=L)
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,14 @@ class SchurResult:
     residual: float
 
 
-def schur_frame(nd, m, frame_vectors=None):
-    """Block-diagonalize the Levi matrix around an m-dimensional null block.
+def schur_frame(M, m, frame_vectors=None):
+    """Block-diagonalize a frame Levi matrix M around an m-dimensional null
+    block.
 
     Returns Psi, the diagonal blocks, and the transformed frame (ambient
     vectors when frame_vectors is given, otherwise coefficient columns).
     """
-    M = nd.M if isinstance(nd, NullData) else np.asarray(nd, dtype=complex)
+    M = np.asarray(M, dtype=complex)
     size = M.shape[0]
     if not 0 <= m <= size:
         raise LeviError(f"null block size {m} out of range for {size}x{size}")

@@ -9,14 +9,15 @@ None of these is used by dfindex itself:
   ``dangelo.BatchCalculus.T``;
 - ``perturbed_transversal`` builds the admissible perturbations of T under
   which every null-space quantity must stay invariant;
-- ``criterion_samples`` runs the criterion one point at a time through the
-  per-point D'Angelo API, the oracle for the batched
+- ``criterion_samples`` runs the criterion one point and one null
+  direction at a time, each point with its own ``levi.levi_batch`` and
+  ``dangelo.PointCalculus``: the oracle for the batched
   ``index.criterion_samples``.
 """
 
 import numpy as np
 
-from dfindex import dangelo, domains, index, levi
+from dfindex import dangelo, domains, index, jets, levi
 from dfindex.dangelo import _conj_entry, _field_sum, _is_zero
 from dfindex.jets import Jet
 from dfindex.levi import LeviError
@@ -107,12 +108,10 @@ def criterion_samples(domain, points):
     point and one direction at a time."""
     out = []
     for p in points:
+        rho = domain.rho(p.coords[:, None], order=3)
         pc = dangelo.PointCalculus(domain, p)
-        nd = levi.levi_matrix(pc.wirt, pc.frame)
-        for a in nd.null_coeffs:
-            L = pc.ambient_null_vector(a)
-            om = dangelo.omega_on_null(domain, pc, L)
-            db = dangelo.dbar_omega(domain, pc, L, check_null=False)
+        for L in levi.levi_batch(jets.wirtinger(rho, domain.n)).L:
+            om, db = (x[0].item() for x in pc.forms(L[:, None]))
             out.append(index.CriterionSample(point=p, L=L, dbar=db,
                                              msq=abs(om) ** 2, omega=om))
     return out

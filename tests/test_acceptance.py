@@ -55,20 +55,19 @@ def test_criterion_02_deformed_fibers_strongly_pseudoconvex(sweep):
 
 def test_criterion_03_null_set_geometry():
     dm = domains.worm_rho(BETA, 0.0)
-    pool = list(domains.boundary_sample(dm, index.WORM_ANCHOR, 500, seed=0))
-    pool += list(domains.annulus_points(BETA, 33))
-    weak = 0
-    for p in pool:
-        nd = levi.levi_matrix(p.wirt, levi.tangent_frame(p.wirt))
-        if nd.m > 0:
-            weak += 1
-            assert abs(p.z[0]) < 1e-6
-            assert abs(math.log(abs(p.z[1]) ** 2)) <= math.pi / 4.0 + 1e-6
-    worst = 0.0
-    for p in domains.annulus_points(BETA, 33):
-        nd = levi.levi_matrix(p.wirt, levi.tangent_frame(p.wirt))
-        worst = max(worst, abs(nd.eigenvalues[0]) / nd.scale)
-        assert abs(nd.eigenvalues[0]) < 1e-8 * nd.scale
+    annulus = domains.annulus_points(BETA, 33)
+    pool = domains.boundary_sample(dm, index.WORM_ANCHOR, 500, seed=0) + annulus
+    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in pool]))
+    weak = sorted(set(lb.point.tolist()))
+    for b in weak:
+        z = pool[b].z
+        assert abs(z[0]) < 1e-6
+        assert abs(math.log(abs(z[1]) ** 2)) <= math.pi / 4.0 + 1e-6
+    weak = len(weak)
+    # the annulus points close the pool
+    ratio = np.abs(lb.eigenvalues[-33:, 0]) / lb.scale[-33:]
+    assert np.all(ratio < 1e-8)
+    worst = float(ratio.max())
     ok(3, f"{weak} weak points, all on the annulus; "
           f"worst annulus eigenvalue {worst:.2e} x scale")
 
@@ -123,19 +122,17 @@ def test_criterion_07_transversal_invariance():
     rng = np.random.default_rng(0)
     worst = 0.0
     for p in domains.annulus_points(BETA, 32):
+        rho = dm.rho(p.coords[:, None], order=3)
+        (L,) = levi.levi_batch(jets.wirtinger(rho, dm.n)).L[:, :, None]
         pc = dangelo.PointCalculus(dm, p)
-        nd = levi.levi_matrix(pc.wirt, pc.frame)
-        L = pc.ambient_null_vector(nd.null_coeffs[0])
-        om0 = dangelo.omega_on_null(dm, pc, L)
-        db0 = dangelo.dbar_omega(dm, pc, L)
-        scale = max(1.0, abs(om0), abs(db0))
+        om0, db0 = pc.forms(L)
+        scale = max(1.0, abs(om0[0]), abs(db0[0]))
         for _ in range(20):
             h = rng.normal(size=dm.n - 1) + 1j * rng.normal(size=dm.n - 1)
             Tp = reference.perturbed_transversal(pc, h)
-            perturbed = dangelo.PointCalculus(dm, p, T=Tp)
-            om = dangelo.omega_on_null(dm, perturbed, L)
-            db = dangelo.dbar_omega(dm, perturbed, L)
-            worst = max(worst, abs(om - om0) / scale, abs(db - db0) / scale)
+            om, db = dangelo.PointCalculus(dm, p, T=Tp).forms(L)
+            worst = max(worst, abs(om - om0)[0] / scale,
+                        abs(db - db0)[0] / scale)
     assert worst < 1e-7
     ok(7, f"max relative variation {worst:.2e} over 32 points x 20 "
           f"perturbations")

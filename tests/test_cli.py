@@ -211,6 +211,22 @@ def test_unknown_option_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--annulus-count", "0"],
+    # 1 or 2 points cannot hold both annulus ends and the point (0, 1)
+    ["analyze", "--annulus-count", "1"],
+    ["analyze", "--annulus-count", "2"],
+    ["analyze", "--expr", "abs2(z1) + abs2(z2) - 1", "--count", "0"],
+    ["analyze", "--t", "0.05", "--spc-count", "0"],
+    ["verify-levi", "--count", "0"],
+])
+def test_sample_count_without_a_verdict_is_input_error(argv, tmp_path, capsys):
+    assert run(argv + ["--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_invalid_beta_is_input_error(tmp_path):
     assert run(["analyze", "--beta", "1.0", "--t", "0.1", "--spc-count", "10",
                 "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference
 
-from dfindex import dangelo, domains, jets, levi
+from dfindex import domains, jets, levi
 from dfindex.dangelo import DAngeloError, PointCalculus
 from dfindex.jets import Jet
 
@@ -17,10 +17,17 @@ def worm_point(coords=BASE, t=0.0):
     return dm, dm.boundary_point(coords)
 
 
-def null_vector(pc):
-    coeffs = levi.levi_matrix(pc.wirt, pc.frame).null_coeffs
-    assert coeffs.shape[0] == 1
-    return pc.ambient_null_vector(coeffs[0])
+def null_vector(dm, p):
+    """The one ambient Levi-null vector at p, from the order-3 jet."""
+    lb = levi.levi_batch(jets.wirtinger(dm.rho(p.coords[:, None], 3), dm.n))
+    assert lb.L.shape[0] == 1
+    return lb.L[0]
+
+
+def forms(pc, L):
+    """(omega(L), dbar_omega(L, Lbar)) at the point of a PointCalculus."""
+    om, db = pc.forms(np.asarray(L, dtype=complex)[:, None])
+    return complex(om[0]), float(db[0])
 
 
 # -- canonical fields ----------------------------------------------------------------
@@ -39,8 +46,8 @@ def test_transversal_normalization_and_imaginarity():
 def test_eta_annihilates_tangent_vectors():
     dm = domains.worm_rho(BETA, 0.2)
     p = domains.boundary_sample(dm, np.array([1.0, 0.0, 1.0, 0.0]), 1, seed=8)[0]
-    pc = PointCalculus(dm, p)
-    for X in pc.frame.basis:
+    frame = levi.levi_batch(jets.WirtingerData.stack([p.wirt])).frame[0]
+    for X in frame:
         assert abs(reference.eta_value(p.wirt, X)) < 1e-14 * (1.0 + p.wirt.grad_norm())
 
 
@@ -58,27 +65,25 @@ def test_transversal_jets_match_values():
 
 def test_omega_and_dbar_at_annulus_base_point():
     dm, p = worm_point()
-    L = np.array([0.0, -1.0], dtype=complex)
-    om = dangelo.omega_on_null(dm, p, L)
+    om, db = forms(PointCalculus(dm, p), [0.0, -1.0])
     assert om == pytest.approx(-1j, abs=1e-12)
     assert abs(om) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert dangelo.dbar_omega(dm, p, L) == pytest.approx(0.0, abs=1e-12)
+    assert db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dbar_vanishes_on_whole_annulus():
     dm = domains.worm_rho(BETA, 0.0)
     for p in domains.annulus_points(BETA, 17):
-        pc = PointCalculus(dm, p)
-        L = null_vector(pc)
-        assert abs(dangelo.dbar_omega(dm, pc, L)) < 1e-12 * (np.linalg.norm(L) ** 2)
+        L = null_vector(dm, p)
+        _, db = forms(PointCalculus(dm, p), L)
+        assert abs(db) < 1e-12 * (np.linalg.norm(L) ** 2)
 
 
 def test_omega_norm_positive_on_annulus():
     dm = domains.worm_rho(BETA, 0.0)
     for p in domains.annulus_points(BETA, 9):
-        pc = PointCalculus(dm, p)
-        L = null_vector(pc)
-        om = dangelo.omega_on_null(dm, pc, L)
+        L = null_vector(dm, p)
+        om, _ = forms(PointCalculus(dm, p), L)
         assert abs(om) ** 2 > 0.1 * np.linalg.norm(L) ** 2
 
 
@@ -89,15 +94,12 @@ def test_invariance_under_admissible_transversal_perturbation():
     rng = np.random.default_rng(21)
     for p in domains.annulus_points(BETA, 5):
         pc = PointCalculus(dm, p)
-        L = null_vector(pc)
-        om0 = dangelo.omega_on_null(dm, pc, L)
-        db0 = dangelo.dbar_omega(dm, pc, L)
+        L = null_vector(dm, p)
+        om0, db0 = forms(pc, L)
         for _ in range(4):
             h = rng.normal(size=dm.n - 1) + 1j * rng.normal(size=dm.n - 1)
             Tp = reference.perturbed_transversal(pc, h)
-            perturbed = PointCalculus(dm, p, T=Tp)
-            omp = dangelo.omega_on_null(dm, perturbed, L)
-            dbp = dangelo.dbar_omega(dm, perturbed, L)
+            omp, dbp = forms(PointCalculus(dm, p, T=Tp), L)
             assert omp == pytest.approx(om0, abs=1e-10)
             assert dbp == pytest.approx(db0, abs=1e-10)
 
@@ -105,24 +107,23 @@ def test_invariance_under_admissible_transversal_perturbation():
 def test_frame_independence():
     dm, p = worm_point()
     pc = PointCalculus(dm, p)
-    L = null_vector(pc)
-    db0 = dangelo.dbar_omega(dm, pc, L)
+    L = null_vector(dm, p)
+    _, db0 = forms(pc, L)
     scaled = [[1.7 * x if isinstance(x, Jet) else 0.0 for x in Y]
               for Y in pc.frame_fields]
-    db1 = dangelo.dbar_omega(dm, PointCalculus(dm, p, frame_fields=scaled), L)
+    _, db1 = forms(PointCalculus(dm, p, frame_fields=scaled), L)
     assert db1 == pytest.approx(db0, abs=1e-12)
 
 
 def test_sesquilinear_scaling():
     dm, p = worm_point()
     pc = PointCalculus(dm, p)
-    L = null_vector(pc)
+    L = null_vector(dm, p)
     c = 0.7 - 1.3j
-    om = dangelo.omega_on_null(dm, pc, L)
-    db = dangelo.dbar_omega(dm, pc, L)
-    assert dangelo.omega_on_null(dm, pc, c * L) == pytest.approx(c * om, abs=1e-12)
-    assert dangelo.dbar_omega(dm, pc, c * L) == pytest.approx(abs(c) ** 2 * db,
-                                                              abs=1e-11)
+    om, db = forms(pc, L)
+    om_c, db_c = forms(pc, c * L)
+    assert om_c == pytest.approx(c * om, abs=1e-12)
+    assert db_c == pytest.approx(abs(c) ** 2 * db, abs=1e-11)
 
 
 # -- sign convention guard ----------------------------------------------------------------
@@ -146,11 +147,10 @@ def test_conformal_shift_pins_sign(c):
     base = domains.worm_rho(BETA, 0.0)
     scaled = scaled_worm(c)
     for p in domains.annulus_points(BETA, 7):
-        pc = PointCalculus(base, p)
-        L = null_vector(pc)
-        db_base = dangelo.dbar_omega(base, pc, L)
+        L = null_vector(base, p)
+        _, db_base = forms(PointCalculus(base, p), L)
         q = scaled.boundary_point(p.coords)
-        db_scaled = dangelo.dbar_omega(scaled, q, L)
+        _, db_scaled = forms(PointCalculus(scaled, q), L)
         w = p.z[1]
         pred = db_base - 2.0 * c * abs(L[1]) ** 2 / abs(w) ** 2
         assert db_scaled == pytest.approx(pred, abs=1e-10)
@@ -158,24 +158,8 @@ def test_conformal_shift_pins_sign(c):
 
 # -- error paths ------------------------------------------------------------------------
 
-def test_rejects_non_null_vector():
-    dm = domains.worm_rho(BETA, 0.3)  # strictly pseudoconvex: no null vectors
-    p = domains.boundary_sample(dm, np.array([1.0, 0.0, 1.0, 0.0]), 1, seed=1)[0]
-    pc = PointCalculus(dm, p)
-    with pytest.raises(DAngeloError):
-        dangelo.dbar_omega(dm, pc, pc.frame.basis[0])
-
-
-def test_rejects_wrong_length_vector():
-    dm, p = worm_point()
-    pc = PointCalculus(dm, p)
-    with pytest.raises(DAngeloError):
-        dangelo.dbar_omega(dm, pc, np.array([1.0, 0.0, 0.0]))
-
-
 def test_rejects_vector_outside_tangent_space():
     dm, p = worm_point()
-    pc = PointCalculus(dm, p)
-    normal = np.conj(pc.wirt.grad)
-    with pytest.raises(DAngeloError):
-        dangelo.omega_on_null(dm, pc, normal)
+    normal = np.conj(p.wirt.grad)
+    with pytest.raises(DAngeloError, match="tangent space"):
+        forms(PointCalculus(dm, p), normal)

@@ -107,7 +107,6 @@ def test_expression_feeds_geometry():
 
     dm = exprparse.parse_expression("abs2(z1) + abs2(z2)*abs2(z2) - 1")
     p = dm.boundary_point(jets.coords_of_point([1.0, 0.0]))
-    frame = levi.tangent_frame(p.wirt)
-    nd = levi.levi_matrix(p.wirt, frame)
+    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt]))
     # |z2|^4 is Levi-flat in z2 along its zero set
-    assert nd.m == 1
+    assert lb.point.tolist() == [0]

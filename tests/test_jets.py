@@ -171,11 +171,16 @@ def test_batched_jets_match_stacked_scalar_jets(order):
             assert np.array_equal(jet.take(k).d1, scalar.d1), name
     for name in ("real_part", "imag_part", "+", "sqrt"):
         w = jets.wirtinger(batched[name], 2)
-        for k, col in enumerate(columns):
-            one = jets.wirtinger(col[name], 2)
-            for field in ("value", "grad", "hess_mixed"):
-                assert np.array_equal(getattr(w.take(k), field),
+        ones = [jets.wirtinger(col[name], 2) for col in columns]
+        stacked = jets.WirtingerData.stack(ones)
+        for field in ("value", "grad", "hess_mixed"):
+            for k, one in enumerate(ones):
+                assert np.array_equal(_column(getattr(w, field), k, 6),
                                       getattr(one, field)), (name, field)
+            # stacking the single points rebuilds the batch
+            assert np.array_equal(
+                np.broadcast_to(getattr(w, field), getattr(stacked, field).shape),
+                getattr(stacked, field)), (name, field)
 
 
 def test_batched_lift_seeds_every_order():

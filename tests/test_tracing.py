@@ -1,0 +1,40 @@
+"""The benchmark's span tracer (benchmarks/tracing.py) on the current code.
+
+The tracer wraps dfindex functions by name and patches class attributes
+through their ``__dict__`` (``DomainSpec.rho``, ``DomainSpec.boundary_point``,
+``PointCalculus.__init__``, ``RhoFamily.realize``, ``Jet.__init__``), so a
+rename or a removed ``__init__`` breaks traced benchmark runs.  One small
+analysis of each benchmark workload kind runs under it here.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+from dfindex import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import tracing  # noqa: E402
+
+RUNS = (
+    ["analyze", "--t", "0", "--annulus-count", "5"],
+    ["analyze", "--t", "0.05", "--spc-count", "20"],
+    ["analyze", "--expr", "abs2(z1)+abs2(z2)*abs2(z2)-1", "--count", "20"],
+)
+
+
+def test_traced_analyses_give_finite_layer_metrics(tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in RUNS:
+            out = tmp_path / "r.json"
+            assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, 1)
+    bad = {k: v for k, (v, _) in metrics.items() if not math.isfinite(v)}
+    assert bad == {}
+    assert {"levi.levi_batch", "dangelo.null_forms", "jets.eval3",
+            "index.spc_check"} <= set(tracer.names)
