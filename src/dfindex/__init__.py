@@ -11,10 +11,10 @@ from .dangelo import PointCalculus, null_forms
 from .domains import (BoundaryPoint, DomainSpec, annulus_points, ball,
                       boundary_sample, ellipsoid, make_phi, worm_rho)
 from .exprparse import parse_expression
-from .index import (CriterionSample, IndexReport, RhoFamily, criterion_samples,
-                    deformation_sweep, df_bound, optimize_rho, s_bound,
-                    sampled_report, spc_check, worm_fiber_report,
-                    worm_psi_basis)
+from .index import (CriterionSamples, IndexReport, RhoFamily,
+                    criterion_samples, deformation_sweep, df_bound,
+                    optimize_rho, s_bound, sampled_report, spc_check,
+                    worm_fiber_report, worm_psi_basis)
 from .jets import Jet, wirtinger
 from .levi import levi_batch, schur_frame
 
@@ -28,7 +28,7 @@ __all__ = [
     "parse_expression",
     "levi_batch", "schur_frame",
     "PointCalculus", "null_forms",
-    "CriterionSample", "RhoFamily", "IndexReport", "criterion_samples",
+    "CriterionSamples", "RhoFamily", "IndexReport", "criterion_samples",
     "df_bound", "s_bound", "optimize_rho", "spc_check", "sampled_report",
     "deformation_sweep",
     "worm_fiber_report", "worm_psi_basis",

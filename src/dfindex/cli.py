@@ -11,7 +11,7 @@ Subcommands
 
 Exit codes: 0 success, 2 input error, 3 numerical-consistency failure.
 A flat key=value config file can seed any option; explicit flags win.
-All commands accept --threads (or the DFINDEX_THREADS environment variable);
+All commands accept --threads (default 1), which JSON outputs record;
 execution is sequential, so results are identical for every thread count.
 """
 
@@ -21,7 +21,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import time
 
@@ -331,20 +330,10 @@ def cmd_phi_check(args):
 # -- argument plumbing ------------------------------------------------------------
 
 
-def _default_threads():
-    env = os.environ.get("DFINDEX_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=_default_threads(),
+    common.add_argument("--threads", type=int, default=1,
                         help="accepted for interface stability; execution is "
                              "sequential and results are thread-count "
                              "independent")

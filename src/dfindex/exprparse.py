@@ -290,11 +290,14 @@ def parse_expression(text, n=None):
             text.find(f"z{used}") if f"z{used}" in text else 0)
 
     rng = np.random.default_rng(REALNESS_SEED)
-    for _ in range(REALNESS_POINTS):
-        coords = rng.uniform(0.3, 1.7, size=2 * n)
-        j = _eval_at(ast, coords, n, order=2)
-        scale = 1.0 + abs(j.value) + float(np.abs(j.d1).max())
-        if j.max_imag() > IMAG_PART_TOL * scale:
+    coords = rng.uniform(0.3, 1.7, size=(REALNESS_POINTS, 2 * n)).T
+    j = _eval_at(ast, coords, n, order=2)  # one batch of all points
+    if np.ndim(j.value):  # else a constant, which _eval_at made real
+        j = j.take(np.arange(REALNESS_POINTS))  # broadcast d1, d2 over it
+        d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
+        imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
+        scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
+        if np.any(imag > IMAG_PART_TOL * scale):
             raise ParseError("expression is not real-valued", 0)
 
     def ev(coords, order=3):

@@ -11,12 +11,14 @@ hold.  Both families are strictly monotone in gamma, so the admissible gamma
 range aggregates in closed form: with r = dbar/msq the first holds iff
 gamma < r/(1 + r), with s = -dbar/msq the second iff s > 1 and
 gamma > s/(s - 1).  df_bound and s_bound take the inf and sup over samples;
-a gamma-bisection oracle in the test suite cross-checks the rearrangement.
+both are array expressions over the samples, and a gamma-bisection oracle
+in the test suite cross-checks the rearrangement.
 
 criterion_samples works on all of its points at once: one order-3 jet pass
 of rho over the batch, one levi.levi_batch call for every point's frame and
 Levi null directions, and one D'Angelo pass (dangelo.null_forms) over all
-(point, null direction) pairs whose frames share a pivot.
+(point, null direction) pairs whose frames share a pivot.  Its result is
+one CriterionSamples record of arrays, one entry per pair.
 
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
@@ -36,7 +38,7 @@ it finds to criterion_samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,7 +46,7 @@ import numpy as np
 from . import dangelo, domains, jets, levi
 
 __all__ = [
-    "CriterionSample",
+    "CriterionSamples",
     "RhoFamily",
     "ConformalLaw",
     "IndexReport",
@@ -73,24 +75,32 @@ PREDICTION_GAP_TOL = 1e-10  # certificate vs law, relative; larger is a fault
 TOLERANCES = {"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS}
 
 
-@dataclass(frozen=True)
-class CriterionSample:
-    """Criterion data for one Levi-null direction at one boundary point.
+@dataclass(frozen=True, eq=False)
+class CriterionSamples:
+    """Criterion data of K Levi-null directions, in point order and then
+    null-direction order.
 
-    msq = |omega|^2; criterion_samples also keeps omega = omega(L) itself.
+    point (K,) indexes the point list the data were computed on, L (K, n)
+    holds the (1,0) null directions, omega (K,) complex the values
+    omega(L), and dbar (K,) real the values dbar_omega(L, Lbar).
     """
 
-    point: domains.BoundaryPoint
+    point: np.ndarray
     L: np.ndarray
-    dbar: float
-    msq: float
-    omega: Optional[complex] = None
+    omega: np.ndarray
+    dbar: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.dbar):
-            raise ValueError(f"dbar is not finite: {self.dbar}")
-        if not self.msq >= 0.0:
-            raise ValueError(f"msq must be nonnegative, got {self.msq}")
+        if not (np.isfinite(self.omega).all() and np.isfinite(self.dbar).all()):
+            raise ValueError("criterion samples must be finite")
+
+    def __len__(self):
+        return len(self.dbar)
+
+    @property
+    def msq(self):
+        """|omega|^2, (K,)."""
+        return np.abs(self.omega) ** 2
 
 
 def _smooth_step(x):
@@ -226,19 +236,22 @@ class RhoFamily:
 
 
 def criterion_samples(domain, points):
-    """One CriterionSample per (weak point, Levi-null basis direction), in
-    point order and then null-direction order.
+    """CriterionSamples of every (weak point, Levi-null basis direction)
+    pair, in point order and then null-direction order.
 
     One order-3 jet pass of rho covers every point, one levi.levi_batch
     call gives every point's frame and Levi null directions, and one
     dangelo.null_forms pass covers all (point, null direction) pairs that
     share a frame pivot.  Strongly pseudoconvex points contribute nothing; a
-    fully strongly pseudoconvex point list yields the empty list (vacuous
+    fully strongly pseudoconvex (or empty) point list yields K = 0 (vacuous
     criterion).
     """
     points = list(points)
     if not points:
-        return []
+        return CriterionSamples(point=np.zeros(0, dtype=int),
+                                L=np.zeros((0, domain.n), dtype=complex),
+                                omega=np.zeros(0, dtype=complex),
+                                dbar=np.zeros(0))
     rho = domain.rho(np.stack([p.coords for p in points], axis=1), order=3)
     lb = levi.levi_batch(jets.wirtinger(rho, domain.n))
     rows, L = lb.point, lb.L.T
@@ -249,52 +262,41 @@ def criterion_samples(domain, points):
         sel = np.flatnonzero(pivots == k)
         omega[sel], dbar[sel] = dangelo.null_forms(
             domain.n, rho.take(rows[sel]), k, L[:, sel])
-    return [CriterionSample(point=points[b], L=Lb, dbar=db, msq=abs(om) ** 2,
-                            omega=om)
-            for b, Lb, db, om in zip(rows, lb.L, dbar.tolist(),
-                                     omega.tolist())]
+    return CriterionSamples(point=rows, L=lb.L, omega=omega, dbar=dbar)
+
+
+def _honest(samples):
+    """dbar, msq, and the mask of the samples whose msq counts: above
+    MSQ_EPS * max(1, |dbar|).  Below it, msq counts as zero."""
+    dbar, msq = samples.dbar, samples.msq
+    return dbar, msq, msq > MSQ_EPS * np.maximum(1.0, np.abs(dbar))
 
 
 def df_bound(samples):
     """Largest gamma in [0, 1] admissible for every sample.
 
-    Empty list -> 1 (vacuous).  Degenerate msq with dbar > 0 -> the sample
-    admits every gamma.  dbar <= 0 against honest msq kills all gamma -> 0.
+    No samples -> 1 (vacuous).  Degenerate msq with dbar > 0 -> the sample
+    admits every gamma.  Any dbar <= 0 kills all gamma -> 0.
     """
-    best = 1.0
-    for s in samples:
-        scale = max(1.0, abs(s.dbar))
-        if s.msq <= MSQ_EPS * scale:
-            contrib = 1.0 if s.dbar > 0.0 else 0.0
-        elif s.dbar <= 0.0:
-            contrib = 0.0
-        else:
-            r = s.dbar / s.msq
-            contrib = r / (1.0 + r)
-        best = min(best, contrib)
-        if best == 0.0:
-            break
-    return best
+    dbar, msq, honest = _honest(samples)
+    if np.any(dbar <= 0.0):
+        return 0.0
+    r = dbar[honest] / msq[honest]
+    return float(np.min(r / (1.0 + r), initial=1.0))
 
 
 def s_bound(samples):
     """Smallest gamma in [1, inf] admissible for every sample.
 
-    Empty list -> 1 (vacuous).  A sample with dbar >= -msq (at honest msq)
-    admits no gamma > 1 at all -> infinity.
+    No samples -> 1 (vacuous).  Degenerate msq with dbar < 0 admits every
+    gamma > 1.  A sample with dbar >= -msq (at honest msq; dbar >= 0 at
+    degenerate msq) admits no gamma > 1 at all -> infinity.
     """
-    worst = 1.0
-    for s in samples:
-        scale = max(1.0, abs(s.dbar))
-        if s.msq <= MSQ_EPS * scale:
-            contrib = 1.0 if s.dbar < 0.0 else math.inf
-        else:
-            ratio = -s.dbar / s.msq
-            contrib = math.inf if ratio <= 1.0 else ratio / (ratio - 1.0)
-        worst = max(worst, contrib)
-        if worst == math.inf:
-            break
-    return worst
+    dbar, msq, honest = _honest(samples)
+    ratio = -dbar[honest] / msq[honest]
+    if np.any(dbar[~honest] >= 0.0) or np.any(ratio <= 1.0):
+        return math.inf
+    return float(np.max(ratio / (ratio - 1.0), initial=1.0))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -359,27 +361,20 @@ class ConformalLaw:
     ratio dbar/|omega|^2.  Up to that factor the samples of the member with
     coefficients c are
 
-        omega_j(c) = omega0_j + (c A)_j,    dbar_j(c) = dbar0_j - (c H)_j
+        omega_j(c) = omega_j + (c A)_j,    dbar_j(c) = dbar_j - (c H)_j
 
-    with A_ij = d'psi_i(L_j) and H_ij = psi_i,zzbar(L_j, Lbar_j) at the base
-    samples j.
+    with omega_j, dbar_j the base samples and A_ij = d'psi_i(L_j),
+    H_ij = psi_i,zzbar(L_j, Lbar_j) at them.
     """
 
-    samples: list          # criterion samples of the base delta
-    omega0: np.ndarray     # (m,) complex
-    dbar0: np.ndarray      # (m,) real
-    A: np.ndarray          # (dim, m) complex
-    H: np.ndarray          # (dim, m) real
+    samples: CriterionSamples  # criterion samples of the base delta, K of them
+    A: np.ndarray              # (dim, K) complex
+    H: np.ndarray              # (dim, K) real
 
     def predict(self, c):
-        """(dbar, omega) arrays of the member with coefficients c."""
-        return self.dbar0 - c @ self.H, self.omega0 + c @ self.A
-
-    def predicted_samples(self, c):
-        dbar, omega = self.predict(np.asarray(c, dtype=float))
-        return [CriterionSample(point=s.point, L=s.L, dbar=float(d),
-                                msq=float(abs(o) ** 2), omega=complex(o))
-                for s, d, o in zip(self.samples, dbar, omega)]
+        """The base samples shifted to the member with coefficients c."""
+        return replace(self.samples, omega=self.samples.omega + c @ self.A,
+                       dbar=self.samples.dbar - c @ self.H)
 
 
 def conformal_law(family, points):
@@ -388,18 +383,15 @@ def conformal_law(family, points):
     samples = criterion_samples(family.base, points)
     A = np.zeros((family.dim, len(samples)), dtype=complex)
     H = np.zeros((family.dim, len(samples)))
-    if samples:
-        coords = np.stack([s.point.coords for s in samples], axis=1)
-        L = np.stack([s.L for s in samples], axis=1)
+    if len(samples):
+        coords = np.stack([p.coords for p in points], axis=1)[:, samples.point]
+        L = samples.L.T
         for i, psi in enumerate(family.psi_basis):
             w = jets.wirtinger(psi(coords, 2), family.base.n)
             A[i] = np.sum(w.grad * L, axis=0)
             H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
                           axis=(0, 1)).real
-    return ConformalLaw(samples=samples,
-                        omega0=np.array([s.omega for s in samples], dtype=complex),
-                        dbar0=np.array([s.dbar for s in samples], dtype=float),
-                        A=A, H=H)
+    return ConformalLaw(samples=samples, A=A, H=H)
 
 
 def _certify(family, points, law, c, kind):
@@ -423,7 +415,7 @@ def _certify(family, points, law, c, kind):
     if len(samples) != len(law.samples) or not (
             value > base[1] if kind == "df" else value < base[1]):
         return base
-    gap = abs(bound(law.predicted_samples(c)) - value) / value
+    gap = abs(bound(law.predict(c)) - value) / value
     return base if gap > PREDICTION_GAP_TOL else (c, value, gap)
 
 
@@ -476,6 +468,10 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
     eigenvalue (see levi.levi_batch), and the smallest eigenvalue over all
     samples, normalized per point by the Levi matrix's spectral scale.
     """
+    if domain.n < 2:
+        raise domains.DomainError(
+            f"a domain in C^{domain.n} has no complex tangent direction, so "
+            f"it has no Levi form; the index criterion needs n >= 2")
     points = domains.boundary_sample(domain, anchor, count, seed=seed)
     lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in points]))
     weak = [points[b] for b in sorted(set(lb.point.tolist()))]

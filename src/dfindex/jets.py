@@ -141,15 +141,6 @@ class Jet:
         return Jet(self.nvars, self.order, self.value[idx], pick(self.d1),
                    pick(self.d2), pick(self.d3))
 
-    def max_imag(self):
-        m = float(np.abs(np.imag(self.value)).max())
-        m = max(m, np.abs(self.d1.imag).max())
-        if self.d2 is not None:
-            m = max(m, np.abs(self.d2.imag).max())
-        if self.d3 is not None:
-            m = max(m, np.abs(self.d3.imag).max())
-        return m
-
     def deriv(self, i):
         """Jet of the partial derivative with respect to real coordinate i.
 

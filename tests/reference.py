@@ -12,8 +12,12 @@ None of these is used by dfindex itself:
 - ``criterion_samples`` runs the criterion one point and one null
   direction at a time, each point with its own ``levi.levi_batch`` and
   ``dangelo.PointCalculus``: the oracle for the batched
-  ``index.criterion_samples``.
+  ``index.criterion_samples``;
+- ``df_bound`` and ``s_bound`` aggregate the bounds one sample at a time,
+  the oracles for the closed-form array expressions of ``index``.
 """
+
+import math
 
 import numpy as np
 
@@ -104,14 +108,50 @@ def perturbed_transversal(pc, h_coeffs):
 
 
 def criterion_samples(domain, points):
-    """One CriterionSample per (weak point, Levi-null basis direction), one
-    point and one direction at a time."""
-    out = []
-    for p in points:
+    """The CriterionSamples of every (weak point, Levi-null basis
+    direction) pair, one point and one direction at a time."""
+    point, Ls, omega, dbar = [], [], [], []
+    for b, p in enumerate(points):
         rho = domain.rho(p.coords[:, None], order=3)
         pc = dangelo.PointCalculus(domain, p)
         for L in levi.levi_batch(jets.wirtinger(rho, domain.n)).L:
             om, db = (x[0].item() for x in pc.forms(L[:, None]))
-            out.append(index.CriterionSample(point=p, L=L, dbar=db,
-                                             msq=abs(om) ** 2, omega=om))
-    return out
+            point.append(b)
+            Ls.append(L)
+            omega.append(om)
+            dbar.append(db)
+    return index.CriterionSamples(
+        point=np.array(point, dtype=int),
+        L=np.array(Ls, dtype=complex).reshape(len(Ls), domain.n),
+        omega=np.array(omega, dtype=complex), dbar=np.array(dbar))
+
+
+def df_bound(samples):
+    """Largest gamma in [0, 1] admissible for every sample, one at a time."""
+    best = 1.0
+    for dbar, msq in zip(samples.dbar.tolist(), samples.msq.tolist()):
+        scale = max(1.0, abs(dbar))
+        if msq <= index.MSQ_EPS * scale:
+            contrib = 1.0 if dbar > 0.0 else 0.0
+        elif dbar <= 0.0:
+            contrib = 0.0
+        else:
+            r = dbar / msq
+            contrib = r / (1.0 + r)
+        best = min(best, contrib)
+    return best
+
+
+def s_bound(samples):
+    """Smallest gamma in [1, inf] admissible for every sample, one at a
+    time."""
+    worst = 1.0
+    for dbar, msq in zip(samples.dbar.tolist(), samples.msq.tolist()):
+        scale = max(1.0, abs(dbar))
+        if msq <= index.MSQ_EPS * scale:
+            contrib = 1.0 if dbar < 0.0 else math.inf
+        else:
+            ratio = -dbar / msq
+            contrib = math.inf if ratio <= 1.0 else ratio / (ratio - 1.0)
+        worst = max(worst, contrib)
+    return worst

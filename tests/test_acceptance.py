@@ -194,16 +194,22 @@ def test_criterion_10_ball_sanity_and_bisection_oracle():
     dm = domains.ball(2)
     pts = domains.boundary_sample(dm, np.zeros(4), 100, seed=0)
     samples = index.criterion_samples(dm, pts)
-    assert samples == []
+    assert len(samples) == 0
     assert index.df_bound(samples) == 1.0 and index.s_bound(samples) == 1.0
+
+    def sample(dbar, msq):
+        # a record with omega = sqrt(msq)
+        return index.CriterionSamples(
+            point=np.zeros(dbar.size, dtype=int), L=np.zeros((dbar.size, 2)),
+            omega=np.sqrt(msq).astype(complex), dbar=dbar)
 
     def df_admissible(ss, g):
         k = g / (1.0 - g)
-        return all(s.dbar - k * s.msq > 0.0 for s in ss)
+        return bool(np.all(ss.dbar - k * ss.msq > 0.0))
 
     def s_admissible(ss, g):
         k = g / (g - 1.0)
-        return all(-s.dbar - k * s.msq > 0.0 for s in ss)
+        return bool(np.all(-ss.dbar - k * ss.msq > 0.0))
 
     def bisect(pred, lo, hi, lo_admissible, iters=80):
         for _ in range(iters):
@@ -220,15 +226,12 @@ def test_criterion_10_ball_sanity_and_bisection_oracle():
         k = int(rng.integers(1, 7))
         msq = rng.uniform(0.5, 2.0, size=k)
         dbar = rng.uniform(0.1, 3.0, size=k)
-        ss = [index.CriterionSample(point=None, L=np.zeros(2), dbar=d, msq=m)
-              for d, m in zip(dbar, msq)]
+        ss = sample(dbar, msq)
         oracle = bisect(lambda g: df_admissible(ss, g), 0.0, 1.0, True)
         worst = max(worst, abs(index.df_bound(ss) - oracle))
 
         ratios = rng.uniform(1.5, 6.0, size=k)
-        ss = [index.CriterionSample(point=None, L=np.zeros(2),
-                                    dbar=-r * m, msq=m)
-              for r, m in zip(ratios, msq)]
+        ss = sample(-ratios * msq, msq)
         assert s_admissible(ss, 16.0)
         oracle = bisect(lambda g: s_admissible(ss, g), 1.0, 16.0, False)
         worst = max(worst, abs(index.s_bound(ss) - oracle))

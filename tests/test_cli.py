@@ -83,17 +83,28 @@ def test_sampled_reports_share_diagnostics(tmp_path):
         == {"min_levi_eigenvalue", "spc_samples"}
 
 
-def test_threads_flag_does_not_change_results(tmp_path, monkeypatch):
+def test_threads_flag_does_not_change_results(tmp_path):
     argv = ["analyze", "--t", "0", "--budget", "40", "--annulus-count", "5"]
-    out1, out2, out3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(argv + ["--output", str(out1)]) == cli.EXIT_OK
     assert run(argv + ["--threads", "8", "--output", str(out2)]) == cli.EXIT_OK
-    monkeypatch.setenv("DFINDEX_THREADS", "4")
-    assert run(argv + ["--output", str(out3)]) == cli.EXIT_OK
-    a, b, c = (load_without_stamp(p) for p in (out1, out2, out3))
-    for d in (a, b, c):
-        d.pop("threads")
-    assert a == b == c
+    a, b = (load_without_stamp(p) for p in (out1, out2))
+    assert (a.pop("threads"), b.pop("threads")) == (1, 8)
+    assert a == b
+
+
+@pytest.mark.parametrize("flags", [["--expr", "abs2(z1)-1"],
+                                   ["--domain", "ball", "--dim", "1"],
+                                   ["--domain", "ellipsoid", "--coeffs", "2"]])
+def test_analyze_rejects_a_domain_in_c1(tmp_path, capsys, flags):
+    # n = 1 leaves no complex tangent direction, so no Levi form
+    out = tmp_path / "r.json"
+    assert run(["analyze", *flags, "--count", "5",
+                "--output", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "C^1" in err and "Levi form" in err
+    assert not out.exists()
 
 
 # -- sample and sweep ---------------------------------------------------------------
@@ -105,6 +116,14 @@ def test_sample_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 8
     assert lines[0].startswith("re(z1),im(z1)")
+
+
+def test_sample_in_c1(tmp_path):
+    # boundary sampling needs no Levi form, so a domain in C^1 is fine
+    out = tmp_path / "pts.csv"
+    assert run(["sample", "--domain", "ball", "--dim", "1", "--count", "3",
+                "--output", str(out)]) == cli.EXIT_OK
+    assert len(out.read_text().strip().splitlines()) == 4
 
 
 def test_sweep_csv_and_json(tmp_path):

@@ -13,61 +13,106 @@ from dfindex import domains, exprparse, index, jets, levi
 BETA = 3 * math.pi / 4
 
 
+def samples(pairs):
+    """A record of (dbar, msq) pairs, with omega = sqrt(msq)."""
+    dbar, msq = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return index.CriterionSamples(
+        point=np.zeros(dbar.size, dtype=int),
+        L=np.tile(np.array([0.0, 1.0], dtype=complex), (dbar.size, 1)),
+        omega=np.sqrt(msq).astype(complex), dbar=dbar)
+
+
 def sample(dbar, msq):
-    return index.CriterionSample(point=None, L=np.array([0.0, 1.0]),
-                                 dbar=dbar, msq=msq)
+    return samples([(dbar, msq)])
 
 
 # -- closed-form aggregation ---------------------------------------------------------
 
 def test_bound_examples():
-    assert index.df_bound([]) == 1.0
-    assert index.s_bound([]) == 1.0
-    assert index.df_bound([sample(1.0, 1.0)]) == pytest.approx(0.5)
-    assert index.df_bound([sample(-1.0, 1.0)]) == 0.0
-    assert index.df_bound([sample(0.0, 1.0)]) == 0.0
-    assert index.s_bound([sample(-2.0, 1.0)]) == pytest.approx(2.0)
-    assert index.s_bound([sample(1.0, 1.0)]) == math.inf
-    assert index.s_bound([sample(-1.0, 1.0)]) == math.inf  # ratio exactly 1
+    assert index.df_bound(samples([])) == 1.0
+    assert index.s_bound(samples([])) == 1.0
+    assert index.df_bound(sample(1.0, 1.0)) == pytest.approx(0.5)
+    assert index.df_bound(sample(-1.0, 1.0)) == 0.0
+    assert index.df_bound(sample(0.0, 1.0)) == 0.0
+    assert index.s_bound(sample(-2.0, 1.0)) == pytest.approx(2.0)
+    assert index.s_bound(sample(1.0, 1.0)) == math.inf
+    assert index.s_bound(sample(-1.0, 1.0)) == math.inf  # ratio exactly 1
 
 
 def test_bound_degenerate_msq():
-    assert index.df_bound([sample(2.0, 0.0)]) == 1.0
-    assert index.df_bound([sample(-2.0, 0.0)]) == 0.0
-    assert index.df_bound([sample(0.0, 0.0)]) == 0.0
-    assert index.s_bound([sample(-2.0, 0.0)]) == 1.0
-    assert index.s_bound([sample(2.0, 0.0)]) == math.inf
+    assert index.df_bound(sample(2.0, 0.0)) == 1.0
+    assert index.df_bound(sample(-2.0, 0.0)) == 0.0
+    assert index.df_bound(sample(0.0, 0.0)) == 0.0
+    assert index.s_bound(sample(-2.0, 0.0)) == 1.0
+    assert index.s_bound(sample(2.0, 0.0)) == math.inf
     # eps scales with |dbar|: huge dbar with tiny honest msq is degenerate
-    assert index.df_bound([sample(1e12, 1e3 * index.MSQ_EPS)]) == 1.0
+    assert index.df_bound(sample(1e12, 1e3 * index.MSQ_EPS)) == 1.0
 
 
 def test_sample_validation():
     with pytest.raises(ValueError):
         sample(math.nan, 1.0)
     with pytest.raises(ValueError):
-        sample(1.0, -1e-3)
+        sample(1.0, math.inf)
 
 
 @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(0.1, 3)), max_size=8),
        st.tuples(st.floats(-3, 3), st.floats(0.1, 3)))
 @settings(max_examples=100, deadline=None)
 def test_bounds_monotone_in_samples(pairs, extra):
-    samples = [sample(d, m) for d, m in pairs]
-    more = samples + [sample(*extra)]
-    assert index.df_bound(more) <= index.df_bound(samples)
-    assert index.s_bound(more) >= index.s_bound(samples)
+    fewer, more = samples(pairs), samples(pairs + [extra])
+    assert index.df_bound(more) <= index.df_bound(fewer)
+    assert index.s_bound(more) >= index.s_bound(fewer)
+
+
+def at_threshold(omega, sign):
+    # (omega, dbar) with |omega|^2 == MSQ_EPS * max(1, |dbar|) exactly, or
+    # None when no dbar near |omega|^2 / MSQ_EPS rounds onto it
+    msq = float((np.abs(np.array([omega])) ** 2)[0])
+    d = msq / index.MSQ_EPS
+    for dbar in (d, np.nextafter(d, 0.0), np.nextafter(d, math.inf)):
+        if dbar >= 1.0 and index.MSQ_EPS * dbar == msq:
+            return omega, sign * float(dbar)
+    return None
+
+
+def exactly_one(omega):
+    # (omega, dbar) with -dbar/msq == 1
+    return omega, -float((np.abs(np.array([omega])) ** 2)[0])
+
+
+small = st.floats(1e-5, 1e-3)
+honest = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+criterion_entry = st.one_of(
+    st.tuples(honest, st.floats(-3, 3)),
+    st.tuples(st.just(0j), st.floats(-3, 3)),                  # msq = 0
+    st.builds(at_threshold, st.builds(complex, small, small),
+              st.sampled_from([-1.0, 1.0])).filter(bool),   # msq at eps
+    st.tuples(honest, st.just(0.0)),                           # dbar = 0
+    st.builds(exactly_one, honest))                            # ratio 1
+
+
+@given(st.lists(criterion_entry, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_bounds_equal_the_sample_loops(entries):
+    omega = np.array([o for o, _ in entries], dtype=complex)
+    rec = index.CriterionSamples(
+        point=np.arange(len(entries)), L=np.zeros((len(entries), 2), complex),
+        omega=omega, dbar=np.array([d for _, d in entries], dtype=float))
+    assert index.df_bound(rec) == reference.df_bound(rec)
+    assert index.s_bound(rec) == reference.s_bound(rec)
 
 
 # -- gamma-bisection oracle ------------------------------------------------------------
 
 def df_admissible(samples, gamma):
     k = gamma / (1.0 - gamma)
-    return all(s.dbar - k * s.msq > 0.0 for s in samples)
+    return bool(np.all(samples.dbar - k * samples.msq > 0.0))
 
 
 def s_admissible(samples, gamma):
     k = gamma / (gamma - 1.0)
-    return all(-s.dbar - k * s.msq > 0.0 for s in samples)
+    return bool(np.all(-samples.dbar - k * samples.msq > 0.0))
 
 
 def df_by_bisection(samples, iters=60):
@@ -102,14 +147,14 @@ def test_bisection_oracle_agreement():
         k = rng.integers(1, 9)
         dbars = rng.uniform(-3.0, 3.0, size=k)
         msqs = rng.uniform(0.2, 3.0, size=k)
-        samples = [sample(d, m) for d, m in zip(dbars, msqs)]
+        ss = samples(list(zip(dbars, msqs)))
 
-        df = index.df_bound(samples)
-        oracle = df_by_bisection(samples)
+        df = index.df_bound(ss)
+        oracle = df_by_bisection(ss)
         assert abs(df - oracle) < 1e-12
 
-        sb = index.s_bound(samples)
-        oracle = s_by_bisection(samples)
+        sb = index.s_bound(ss)
+        oracle = s_by_bisection(ss)
         if sb == math.inf:
             assert oracle == math.inf
         else:
@@ -123,10 +168,10 @@ def test_bisection_oracle_steep_cases():
         k = rng.integers(1, 5)
         msqs = rng.uniform(0.5, 2.0, size=k)
         ratios = rng.uniform(1.001, 1.2, size=k)
-        samples = [sample(-r * m, m) for r, m in zip(ratios, msqs)]
-        sb = index.s_bound(samples)
+        ss = samples([(-r * m, m) for r, m in zip(ratios, msqs)])
+        sb = index.s_bound(ss)
         assert sb < math.inf
-        assert abs(sb - s_by_bisection(samples)) < 1e-9 * sb
+        assert abs(sb - s_by_bisection(ss)) < 1e-9 * sb
 
 
 # -- conformal family -----------------------------------------------------------------
@@ -209,7 +254,7 @@ class TestRhoFamily:
 
 
 def ratios(samples):
-    return np.array([s.dbar / s.msq for s in samples])
+    return samples.dbar / samples.msq
 
 
 def test_conformal_law_matches_realized_samples():
@@ -221,7 +266,7 @@ def test_conformal_law_matches_realized_samples():
     for _ in range(3):
         c = rng.normal(size=family.dim)
         realized = ratios(index.criterion_samples(family.realize(c), pts))
-        predicted = ratios(law.predicted_samples(c))
+        predicted = ratios(law.predict(c))
         assert np.abs(predicted - realized).max() <= 1e-12 * np.abs(realized).max()
 
 
@@ -240,9 +285,9 @@ def test_conformal_law_pins_sign_of_omega_shift():
     law = index.conformal_law(family, pts)
     c = np.array([0.7, 0.5])
     realized = ratios(index.criterion_samples(family.realize(c), pts))
-    dbar, omega = law.predict(c)
-    plus = dbar / np.abs(omega) ** 2
-    minus = dbar / np.abs(law.omega0 - c @ law.A) ** 2
+    predicted = law.predict(c)
+    plus = ratios(predicted)
+    minus = predicted.dbar / np.abs(law.samples.omega - c @ law.A) ** 2
     tol = 1e-12 * np.abs(realized).max()
     assert np.abs(plus - realized).max() <= tol
     assert np.abs(minus - realized).max() > 1e3 * tol
@@ -253,7 +298,7 @@ def test_conformal_law_pins_sign_of_omega_shift():
 def test_criterion_samples_empty_for_ball():
     dm = domains.ball(2)
     pts = domains.boundary_sample(dm, np.zeros(4), 15, seed=2)
-    assert index.criterion_samples(dm, pts) == []
+    assert len(index.criterion_samples(dm, pts)) == 0
 
 
 def test_criterion_samples_on_worm_annulus():
@@ -261,17 +306,15 @@ def test_criterion_samples_on_worm_annulus():
     pts = domains.annulus_points(BETA, 9)
     samples = index.criterion_samples(dm, pts)
     assert len(samples) == 9
-    for s in samples:
-        assert s.msq > 0.1
-        assert abs(s.dbar) < 1e-12
+    assert np.all(samples.msq > 0.1)
+    assert np.all(np.abs(samples.dbar) < 1e-12)
     assert index.df_bound(samples) == 0.0
     assert index.s_bound(samples) == math.inf
 
 
 def _forms(domain, points):
     samples = index.criterion_samples(domain, points)
-    return (np.array([s.dbar for s in samples]),
-            np.array([s.msq for s in samples]))
+    return samples.dbar, samples.msq
 
 
 def _wsq(p):
@@ -308,11 +351,12 @@ def assert_match_reference(domain, points):
     got = index.criterion_samples(domain, points)
     want = reference.criterion_samples(domain, points)
     assert len(got) == len(want) > 0
-    for g, w in zip(got, want):
-        assert g.point is w.point
-        assert np.array_equal(g.L, w.L)
-        assert abs(g.dbar - w.dbar) <= 1e-12 * max(abs(w.dbar), 1e-300)
-        assert abs(g.omega - w.omega) <= 1e-12 * max(abs(w.omega), 1e-300)
+    assert np.array_equal(got.point, want.point)
+    assert np.array_equal(got.L, want.L)
+    assert np.all(np.abs(got.dbar - want.dbar)
+                  <= 1e-12 * np.maximum(np.abs(want.dbar), 1e-300))
+    assert np.all(np.abs(got.omega - want.omega)
+                  <= 1e-12 * np.maximum(np.abs(want.omega), 1e-300))
     return got
 
 
@@ -337,7 +381,7 @@ def test_criterion_samples_match_oracle_on_a_two_dimensional_null_space(factor):
            for t in (0.0, 1.0, 2.5)]
     samples = assert_match_reference(dm, pts)
     # two null directions per point, point order first
-    assert [s.point for s in samples] == [p for p in pts for _ in range(2)]
+    assert samples.point.tolist() == [0, 0, 1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("factor", ["", FACTOR2 + "*"])
@@ -349,7 +393,7 @@ def test_criterion_samples_match_oracle_across_pivot_groups(factor):
     pivots = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in pts])).pivot
     assert pivots.tolist() == [1, 0, 1, 0, 1]
     samples = assert_match_reference(dm, pts)
-    assert [s.point for s in samples] == pts
+    assert samples.point.tolist() == list(range(len(pts)))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

@@ -226,7 +226,8 @@ def test_conj_real_imag_decomposition():
     re, im = a.real_part(), a.imag_part()
     jets_close(re + 1j * im, a)
     jets_close(a.conj(), re - 1j * im)
-    assert re.max_imag() == 0.0
+    for part in ("value", "d1", "d2", "d3"):
+        assert not np.any(np.imag(getattr(re, part)))
 
 
 def test_deriv_shifts_derivatives():
