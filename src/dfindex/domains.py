@@ -30,16 +30,14 @@ __all__ = [
     "ellipsoid",
     "boundary_sample",
     "annulus_points",
-    "mollifier",
-    "mollifier_d1",
-    "mollifier_d2",
-    "mollifier_d3",
+    "ramp_derivatives",
 ]
 
 BOUNDARY_TOL = 1e-12
 SEARCH_RADIUS = 10.0
-# 1 / _ramp(1), so that phi(r + 1) = 1; a test pins it against _ramp
-RAMP_NORMALIZER = 6.734210493715406
+# 1 / ramp(1), correctly rounded, so that phi(r + 1) = 1; a test pins it
+# against ramp_derivatives
+RAMP_NORMALIZER = 6.734210493715397
 
 
 class DomainError(ValueError):
@@ -48,70 +46,179 @@ class DomainError(ValueError):
 
 # -- smoothing profile --------------------------------------------------------
 
-def mollifier(s):
-    """exp(-1/s) for s > 0, identically 0 for s <= 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out if out.ndim else float(out)
+# exp(-1/s) is exactly 0.0 in doubles at and below this argument
+_DEAD = 1.0 / 746.0
+# ramp(s) is summed as a series in 1/s from here on
+_SERIES_FROM = 2.0
+# h(s) = ramp(s) / (s^2 exp(-1/s)) as 16 ascending coefficients in
+# t in [-1, 1], Chebyshev-fitted on each of 13 rows: [0, 1/32], then the
+# halves [a, 1.5a] and [1.5a, 2a] of each octave from a = 1/32 up to 2.
+# Made with
+#   python3 -c "import mpmath as m, numpy as np; m.mp.dps = 40; E = [0] + [m.mpf(2)**k * f for k in range(-5, 1) for f in (1, 1.5)] + [2]; h = lambda s: (1 - m.exp(1/s) * m.e1(1/s) / s) / s; print(np.array2string(np.array([[float(c) for c in m.chebyfit(lambda t: h((a + b + (b - a) * t) / 2), [-1, 1], 16)[::-1]] for a, b in zip(E, E[1:])]), separator=', ', floatmode='unique', max_line_width=79))"
+_H_ROWS = np.array([0.0] + [2.0 ** k * f for k in range(-5, 1)
+                            for f in (1.0, 1.5)] + [_SERIES_FROM])
+_H_CENTERS = 0.5 * (_H_ROWS[:-1] + _H_ROWS[1:])
+# powers of two, so that t is exact on every row but the first
+_H_SCALES = 2.0 / (_H_ROWS[1:] - _H_ROWS[:-1])
+_H_COEFFS = np.array(
+[[ 9.7012983831167532e-01, -2.8569328570574357e-02,  1.2273330878527851e-03,
+  -6.8443479323949342e-05,  4.6495399782929363e-06, -3.6971235491968906e-07,
+   3.3483184108692858e-08, -3.3859814913601258e-09,  3.7663045543384029e-10,
+  -4.5542992264558591e-11,  5.9314488676837364e-12, -8.2549781143105901e-13,
+   1.2126881991744605e-13, -1.8903945992465854e-14,  3.5437865232008948e-15,
+  -6.1553029305342351e-16],
+ [ 9.2982741068069630e-01, -1.2647306957443795e-02,  2.4293216680577699e-04,
+  -5.8848197730850790e-06,  1.6921054655185368e-07, -5.5630273664364704e-09,
+   2.0390577052624814e-10, -8.1837199950756595e-12,  3.5483797375248211e-13,
+  -1.6449770390136186e-14,  8.0867180860179370e-16, -4.1877747465240287e-17,
+   2.2718728762992988e-18, -1.2854694799335731e-19,  7.6739838703071991e-21,
+  -4.6756232639162227e-22],
+ [ 9.0545998831233632e-01, -1.1741190619423717e-02,  2.1128326536150240e-04,
+  -4.7250561441105751e-06,  1.2386361770579745e-07, -3.6723085110000703e-09,
+   1.2023026563684015e-10, -4.2737039560491267e-12,  1.6287455192120499e-13,
+  -6.5913845484334802e-15,  2.8111336800940346e-16, -1.2557948646352275e-17,
+   5.8465545325741651e-19, -2.8252503520298693e-20,  1.4276833613252271e-21,
+  -7.3627668524815089e-23],
+ [ 8.7201960916329491e-01, -2.1178043123353002e-02,  6.9832808070124637e-04,
+  -2.8116136211442051e-05,  1.3076584318498780e-06, -6.7939041389407966e-08,
+   3.8566036079296317e-09, -2.3549482134310169e-10,  1.5292126994165591e-11,
+  -1.0468185441975279e-12,  7.5028004100996691e-14, -5.5994583158495211e-15,
+   4.3307369712923452e-16, -3.4604362802132748e-17,  2.9330032097894097e-18,
+  -2.4815646390798609e-19],
+ [ 8.3225087476028636e-01, -1.8685065944945699e-02,  5.5637058586154595e-04,
+  -1.9864518819637925e-05,  8.0744854546105677e-07, -3.6226575484048953e-08,
+   1.7579656424257883e-09, -9.0974943686605701e-11,  4.9690432346573048e-12,
+  -2.8422612696300024e-13,  1.6921839639540462e-14, -1.0435477384656967e-15,
+   6.6386922841985505e-17, -4.3436869123154777e-18,  2.9720605590441931e-19,
+  -2.0422566415817981e-20],
+ [ 7.8072438091050633e-01, -3.1616959929650565e-02,  1.6526630904163348e-03,
+  -1.0152309089148088e-04,  6.9901018252125218e-06, -5.2458316168035257e-07,
+   4.2140266158006668e-08, -3.5784286636797649e-09,  3.1830939528583568e-10,
+  -2.9457285430759885e-11,  2.8210923554815456e-12, -2.7840944567038345e-13,
+   2.8191720650856882e-14, -2.9258728579984672e-15,  3.2580671694143043e-16,
+  -3.5287268720948688e-17],
+ [ 7.2338629141137945e-01, -2.6036110304560347e-02,  1.1774901576618545e-03,
+  -6.1400957505416292e-05,  3.5373654583123125e-06, -2.1961832335010340e-07,
+   1.4460995778108528e-08, -9.9883728190852086e-10,  7.1797454680740231e-11,
+  -5.3389168786544260e-12,  4.0881534015490121e-13, -3.2117747035639399e-14,
+   2.5803642832790096e-15, -2.1162414760045381e-16,  1.8210228220464230e-17,
+  -1.5477961626927196e-18],
+ [ 6.5445944855178684e-01, -4.0637826493858262e-02,  3.0808571335064769e-03,
+  -2.6407931546297504e-04,  2.4650131318991322e-05, -2.4520967179145830e-06,
+   2.5639041777545169e-07, -2.7913707974017053e-08,  3.1429626250870021e-09,
+  -3.6413646139533132e-10,  4.3241861736249319e-11, -5.2468360898988771e-12,
+   6.4765162504807281e-13, -8.1462639810563010e-14,  1.1165977345296841e-14,
+  -1.4486739034845937e-15],
+ [ 5.8372401443151312e-01, -3.0851437407048880e-02,  1.9389307861951465e-03,
+  -1.3539913862701945e-04,  1.0168443042677321e-05, -8.0608330014355396e-07,
+   6.6658747479577174e-08, -5.7041227739857533e-09,  5.0218809067425536e-10,
+  -4.5291620919605752e-11,  4.1706567260161434e-12, -3.9109739745806412e-13,
+   3.7245043618555733e-14, -3.6003425444498003e-15,  3.6714516142116531e-16,
+  -3.6405191448112956e-17],
+ [ 5.0563078323346411e-01, -4.4054163928094185e-02,  4.4451004703941902e-03,
+  -4.9001768120928476e-04,  5.7404468164441392e-05, -7.0349659800070823e-06,
+   8.9300585300726693e-07, -1.1662682612648991e-07,  1.5595561588641141e-08,
+  -2.1276626660007962e-09,  2.9534442238439959e-10, -4.1618473604875252e-11,
+   5.9238009814853254e-12, -8.5597754687317434e-13,  1.3709015593833917e-13,
+  -2.0250931587304538e-14],
+ [ 4.3212143171222739e-01, -3.0748397911612303e-02,  2.4765251162611030e-03,
+  -2.1483715699468191e-04,  1.9609579503135987e-05, -1.8586180255973301e-06,
+   1.8141286171104224e-07, -1.8132469855988485e-08,  1.8484526858241803e-09,
+  -1.9161097277044687e-10,  2.0151007380810275e-11, -2.1460529138504549e-12,
+   2.3087815673790264e-13, -2.5111022208388152e-14,  2.8988670036415167e-15,
+  -3.2094652247086264e-16],
+ [ 3.5760294540618787e-01, -4.0257649427465195e-02,  5.0195539089358540e-03,
+  -6.6522512828562450e-04,  9.1916900086667965e-05, -1.3099095706437080e-05,
+   1.9122715105291649e-06, -2.8465383579522612e-07,  4.3063701175726522e-08,
+  -6.6049164909416552e-09,  1.0252026878355952e-09, -1.6077003904496999e-10,
+   2.5318847958507419e-11, -4.0392923760063557e-12,  7.2584529162594053e-13,
+  -1.1759646881383635e-13],
+ [ 2.9298995229298713e-01, -2.5996309005587102e-02,  2.5092039142123788e-03,
+  -2.5465614310889862e-04,  2.6747719028989259e-05, -2.8818387453113455e-06,
+   3.1671937225696776e-07, -3.5371733955794782e-08,  4.0034847020893385e-09,
+  -4.5829350678847773e-10,  5.2979261693117177e-11, -6.1770225702895313e-12,
+   7.2466105862002085e-13, -8.5708181603918424e-14,  1.0822619367674048e-14,
+  -1.2957525182917581e-15]]).T
+# for s >= 2, with x = 1/s: ramp(s) = s - 1 - log s + euler_gamma + x R(x)
+# (Abramowitz & Stegun 5.1.11 folded with s exp(-x)), where R has the
+# ascending coefficients (-1)^m / (m (m + 1)!), m = 1..16, correctly rounded
+_SERIES = np.array([(-1) ** m / (m * math.factorial(m + 1))
+                    for m in range(1, 17)])[:, None]
 
 
-def _moll_scaled(s, k):
-    # exp(-1/s) / s^k computed as exp(-1/s - k log s); avoids 0 * inf at s -> 0+
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    sp = s[pos]
-    out[pos] = np.exp(-1.0 / sp - k * np.log(sp))
-    return out if out.ndim else float(out)
+def _estrin(c, t):
+    """Sum of c[k] t^k over the leading axis of c, whose length is a power of
+    two, by Estrin's scheme: one vectorized step per halving.  Each column
+    of the result depends only on its own columns of c and t."""
+    while len(c) > 1:
+        c = c[0::2] + c[1::2] * t
+        t = t * t
+    return c[0]
 
 
-def mollifier_d1(s):
-    return _moll_scaled(s, 2)
+def _ramp_value(s, e):
+    """ramp(s) for s >= _DEAD, given e = exp(-1/s); both (B,)."""
+    far = s >= _SERIES_FROM
+    if far.all() or not e.any():
+        out = np.zeros_like(s)
+    else:
+        near = np.minimum(s, _SERIES_FROM)
+        i = np.searchsorted(_H_ROWS[1:-1], near, side="right")
+        h = _estrin(_H_COEFFS[:, i], (near - _H_CENTERS[i]) * _H_SCALES[i])
+        out = e * (near * near * h)
+    if far.any():
+        sf = s[far]
+        x = 1.0 / sf
+        out[far] = (((sf - 1.0) - np.log(sf))
+                    + (np.euler_gamma + x * _estrin(_SERIES, x)))
+    return out
 
 
-def mollifier_d2(s):
-    return _moll_scaled(s, 4) - 2.0 * _moll_scaled(s, 3)
+def ramp_derivatives(s, first, last):
+    """ramp^(k)(s) for k = first..last, 0 <= first <= last <= 4.
 
-
-def mollifier_d3(s):
-    return _moll_scaled(s, 6) - 6.0 * _moll_scaled(s, 5) + 6.0 * _moll_scaled(s, 4)
-
-
-def _ramp(u):
-    """Antiderivative of the mollifier: integral of exp(-1/s) over [0, u].
-
-    Closed form u*exp(-1/u) - E1(1/u) for u > 0; zero for u <= 0.  Smooth,
-    convex, and exact to machine precision (an adaptive-quadrature cross-check
-    lives in phi_quadrature_check).
+    ramp(s) is the integral of exp(-1/t) over [0, s] for s > 0 and 0 for
+    s <= 0; its derivative, the mollifier exp(-1/s), vanishes with all of
+    its derivatives at s <= 0.  One exp per argument: with e = exp(-1/s),
+    ramp'' = e/s^2, ramp''' = e (1 - 2s)/s^4, ramp'''' = e (1 - 6s + 6s^2)/s^6,
+    and ramp = s^2 e h(s) below s = 2 (h from a piecewise Chebyshev table),
+    or the series s - 1 - log s + euler_gamma + sum_m (-1)^m/(m (m+1)! s^m)
+    from s = 2 on.  Plain numpy: no scipy.  For s >= 1/700 the relative
+    error of ramp stays within (8 + 1/s) 2^-53, where 1/s is the rounding
+    of -1/s inside exp that no double formula avoids.  Each entry depends only on its own
+    argument, so a batch gives the bits of its elements taken one at a
+    time.  Every entry has the shape of s.
     """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    e = np.zeros_like(u)
-    pos = u > 0
-    e[pos] = np.exp(-1.0 / u[pos])
-    # where exp(-1/u) underflows to 0, E1(1/u) < exp(-1/u) does too and the
-    # ramp is exactly 0.  Only the other arguments import scipy.special,
-    # which costs about 25 MB and 0.3 s at start-up: the central worm fiber,
-    # whose arguments all lie below 1e-15, never loads it.
-    live = e > 0.0
-    if live.any():
-        from scipy.special import exp1
-
-        up = u[live]
-        out[live] = up * e[live] - exp1(1.0 / up)
-    return out if out.ndim else float(out)
+    s = np.asarray(s, dtype=float)
+    shape = s.shape
+    # at and below _DEAD every entry is 0.0
+    s = np.maximum(s.reshape(-1), _DEAD)
+    q = 1.0 / s
+    e = np.exp(-q)
+    derivs = [e]
+    if last >= 2:
+        q2 = q * q
+        derivs.append(e * q2)
+    if last >= 3:
+        derivs.append(derivs[1] * q2 * (1.0 - 2.0 * s))
+    if last >= 4:
+        derivs.append(derivs[1] * (q2 * q2) * (1.0 - 6.0 * s * (1.0 - s)))
+    out = derivs[max(first, 1) - 1:last]
+    if first == 0:
+        out = [_ramp_value(s, e)] + out
+    return [d.reshape(shape) for d in out]
 
 
 @dataclass(frozen=True)
 class PhiSpec:
     """Even convex profile phi with phi^{-1}(0) = [-r, r] and phi(r+1) = 1.
 
-    phi(x) = K * (ramp(x - r) + ramp(-x - r)) where ramp is the integral of
-    exp(-1/s).  K = RAMP_NORMALIZER normalizes phi(r + 1) = 1, which fixes
-    the threshold a = r + 1 beyond which phi exceeds 1 with nonvanishing
-    slope.
+    phi(x) = K * ramp(|x| - r), where ramp is the integral of exp(-1/s).
+    For r > 0 this is the one live branch of K * (ramp(x - r) + ramp(-x - r)),
+    so phi^(k)(x) = sign(x)^k K ramp^(k)(|x| - r), every order from one
+    ramp_derivatives call.  K = RAMP_NORMALIZER normalizes phi(r + 1) = 1,
+    which fixes the threshold a = r + 1 beyond which phi exceeds 1 with
+    nonvanishing slope.
     """
 
     r: float
@@ -120,30 +227,26 @@ class PhiSpec:
     def a(self):
         return self.r + 1.0
 
-    def value(self, x):
+    def derivatives(self, x, first, last):
+        """phi^(k)(x) for k = first..last, 0 <= first <= last <= 3."""
         x = np.asarray(x, dtype=float)
-        return RAMP_NORMALIZER * (_ramp(x - self.r) + _ramp(-x - self.r))
+        ramps = ramp_derivatives(np.abs(x) - self.r, first, last)
+        odd = np.copysign(RAMP_NORMALIZER, x)
+        return [(odd if k % 2 else RAMP_NORMALIZER) * d
+                for k, d in enumerate(ramps, first)]
+
+    def value(self, x):
+        return self.derivatives(x, 0, 0)[0]
 
     def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        return RAMP_NORMALIZER * (mollifier(x - self.r)
-                                  - mollifier(-x - self.r))
+        return self.derivatives(x, 1, 1)[0]
 
     def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        return RAMP_NORMALIZER * (mollifier_d1(x - self.r)
-                                  + mollifier_d1(-x - self.r))
-
-    def d3(self, x):
-        x = np.asarray(x, dtype=float)
-        return RAMP_NORMALIZER * (mollifier_d2(x - self.r)
-                                  - mollifier_d2(-x - self.r))
+        return self.derivatives(x, 2, 2)[0]
 
     def jet(self, xj: Jet) -> Jet:
         """phi composed with xj; only the derivatives its order needs."""
-        v = xj.value
-        derivs = (self.value, self.d1, self.d2, self.d3)[:xj.order + 1]
-        return jets.compose(xj, *(f(v) for f in derivs))
+        return jets.compose(xj, *self.derivatives(xj.value, 0, xj.order))
 
 
 def make_phi(beta):
@@ -167,7 +270,7 @@ def make_phi(beta):
         raise DomainError("profile self-check failed: zero set too small")
     # outside [-r, r], phi grows away from the interval: phi' points outward,
     # strictly from r + 0.01 on (exp(-1/s) underflows to 0 for s below about
-    # 1/745).  The slope needs no scipy; the values are checked by phi-check.
+    # 1/745); the values are checked by phi-check.
     outside = xs[~inside]
     slope = np.sign(outside) * phi.d1(outside)
     if np.any(slope < 0) or np.any(slope[np.abs(outside) >= r + 0.01] <= 0):
@@ -176,7 +279,7 @@ def make_phi(beta):
 
 
 def phi_quadrature_check(phi):
-    """Max deviation of the closed-form ramp from adaptive quadrature at 17
+    """Max deviation of ramp_derivatives' ramp from adaptive quadrature at 17
     points of [0.05, r + 2]."""
     from scipy.integrate import quad
 
@@ -184,7 +287,7 @@ def phi_quadrature_check(phi):
     for u in np.linspace(0.05, phi.r + 2.0, 17):
         q, _ = quad(lambda s: math.exp(-1.0 / s) if s > 0 else 0.0, 0.0, u,
                     epsabs=1e-12, epsrel=1e-13)
-        worst = max(worst, abs(q - _ramp(u)))
+        worst = max(worst, abs(q - ramp_derivatives(u, 0, 0)[0]))
     return worst
 
 

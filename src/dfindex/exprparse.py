@@ -266,8 +266,8 @@ def _eval_at(node, coords, n, order):
     xs = jets.lift(coords, order)
     zvars = [xs[2 * k] + 1j * xs[2 * k + 1] for k in range(n)]
     out = _eval(node, zvars)
-    if not isinstance(out, jets.Jet):
-        out = jets.constant(float(np.real(out)), 2 * n, order)
+    if not isinstance(out, jets.Jet):  # a constant, possibly complex
+        out = jets.constant(out, 2 * n, order)
     return out
 
 
@@ -292,13 +292,15 @@ def parse_expression(text, n=None):
     rng = np.random.default_rng(REALNESS_SEED)
     coords = rng.uniform(0.3, 1.7, size=(REALNESS_POINTS, 2 * n)).T
     j = _eval_at(ast, coords, n, order=2)  # one batch of all points
-    if np.ndim(j.value):  # else a constant, which _eval_at made real
+    if np.ndim(j.value):
         j = j.take(np.arange(REALNESS_POINTS))  # broadcast d1, d2 over it
         d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
         imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
         scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
-        if np.any(imag > IMAG_PART_TOL * scale):
-            raise ParseError("expression is not real-valued", 0)
+    else:  # a constant: its derivatives vanish
+        imag, scale = abs(np.imag(j.value)), 1.0 + abs(j.value)
+    if np.any(imag > IMAG_PART_TOL * scale):
+        raise ParseError("expression is not real-valued", 0)
 
     def ev(coords, order=3):
         return _eval_at(ast, coords, n, order).real_part()

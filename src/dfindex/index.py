@@ -104,13 +104,11 @@ class CriterionSamples:
 
 
 def _smooth_step(x):
-    """Jet of m(x)/(m(x) + m(1 - x)) for the mollifier m: 0 for x <= 0, 1 for
-    x >= 1, C^inf in between."""
+    """Jet of m(x)/(m(x) + m(1 - x)) for the mollifier m = ramp': 0 for
+    x <= 0, 1 for x >= 1, C^inf in between."""
 
     def m(y):
-        v = y.value
-        return jets.compose(y, domains.mollifier(v), domains.mollifier_d1(v),
-                            domains.mollifier_d2(v), domains.mollifier_d3(v))
+        return jets.compose(y, *domains.ramp_derivatives(y.value, 1, 4))
 
     a = m(x)
     return a / (a + m(1.0 - x))

@@ -50,21 +50,72 @@ class TestPhi:
         assert pj.value == pytest.approx(self.phi.value(x), rel=1e-14)
         assert pj.d1[0] == pytest.approx(self.phi.d1(x), rel=1e-12)
         assert pj.d2[0, 0] == pytest.approx(self.phi.d2(x), rel=1e-12)
-        assert pj.d3[0, 0, 0] == pytest.approx(self.phi.d3(x), rel=1e-10)
+        assert pj.d3[0, 0, 0] == pytest.approx(
+            self.phi.derivatives(x, 3, 3)[0], rel=1e-10)
 
     def test_beta_must_exceed_half_pi(self):
         with pytest.raises(domains.DomainError):
             domains.make_phi(math.pi / 2)
 
     def test_normalizer_is_one_over_ramp_at_one(self):
-        assert domains.RAMP_NORMALIZER == 1.0 / domains._ramp(1.0)
+        ramp_1 = domains.ramp_derivatives(1.0, 0, 0)[0]
+        assert domains.RAMP_NORMALIZER == 1.0 / ramp_1
 
 
 def test_mollifier_vanishes_left_of_zero():
-    assert domains.mollifier(-1.0) == 0.0
-    assert domains.mollifier(0.0) == 0.0
-    assert domains.mollifier_d1(0.0) == 0.0
-    assert domains.mollifier(0.5) == pytest.approx(math.exp(-2.0))
+    # the mollifier exp(-1/s) is ramp'
+    assert domains.ramp_derivatives(-1.0, 1, 1) == [0.0]
+    assert domains.ramp_derivatives(0.0, 1, 2) == [0.0, 0.0]
+    assert domains.ramp_derivatives(0.5, 1, 1)[0] == pytest.approx(
+        math.exp(-2.0))
+
+
+# ramp(u) = u exp(-1/u) - E1(1/u) at the double u, to 40 digits (mpmath);
+# rows of the Chebyshev table meet at 1/32 and 0.5, the series starts at 2
+RAMP_REFERENCES = [
+    (1 / 700, 2.006454303077198390370281296570862044178e-310),
+    (0.00390625, 1.001765132140531222345708034498967915071e-116),
+    (0.01, 3.647821433880386016414071960321402190515e-48),
+    (0.03125, 1.165899328668630820140479187133424125522e-17),
+    (0.1, 3.830240465631611281765284391549338482447e-7),
+    (0.25, 7.995573123346385945546451858438957012615e-4),
+    (0.5, 1.876713091024522637975991225819267938932e-2),
+    (1.0, 1.484955067759220479183599947013392184148e-1),
+    (1.5, 3.717166854786080565214257708517768090449e-1),
+    (1.9999999999999998, 6.532877246491059007839424198569875209515e-1),
+    (2.0, 6.53287724649106035460803130667275671657e-1),
+    (3.0, 1.320706186372781115156605309612663319714),
+    (10.0, 7.225450221940205065561576936172535272828),
+    (50.0, 4.565522588202805558053019966937817633277e+1),
+]
+
+
+@pytest.mark.parametrize("u, ref", RAMP_REFERENCES)
+def test_ramp_matches_40_digit_references(u, ref):
+    # 1/u is the rounding of -1/u inside exp, which no double formula avoids
+    bound = (8.0 + 1.0 / u) * 2.0 ** -53
+    for got in (domains.ramp_derivatives(u, 0, 0)[0],
+                domains.ramp_derivatives(np.array([u, -u]), 0, 0)[0][0]):
+        assert abs(got / ref - 1.0) <= bound
+
+
+def test_ramp_derivatives_match_their_closed_forms():
+    # ramp^(k+1) = exp(-1/s) times 1, 1/s^2, (1 - 2s)/s^4, (1 - 6s + 6s^2)/s^6
+    s = np.array([0.05, 0.3, 0.7, 1.0, 2.5, 40.0])
+    ls = np.log(s)
+    closed = [np.exp(-1.0 / s),
+              np.exp(-1.0 / s - 2.0 * ls),
+              np.exp(-1.0 / s - 4.0 * ls) - 2.0 * np.exp(-1.0 / s - 3.0 * ls),
+              np.exp(-1.0 / s - 6.0 * ls) - 6.0 * np.exp(-1.0 / s - 5.0 * ls)
+              + 6.0 * np.exp(-1.0 / s - 4.0 * ls)]
+    for got, want in zip(domains.ramp_derivatives(s, 1, 4), closed):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    # a later first order drops the leading entries, nothing else
+    full = domains.ramp_derivatives(s, 0, 4)
+    for first in range(5):
+        for got, want in zip(domains.ramp_derivatives(s, first, 4),
+                             full[first:]):
+            assert np.array_equal(got, want)
 
 
 # -- worm family --------------------------------------------------------------------
@@ -113,6 +164,24 @@ class TestWorm:
     def test_interior_anchor(self):
         dm = domains.worm_rho(BETA, 0.3)
         assert dm.value(np.array([1.0, 0.0, 1.0, 0.0])) < 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_batch_gives_the_bits_of_its_columns(self, order):
+        # s = |u| - r on both sides of u = 0: s <= 0, exp(-1/s) underflowing,
+        # 0 < s < 1, 1 < s < 2 and the series from s = 2 on
+        dm = domains.worm_rho(BETA, 0.05)
+        us = [-0.3, 0.5, R + 1e-4, -R - 2e-4, R + 0.5, -R - 0.5, R + 1.5,
+              -R - 1.2, R + 2.5, -R - 3.0]
+        batch = np.stack([jets.coords_of_point(
+            [0.2 - 0.1j, math.exp(u / 2.0) * complex(math.cos(k), math.sin(k))])
+            for k, u in enumerate(us)], axis=1)
+        whole = dm.rho(batch, order)
+        parts = ("value", "d1", "d2", "d3")[:order + 1]
+        for b in range(len(us)):
+            one = dm.rho(batch[:, b], order)
+            for part in parts:
+                assert np.array_equal(getattr(whole, part)[..., b],
+                                      getattr(one, part))
 
 
 def test_ball_and_ellipsoid():

@@ -91,6 +91,15 @@ def test_parse_expression_rejects_complex_valued():
         exprparse.parse_expression("z1 + abs2(z2) - 1")
 
 
+def test_parse_expression_checks_constants_for_realness():
+    with pytest.raises(ParseError, match="not real-valued"):
+        exprparse.parse_expression("sqrt(0-1)", n=1)
+    dm = exprparse.parse_expression("2-1", n=1)
+    j = dm.rho(np.array([0.3, -0.4]), order=2)
+    assert j.value == 1.0
+    assert not np.any(j.d1) and not np.any(j.d2)
+
+
 def test_jet_evaluation_matches_hand_derivatives():
     dm = exprparse.parse_expression("re(z1)*re(z1) + exp(im(z2)) - 2")
     coords = np.array([0.3, -0.4, 0.2, 0.6])

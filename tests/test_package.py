@@ -33,7 +33,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_expression_analysis_leaves_scipy_unloaded(tmp_path):
-    # scipy.special serves only the worm profile, and costs about 25 MB
+    # scipy.special and scipy.optimize cost about 20 MB each at start-up
     src = os.path.dirname(os.path.dirname(dfindex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -50,23 +50,28 @@ def test_expression_analysis_leaves_scipy_unloaded(tmp_path):
     assert out.strip().splitlines() == ["[]", "0 []"]
 
 
-def test_central_fiber_leaves_scipy_special_unloaded(tmp_path):
-    # the central fiber's ramp arguments all underflow exp(-1/u); a deformed
-    # fiber's boundary rays reach past the annulus and need E1
+def test_worm_fibers_leave_scipy_unloaded(tmp_path):
+    # the worm profile is plain numpy; scipy serves only phi-check's
+    # quadrature, and scipy.special alone costs about 20 MB at start-up
     src = os.path.dirname(os.path.dirname(dfindex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import json, sys\n"
         "from dfindex import cli\n"
-        "out = sys.argv[1]\n"
+        "out, csv = sys.argv[1], sys.argv[2]\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
         "rc = cli.main(['analyze', '--t', '0', '--annulus-count', '5',\n"
         "               '--output', out])\n"
-        "print(rc, json.load(open(out))['null_count'],\n"
-        "      'scipy.special' in sys.modules)\n"
+        "print(rc, json.load(open(out))['null_count'], scipy_loaded())\n"
         "rc = cli.main(['analyze', '--t', '0.3', '--spc-count', '20',\n"
         "               '--output', out])\n"
-        "print(rc, json.load(open(out))['spc'], 'scipy.special' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+        "print(rc, json.load(open(out))['spc'], scipy_loaded())\n"
+        "rc = cli.main(['sweep', '--spc-count', '20', '--output', csv])\n"
+        "print(rc, len(open(csv).readlines()), scipy_loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json"),
+                          str(tmp_path / "sweep.csv")],
                          env=env, check=True, capture_output=True,
                          text=True).stdout
-    assert out.strip().splitlines() == ["0 5 False", "0 True True"]
+    assert out.strip().splitlines() == ["0 5 False", "0 True False",
+                                        "0 5 False"]
