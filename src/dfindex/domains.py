@@ -3,9 +3,18 @@
 Provides the smooth even convex profile phi used by the worm family, the
 one-parameter deformed worm defining function, reference domains (ball,
 ellipsoid, user expressions), and boundary point sampling by ray bisection
-plus Newton polish.  All rays of one boundary_sample call run in lockstep:
-each doubling, bisection or Newton step evaluates one order-1 jet over the
-batch of rays that still move (see jets), instead of one jet per ray.
+plus Newton polish.
+
+Ray i of a sample with seed s points along the normalized standard normal
+vector of numpy's default_rng([s, i]).  The draws come from a pure-Python
+port of that stream (_rng), so sampling never imports numpy.random, and
+each ray is normalized by its own length-2n dot product, as one ray alone
+would be.  All rays of one scan run in lockstep: each doubling, bisection
+or Newton step evaluates one order-1 jet over the batch of rays that still
+move (see jets), instead of one jet per ray.  The roots then get one
+order-2 jet pass and one Wirtinger conversion over the whole batch, and one
+vectorized boundary check (a BoundaryBatch); BoundaryPoint objects are
+built from its columns only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import jets
+from . import _rng, jets
 from .jets import Jet, WirtingerData, coords_of_point, point_of_coords
 
 __all__ = [
@@ -25,9 +34,11 @@ __all__ = [
     "make_phi",
     "DomainSpec",
     "BoundaryPoint",
+    "BoundaryBatch",
     "worm_rho",
     "ball",
     "ellipsoid",
+    "boundary_scan",
     "boundary_sample",
     "annulus_points",
     "ramp_derivatives",
@@ -315,22 +326,42 @@ class DomainSpec:
         return self.rho(coords, order=1).value
 
     def boundary_point(self, coords):
-        """Wrap coordinates as a BoundaryPoint, verifying the residual.
+        """Wrap coordinates as a BoundaryPoint, verifying the residual
+        (_check_boundary).
 
         The point carries the order-2 jet of rho and its Wirtinger data: the
         Levi form needs no third derivatives.
         """
         coords = np.asarray(coords, dtype=float)
         j = self.rho(coords, order=2)
-        w = jets.wirtinger(j, self.n)
-        scale = 1.0 + w.grad_norm()
-        if abs(j.value) > BOUNDARY_TOL * scale:
-            raise DomainError(
-                f"point is not on the boundary: |rho| = {abs(j.value):.3e}")
-        if w.grad_norm() < 1e-10 * scale:
-            raise DomainError("vanishing complex gradient at boundary point")
+        w = _check_boundary(jets.wirtinger(j, self.n))
         return BoundaryPoint(z=point_of_coords(coords), coords=coords, jet=j,
                              wirt=w)
+
+    def boundary_batch(self, coords):
+        """The BoundaryBatch of the points that are the columns of coords
+        (2n, B), from one order-2 jet pass and the check of boundary_point
+        on every point."""
+        coords = np.asarray(coords, dtype=float)
+        j = self.rho(coords, order=2)
+        w = _check_boundary(jets.wirtinger(j, self.n))
+        return BoundaryBatch(coords=coords, jet=j, wirt=w)
+
+
+def _check_boundary(w):
+    """Wirtinger data w of one point or of a batch, after checking that
+    every point has |rho| <= BOUNDARY_TOL (1 + |d'rho|) and
+    |d'rho| >= 1e-10 (1 + |d'rho|), d'rho the complex gradient."""
+    value = np.atleast_1d(w.value)
+    grad_norm = np.linalg.norm(w.grad, axis=0)
+    scale = 1.0 + grad_norm
+    off = np.abs(value) > BOUNDARY_TOL * scale
+    if off.any():
+        raise DomainError(f"point is not on the boundary: |rho| = "
+                          f"{abs(value[np.argmax(off)]):.3e}")
+    if np.any(grad_norm < 1e-10 * scale):
+        raise DomainError("vanishing complex gradient at boundary point")
+    return w
 
 
 @dataclass(frozen=True)
@@ -341,6 +372,34 @@ class BoundaryPoint:
     coords: np.ndarray
     jet: Jet
     wirt: WirtingerData
+
+
+@dataclass(frozen=True)
+class BoundaryBatch:
+    """B checked boundary points as one batch: coords (2n, B), one point per
+    column, and the batched order-2 jet of rho and its Wirtinger data."""
+
+    coords: np.ndarray
+    jet: Jet
+    wirt: WirtingerData
+
+    def point(self, b):
+        """The BoundaryPoint of column b.  Its arrays are contiguous copies,
+        so per-point arithmetic on them (levi.levi_form, a stacked matmul)
+        rounds as it does on the point evaluated alone."""
+        count = self.coords.shape[1]
+
+        def column(a):
+            return np.array(np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
+
+        j, w = self.jet, self.wirt
+        coords = column(self.coords)
+        return BoundaryPoint(
+            z=point_of_coords(coords), coords=coords,
+            jet=Jet(j.nvars, j.order, j.value[b], column(j.d1), column(j.d2)),
+            wirt=WirtingerData(n=w.n, value=float(w.value[b]),
+                               grad=column(w.grad),
+                               hess_mixed=column(w.hess_mixed)))
 
 
 def worm_rho(beta, t):
@@ -467,12 +526,22 @@ def _ray_roots(domain, anchor, directions):
     return anchor + s[:, None] * rows
 
 
-def boundary_sample(domain, anchor, count, seed=0):
-    """Sample boundary points along random rays from an interior anchor.
+def _ray_directions(seed, count, nvars):
+    """(nvars, count) unit ray directions: column i is the normal vector of
+    numpy's default_rng([seed, i]) divided by its norm, computed as one
+    ray's np.linalg.norm computes it (the same BLAS dot product per row)."""
+    d = _rng.normal(seed, count, nvars)
+    norms = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    return (d / norms[:, None]).T
+
+
+def boundary_scan(domain, anchor, count, seed=0):
+    """BoundaryBatch of ``count`` boundary points along random rays from an
+    interior anchor.
 
     Deterministic: the i-th ray derives its direction from (seed, i).  Every
-    returned point satisfies |rho| <= 1e-12 * (1 + |grad|).  A count below 1
-    raises: no verdict rests on an empty sample.
+    point satisfies |rho| <= 1e-12 * (1 + |grad|).  A count below 1 raises:
+    no verdict rests on an empty sample.
     """
     if count < 1:
         raise DomainError(f"boundary sample count must be at least 1, "
@@ -482,14 +551,15 @@ def boundary_sample(domain, anchor, count, seed=0):
         anchor = coords_of_point(anchor)
     if domain.value(anchor) >= 0:
         raise DomainError("anchor must lie strictly inside the domain")
+    directions = _ray_directions(seed, count, 2 * domain.n)
+    return domain.boundary_batch(_ray_roots(domain, anchor, directions).T)
 
-    directions = np.empty((2 * domain.n, count))
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        direction = rng.normal(size=2 * domain.n)
-        directions[:, i] = direction / np.linalg.norm(direction)
-    roots = _ray_roots(domain, anchor, directions)
-    return [domain.boundary_point(coords) for coords in roots]
+
+def boundary_sample(domain, anchor, count, seed=0):
+    """The points of boundary_scan(domain, anchor, count, seed), one
+    BoundaryPoint each, in ray order."""
+    scan = boundary_scan(domain, anchor, count, seed)
+    return [scan.point(b) for b in range(count)]
 
 
 def annulus_points(beta, count, domain=None):

@@ -20,14 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import jets
+from . import _rng, jets
 from .domains import DomainSpec
 
 __all__ = ["ParseError", "parse", "pretty", "parse_expression"]
 
 FUNCTIONS = ("abs2", "re", "im", "exp", "log", "sqrt", "sin", "cos")
-# parse_expression checks realness at REALNESS_POINTS points drawn with
-# this seed, to IMAG_PART_TOL relative to the jet's value and gradient
+# parse_expression checks realness at REALNESS_POINTS points, those of
+# numpy's default_rng(REALNESS_SEED).uniform(0.3, 1.7, (REALNESS_POINTS, 2n))
+# (drawn by _rng, without numpy.random), to IMAG_PART_TOL relative to the
+# jet's value and gradient
 REALNESS_POINTS = 8
 REALNESS_SEED = 7
 IMAG_PART_TOL = 1e-9
@@ -289,8 +291,9 @@ def parse_expression(text, n=None):
             f"unknown identifier: z{used} exceeds declared dimension n={n}",
             text.find(f"z{used}") if f"z{used}" in text else 0)
 
-    rng = np.random.default_rng(REALNESS_SEED)
-    coords = rng.uniform(0.3, 1.7, size=(REALNESS_POINTS, 2 * n)).T
+    coords = np.array(_rng.uniform(REALNESS_SEED, 0.3, 1.7,
+                                   REALNESS_POINTS * 2 * n))
+    coords = coords.reshape(REALNESS_POINTS, 2 * n).T
     j = _eval_at(ast, coords, n, order=2)  # one batch of all points
     if np.ndim(j.value):
         j = j.take(np.arange(REALNESS_POINTS))  # broadcast d1, d2 over it

@@ -30,9 +30,9 @@ order-2 jet pass per basis function, as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over random boundary
-rays (boundary points with their Wirtinger data, then one levi.levi_batch
-call for every point's smallest Levi eigenvalue) and feeds the weak points
-it finds to criterion_samples.
+rays (one batched order-2 jet and Wirtinger pass over the ray roots, then
+one levi.levi_batch call for every point's smallest Levi eigenvalue) and
+feeds the weak points it finds to criterion_samples.
 """
 
 from __future__ import annotations
@@ -104,14 +104,24 @@ class CriterionSamples:
 
 
 def _smooth_step(x):
-    """Jet of m(x)/(m(x) + m(1 - x)) for the mollifier m = ramp': 0 for
-    x <= 0, 1 for x >= 1, C^inf in between."""
+    """Jet of m(x)/(m(x) + m(1 - x)) over a batch x, for the mollifier
+    m = ramp': 0 for x <= 0, 1 for x >= 1, C^inf in between.
+
+    Where m(1 - x) is the zero jet (x >= 1 - 1/746, where exp(-1/(1 - x))
+    underflows) the step is the constant 1 exactly: the quotient a/(a + 0)
+    would leave the rounding noise of a (1/a) in its derivatives.  Where
+    m(x) is the zero jet the quotient is an exact 0 already.
+    """
 
     def m(y):
         return jets.compose(y, *domains.ramp_derivatives(y.value, 1, 4))
 
-    a = m(x)
-    return a / (a + m(1.0 - x))
+    a, b = m(x), m(1.0 - x)
+    step = a / (a + b)
+    one = b.value == 0.0
+    parts = (step.d1, step.d2, step.d3)[:step.order]
+    return jets.Jet(step.nvars, step.order, np.where(one, 1.0, step.value),
+                    *(np.where(one, 0.0, d) for d in parts))
 
 
 def _scatter(count, pieces, nvars, order):
@@ -464,15 +474,18 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
 
     Returns (weak, min_eig): the sampled points with a numerically null Levi
     eigenvalue (see levi.levi_batch), and the smallest eigenvalue over all
-    samples, normalized per point by the Levi matrix's spectral scale.
+    samples, normalized per point by the Levi matrix's spectral scale.  One
+    boundary_scan gives the Wirtinger data of every point as one batch, and
+    one levi.levi_batch call their eigenvalues; only the weak points become
+    BoundaryPoint objects.
     """
     if domain.n < 2:
         raise domains.DomainError(
             f"a domain in C^{domain.n} has no complex tangent direction, so "
             f"it has no Levi form; the index criterion needs n >= 2")
-    points = domains.boundary_sample(domain, anchor, count, seed=seed)
-    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in points]))
-    weak = [points[b] for b in sorted(set(lb.point.tolist()))]
+    scan = domains.boundary_scan(domain, anchor, count, seed=seed)
+    lb = levi.levi_batch(scan.wirt)
+    weak = [scan.point(b) for b in sorted(set(lb.point.tolist()))]
     return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
 
 

@@ -333,8 +333,7 @@ class WirtingerData:
     grad[i]           = rho_{z_i}
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
 
-    The Wirtinger data of a batched jet carry the same trailing batch axis;
-    stack(ws) puts the data of single points into one batch.
+    The Wirtinger data of a batched jet carry the same trailing batch axis.
     """
 
     n: int
@@ -344,13 +343,6 @@ class WirtingerData:
 
     def grad_norm(self):
         return float(np.linalg.norm(self.grad))
-
-    @classmethod
-    def stack(cls, ws):
-        """The data of single points ``ws`` as one batch, in order."""
-        return cls(n=ws[0].n, value=np.array([w.value for w in ws]),
-                   grad=np.stack([w.grad for w in ws], axis=-1),
-                   hess_mixed=np.stack([w.hess_mixed for w in ws], axis=-1))
 
 
 def wirtinger(j, n):

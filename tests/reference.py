@@ -4,6 +4,11 @@ None of these is used by dfindex itself:
 
 - ``ray_root`` is the one-ray-at-a-time boundary root finder, the oracle
   for the lockstep ``domains._ray_roots``;
+- ``spc_check`` is the boundary scan one point at a time, each with its own
+  order-2 jet and Wirtinger conversion and its ray drawn by numpy's
+  default_rng: the oracle for the batched ``index.spc_check``;
+  ``stack_wirtinger`` stacks the Wirtinger data of single points into one
+  batch for ``levi.levi_batch``;
 - ``eta_value`` and ``transversal`` evaluate eta and the transversal field
   T = N - Nbar from the Wirtinger data alone, as value-level references for
   ``dangelo.BatchCalculus.T``;
@@ -67,6 +72,34 @@ def ray_root(domain, anchor, direction, radius=domains.SEARCH_RADIUS):
             break
         s = min(max(s - v / g, lo), hi)
     return anchor + s * direction
+
+
+def stack_wirtinger(ws):
+    """The Wirtinger data of single points ``ws`` as one batch, in order."""
+    return jets.WirtingerData(
+        n=ws[0].n, value=np.array([w.value for w in ws]),
+        grad=np.stack([w.grad for w in ws], axis=-1),
+        hess_mixed=np.stack([w.hess_mixed for w in ws], axis=-1))
+
+
+def spc_check(domain, anchor, count, seed=0):
+    """(weak, min_eig) as index.spc_check defines them, from boundary points
+    made one at a time: ray i along default_rng([seed, i]).normal, divided
+    by its np.linalg.norm, and each root's own order-2 jet."""
+    directions = np.empty((2 * domain.n, count))
+    for i in range(count):
+        d = np.random.default_rng([seed, i]).normal(size=2 * domain.n)
+        directions[:, i] = d / np.linalg.norm(d)
+    points = []
+    for coords in domains._ray_roots(domain, np.asarray(anchor, dtype=float),
+                                     directions):
+        j = domain.rho(coords, order=2)
+        points.append(domains.BoundaryPoint(
+            z=jets.point_of_coords(coords), coords=coords, jet=j,
+            wirt=jets.wirtinger(j, domain.n)))
+    lb = levi.levi_batch(stack_wirtinger([p.wirt for p in points]))
+    weak = [points[b] for b in sorted(set(lb.point.tolist()))]
+    return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
 
 
 def eta_value(w, v10, v01=None):

@@ -57,7 +57,7 @@ def test_criterion_03_null_set_geometry():
     dm = domains.worm_rho(BETA, 0.0)
     annulus = domains.annulus_points(BETA, 33)
     pool = domains.boundary_sample(dm, index.WORM_ANCHOR, 500, seed=0) + annulus
-    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in pool]))
+    lb = levi.levi_batch(reference.stack_wirtinger([p.wirt for p in pool]))
     weak = sorted(set(lb.point.tolist()))
     for b in weak:
         z = pool[b].z

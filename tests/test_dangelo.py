@@ -46,7 +46,7 @@ def test_transversal_normalization_and_imaginarity():
 def test_eta_annihilates_tangent_vectors():
     dm = domains.worm_rho(BETA, 0.2)
     p = domains.boundary_sample(dm, np.array([1.0, 0.0, 1.0, 0.0]), 1, seed=8)[0]
-    frame = levi.levi_batch(jets.WirtingerData.stack([p.wirt])).frame[0]
+    frame = levi.levi_batch(reference.stack_wirtinger([p.wirt])).frame[0]
     for X in frame:
         assert abs(reference.eta_value(p.wirt, X)) < 1e-14 * (1.0 + p.wirt.grad_norm())
 

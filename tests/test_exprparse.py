@@ -115,7 +115,7 @@ def test_expression_feeds_geometry():
     from dfindex import levi
 
     dm = exprparse.parse_expression("abs2(z1) + abs2(z2)*abs2(z2) - 1")
-    p = dm.boundary_point(jets.coords_of_point([1.0, 0.0]))
-    lb = levi.levi_batch(jets.WirtingerData.stack([p.wirt]))
+    scan = dm.boundary_batch(jets.coords_of_point([1.0, 0.0])[:, None])
+    lb = levi.levi_batch(scan.wirt)
     # |z2|^4 is Levi-flat in z2 along its zero set
     assert lb.point.tolist() == [0]

@@ -390,7 +390,7 @@ def test_criterion_samples_match_oracle_across_pivot_groups(factor):
         factor + "(abs2(z1)*abs2(z1)+abs2(z2)*abs2(z2)-1)")
     zs = ([0, 1], [1, 0], [0, np.exp(0.7j)], [np.exp(2j), 0], [0, -1j])
     pts = [dm.boundary_point(jets.coords_of_point(z)) for z in zs]
-    pivots = levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in pts])).pivot
+    pivots = levi.levi_batch(reference.stack_wirtinger([p.wirt for p in pts])).pivot
     assert pivots.tolist() == [1, 0, 1, 0, 1]
     samples = assert_match_reference(dm, pts)
     assert samples.point.tolist() == list(range(len(pts)))
@@ -420,6 +420,32 @@ def test_log_cos_factor_batch_matches_each_point(order):
         for part in ("d1", "d2", "d3")[:order]:
             assert np.array_equal(getattr(batch, part)[..., k],
                                   getattr(one, part))
+
+
+def test_log_cos_factor_is_psi_kappa_at_the_annulus_end():
+    # annulus_points puts its last point at u = r0, but log|w|^2 rounds to
+    # r0 + 1.1e-16 there: the blend branch, whose step must be exactly 1
+    r0 = BETA - math.pi / 2
+    coords = domains.annulus_points(BETA, 33)[-1].coords[:, None]
+    x1, y1, x2, y2 = jets.lift(coords, 3)
+    u = jets.log(x2 * x2 + y2 * y2)
+    assert u.value[0] > r0
+    kappa_star = math.pi / (2.0 * r0)
+    for eps, fn in zip(index.LOG_COS_GAPS, index.worm_psi_basis(BETA)):
+        kappa = (1.0 - eps) * kappa_star
+        want = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
+        got = fn(coords, 3)
+        for part in ("value", "d1", "d2", "d3"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), \
+                (eps, part)
+
+
+def test_smooth_step_is_exact_where_one_side_vanishes():
+    x = jets.lift(np.array([[-0.5, 0.0, 1.0 - 1e-11, 1.0, 1.5]]), 3)[0]
+    step = index._smooth_step(x)
+    assert step.value.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    for d in (step.d1, step.d2, step.d3):
+        assert not np.broadcast_to(d, d.shape[:-1] + (5,)).any()
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -456,6 +482,34 @@ def test_spc_check_ball_and_deformed_worm():
     weak, min_eig = index.spc_check(domains.worm_rho(BETA, 0.3),
                                     index.WORM_ANCHOR, 60, 1)
     assert weak == [] and min_eig > index.SPC_THRESHOLD
+
+
+EGGS = ("abs2(z1)+abs2(z2)*abs2(z2)-1",
+        "abs2(z1)+abs2(z2)*abs2(z2)*abs2(z2)*abs2(z2)-1",
+        "abs2(z1)+abs2(z2)+abs2(z3)*abs2(z3)-1")
+
+
+@pytest.mark.parametrize("case", ["worm 0.05", "worm 0.1", "worm 0.3", *EGGS])
+def test_spc_check_matches_the_per_point_scan(case):
+    if case.startswith("worm"):
+        dm = domains.worm_rho(BETA, float(case.split()[1]))
+        anchor, count = index.WORM_ANCHOR, 250
+    else:
+        dm = exprparse.parse_expression(case)
+        anchor, count = np.zeros(2 * dm.n), 100
+    weak, min_eig = index.spc_check(dm, anchor, count, seed=0)
+    want, want_eig = reference.spc_check(dm, anchor, count, seed=0)
+    assert min_eig == want_eig
+    assert len(weak) == len(want)
+    if case == EGGS[1]:
+        assert weak  # ray 25 lands on the weak set {z2 = 0}
+    for p, q in zip(weak, want):
+        for a, b in ((p.coords, q.coords), (p.z, q.z),
+                     (p.jet.value, q.jet.value), (p.jet.d1, q.jet.d1),
+                     (p.jet.d2, q.jet.d2), (p.wirt.value, q.wirt.value),
+                     (p.wirt.grad, q.wirt.grad),
+                     (p.wirt.hess_mixed, q.wirt.hess_mixed)):
+            assert np.array_equal(a, b)
 
 
 def test_optimize_rho_improves_on_base():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from dfindex import domains, exprparse, jets, levi
 
 def batch(points):
     """levi_batch over the points' own (order-2) Wirtinger data."""
-    return levi.levi_batch(jets.WirtingerData.stack([p.wirt for p in points]))
+    return levi.levi_batch(reference.stack_wirtinger([p.wirt for p in points]))
 
 
 def wirtinger_batch(grads, hesses):

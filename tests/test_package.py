@@ -75,3 +75,29 @@ def test_worm_fibers_leave_scipy_unloaded(tmp_path):
                          text=True).stdout
     assert out.strip().splitlines() == ["0 5 False", "0 True False",
                                         "0 5 False"]
+
+
+def test_analysis_paths_leave_numpy_random_unloaded(tmp_path):
+    # rays and realness points come from dfindex._rng; importing
+    # numpy.random costs about 5 MB at start-up.  schur-test still uses it.
+    src = os.path.dirname(os.path.dirname(dfindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import os, sys\n"
+        "from dfindex import cli\n"
+        "runs = [['analyze', '--t', '0.05', '--spc-count', '20'],\n"
+        "        ['analyze', '--expr', 'abs2(z1)+2*abs2(z2)-1',\n"
+        "         '--count', '20'],\n"
+        "        ['sweep', '--spc-count', '20'],\n"
+        "        ['sample', '--count', '20'],\n"
+        "        ['verify-levi', '--count', '20']]\n"
+        "for k, argv in enumerate(runs):\n"
+        "    out = os.path.join(sys.argv[1], str(k))\n"
+        "    rc = cli.main(argv + ['--output', out])\n"
+        "    print(argv[0], rc, 'numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip().splitlines() == [
+        "analyze 0 False", "analyze 0 False", "sweep 0 False",
+        "sample 0 False", "verify-levi 0 False"]
