@@ -18,7 +18,6 @@ execution is sequential, so results are identical for every thread count.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -86,12 +85,8 @@ def _domain_from_args(args):
 
 
 def _anchor_for(args, domain):
-    anchor = args.anchor
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.size == domain.n:
-            anchor = domains.coords_of_point(anchor)
-        return anchor
+    if args.anchor is not None:
+        return args.anchor  # domains.boundary_scan checks its size
     if domain.kind == "worm":
         return index.WORM_ANCHOR.copy()
     return np.zeros(2 * domain.n)
@@ -168,42 +163,40 @@ def worm_levi_closed_form(phi, z, w, tsq=0.0):
     With g = z - e^{i log|w|^2} the bracket is |i zbar g + phi'|^2
     + |g|^2 (phi + phi'') + |t|^2 |g|^2: on the boundary |g|^2 equals
     1 - phi - |t|^2, which is where the deformation term enters.  The overall
-    constant matches this package's Levi normalization.
+    constant matches this package's Levi normalization.  z and w may be
+    numbers or arrays of points.
     """
-    u = math.log(abs(w) ** 2)
-    g = z - cmath.exp(1j * u)
-    first = 1j * z.conjugate() * g + phi.d1(u)
-    inner = (abs(first) ** 2
-             + abs(g) ** 2 * (phi.value(u) + phi.d2(u) + tsq))
-    return math.exp(2.0 * cmath.phase(w)) / abs(w) ** 2 * inner
+    u = np.log(np.abs(w) ** 2)
+    g = z - np.exp(1j * u)
+    first = 1j * np.conj(z) * g + phi.d1(u)
+    inner = np.abs(first) ** 2 + np.abs(g) ** 2 * (phi.value(u) + phi.d2(u)
+                                                     + tsq)
+    return np.exp(2.0 * np.angle(w)) / np.abs(w) ** 2 * inner
 
 
 def run_verify_levi(beta, t, count, seed):
     """Compare AD Levi values against the closed form on random samples.
 
-    The AD side multiplies Levi_rho(L, L) by e^{2 arg w} (the conformal
+    One boundary_scan gives the samples and one levi.levi_batch their Levi
+    matrices: in C^2 the one pivoted frame vector is +-L, so M[:, 0, 0] is
+    Levi_rho(L, L).  The AD side multiplies it by e^{2 arg w} (the conformal
     rescaling is criterion-neutral on tangent vectors at the boundary); arg
     uses the principal branch, and only this positive factor is consumed.
     """
     domain = domains.worm_rho(beta, t)
-    phi = domain.params["phi"]
-    points = domains.boundary_sample(domain, index.WORM_ANCHOR, count,
-                                     seed=seed)
-    max_rel = 0.0
-    used = 0
-    for p in points:
-        z, w = complex(p.z[0]), complex(p.z[1])
-        if abs(w) < LEVI_VERIFY_MIN_W:
-            continue  # coordinate singularity of the w-logarithm
-        used += 1
-        grad = p.wirt.grad
-        L = np.array([-grad[1], grad[0]])
-        lhs = levi.levi_form(p.wirt, L, L).real * math.exp(2.0 * cmath.phase(w))
-        rhs = worm_levi_closed_form(phi, z, w, tsq=abs(t) ** 2)
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10)
-        max_rel = max(max_rel, rel)
-    return {"beta": beta, "t": t, "count": used, "seed": seed,
-            "max_rel_error": float(max_rel), "tolerance": LEVI_VERIFY_TOL,
+    scan = domains.boundary_scan(domain, index.WORM_ANCHOR, count, seed=seed)
+    z, w = domains.point_of_coords(scan.coords)
+    # |w| below LEVI_VERIFY_MIN_W is the w-logarithm's coordinate singularity
+    used = np.abs(w) >= LEVI_VERIFY_MIN_W
+    z, w = z[used], w[used]
+    lhs = (levi.levi_batch(scan.wirt).M[used, 0, 0].real
+           * np.exp(2.0 * np.angle(w)))
+    rhs = worm_levi_closed_form(domain.params["phi"], z, w, tsq=abs(t) ** 2)
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                                         1e-10)
+    max_rel = float(np.max(rel, initial=0.0))
+    return {"beta": beta, "t": t, "count": int(used.sum()), "seed": seed,
+            "max_rel_error": max_rel, "tolerance": LEVI_VERIFY_TOL,
             "passed": bool(max_rel < LEVI_VERIFY_TOL)}
 
 
@@ -349,7 +342,8 @@ def build_parser():
     domain.add_argument("--dim", type=int, default=None)
     domain.add_argument("--coeffs", type=_parse_floats, default=None)
     domain.add_argument("--anchor", type=_parse_floats, default=None,
-                        help="interior anchor, interleaved re/im coordinates")
+                        help="interior anchor: 2n interleaved re/im coordinates, "
+                             "or n real parts")
     domain.add_argument("--beta", type=float, default=3.0 * math.pi / 4.0)
     domain.add_argument("--t", type=float, default=0.0)
 

@@ -1,282 +1,135 @@
-"""The D'Angelo 1-form and its quadratic forms on the Levi null space.
+"""The D'Angelo 1-form and its quadratic form on the Levi null space, in
+closed form.
 
 Given a defining function rho, let eta = (d'rho - d''rho)/2 (a purely
-imaginary 1-form annihilating the complex tangent spaces of the level sets)
-and let T be a purely imaginary transversal field with eta(T) = 1.  The
-1-form of interest is alpha = -Lie_T eta, computed here through Cartan's
-formula alpha(Y) = -T(eta(Y)) + eta([T, Y]); omega is its restriction to
-(1,0) frame vectors.  The quadratic form dbar_omega(L, Lbar) is evaluated by
-extending omega by frame duality (zero on the (0,1) space and on T) and
-differentiating once more:
+imaginary 1-form annihilating the complex tangent spaces of the level sets),
+T = N - Nbar the transversal field with N = sum_k (rho_kbar / g) d/dz_k,
+g = sum_k |rho_k|^2, so that eta(T) = 1, and alpha = -Lie_T eta.  omega is
+alpha on (1,0) tangent vectors, and dbar_omega(L, Lbar) is d omega(L, Lbar)
+with omega extended by zero on the (0,1) space and on T.  Both have closed
+forms in the Wirtinger derivatives of rho up to order 3 (rho_k = d rho/dz_k,
+rho_{k mbar}, rho_{lm}, rho_{k mbar lbar}) at a (1,0) vector L with
+sum_k rho_k L^k = 0:
 
-    dbar_omega(L, Lbar) = sigma * ( -Lbar(omega(L)) - omega([L, Lbar]^{1,0}) ).
+    v_m = sum_k L^k rho_{k mbar}       omega(L) = sum_m v_m rho_m / g
+    A = sum rho_{k mbar lbar} L^k rho_m conj(L^l)
+    S = sum rho_{lm} L^l conj(rho_m)    Q = sum rho_{k mbar} conj(rho_k) rho_m
+    lev = sum_m v_m conj(L^m)
 
-All derivatives come from third-order jets of rho: field coefficients are
-rational expressions in first derivatives of rho, carried as order-2 jets,
-and every directional derivative drops the order by one.
+    dbar_omega(L, Lbar) = Re[(-A + omega conj(S)) / g] + |omega|^2
+                          - sum_m |v_m|^2 / g + Q lev / g^2.
 
-The jets may carry a batch of points (see jets).  BatchCalculus runs the
-whole computation once for a batch of boundary points whose tangent frames
-share a pivot, and so share the structure of their frame fields: one
-(point, Levi-null vector) pair per batch column.  index.criterion_samples
-makes one such pass (null_forms) per pivot group.  PointCalculus builds
-the same calculus at one boundary point.  T and the frame fields are fixed
-when a calculus is built, together with omega on the frame fields;
-evaluating with another admissible T or frame means building another
-calculus (PointCalculus(domain, point, T=...)), whose forms method then
-gives omega(L) and dbar_omega(L, Lbar) for the same vectors L.
+Derivation.  On a tangent frame field X, eta(X) vanishes identically, so
+Cartan's formula alpha(X) = -T(eta(X)) + eta([T, X]) leaves
+eta([T, X]) = levi(X, N): omega(L) = levi(L, N), the first line.  Extended
+as above, omega is the (1,0)-form omega_k = h_k/g - rho_k Q/g^2 with
+h_k = sum_m rho_{k mbar} rho_m (it vanishes on N and agrees with levi(., N)
+on the tangent space), and then
 
-With the standard exterior derivative d a(X, Y) = X a(Y) - Y a(X) - a([X, Y])
-and omega extended to vanish on the (0,1) space and on T, the right-hand side
-above with sigma = +1 is exactly d omega(L, Lbar), whose (1,1) part is
-dbar omega.  The convention is pinned down independently by the conformal
-transformation law: replacing rho by e^psi rho shifts omega by the (1,0)
-differential of psi and therefore shifts dbar_omega(L, Lbar) by minus the
-complex Hessian of psi on (L, Lbar).  Calibration tests check both the shift
-and the boundary-layer plurisubharmonicity threshold it predicts.
+    dbar_omega(L, Lbar) = -sum_{k,l} L^k conj(L^l) d/dzbar_l omega_k,
+
+which expands to the second line.  At an exactly Levi-null L,
+v_m = omega(L) conj(rho_m) and lev = 0, so its last three terms cancel;
+they are kept so that numerically near-null directions give the value of
+the full Cartan calculus, which the test suite carries as an independent
+oracle (tests/reference.py).
+
+The sign convention is that of the standard exterior derivative
+d a(X, Y) = X a(Y) - Y a(X) - a([X, Y]).  It is pinned down independently
+by the conformal transformation law: replacing rho by e^psi rho shifts omega
+by the (1,0) differential of psi and therefore shifts dbar_omega(L, Lbar) by
+minus the complex Hessian of psi on (L, Lbar).  Calibration tests check both
+the shift and the boundary-layer plurisubharmonicity threshold it predicts.
+
+null_forms evaluates both forms as one array expression over a batch of
+(point, null direction) columns; PointCalculus is the same at one boundary
+point, a batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import jets, levi
-from .jets import Jet
-
 __all__ = [
     "DAngeloError",
-    "DBAR_SIGN",
-    "BatchCalculus",
     "PointCalculus",
     "null_forms",
 ]
 
-# Global orientation of the dbar quadratic form; see module docstring.
-DBAR_SIGN = 1.0
+IMAG_RESIDUE_TOL = 1e-8  # |Im| of dbar relative to its summed terms
+TANGENT_TOL = 1e-8       # |sum rho_k L^k| relative to |d'rho| |L|
 
-IMAG_RESIDUE_TOL = 1e-8
-# relative least-squares residual above which a vector is not tangent
-DECOMPOSITION_TOL = 1e-8
+# d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2 on the (x, y)
+# pair of one complex coordinate
+_DZ = np.array([0.5, -0.5j])
+_DZBAR = np.conj(_DZ)
 
 
 class DAngeloError(ValueError):
     """Convention violation (imaginary residue) or misuse (non-tangent input)."""
 
 
-def _is_zero(x):
-    # structural zero: the constant 0, never a jet or an array of values
-    return not isinstance(x, (Jet, np.ndarray)) and x == 0.0
-
-
-def _value(x):
-    return x.value if isinstance(x, Jet) else x
-
-
-def _field_sum(terms):
-    acc = None
-    for t in terms:
-        if _is_zero(t):
-            continue
-        acc = t if acc is None else acc + t
-    return 0.0 if acc is None else acc
-
-
-def _field_directional(f, V, n):
-    """Directional derivative of the scalar field f along the complexified
-    field V (2n coefficient entries, (1,0) first), as a jet one order lower."""
-    terms = []
-    for i in range(n):
-        if not _is_zero(V[i]):
-            terms.append(V[i] * f.wirt(i))
-        if not _is_zero(V[n + i]):
-            terms.append(V[n + i] * f.wirtbar(i))
-    return _field_sum(terms)
-
-
-def _conj_entry(x):
-    return x.conj() if isinstance(x, Jet) else np.conj(x)
-
-
-def _value_directional(f, V, n):
-    """Value of the directional derivative of the scalar field f along the
-    complexified field V; a constant f differentiates to 0."""
-    if not isinstance(f, Jet):
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        if not _is_zero(V[i]):
-            acc = acc + _value(V[i]) * f.wirt_value(i)
-        if not _is_zero(V[n + i]):
-            acc = acc + _value(V[n + i]) * f.wirtbar_value(i)
-    return acc
-
-
-def _pair(coeffs, fields):
-    """sum_j coeffs[j] * value(fields[j]) per batch column."""
-    acc = 0.0
-    for cj, fj in zip(coeffs, fields):
-        acc = acc + cj * _value(fj)
-    return acc
-
-
-class BatchCalculus:
-    """Jet machinery of a fixed defining function at a batch of boundary
-    points whose pivoted tangent frames share the pivot coordinate.
-
-    Takes the order-3 jet of rho over the batch (one point per trailing
-    index) and builds, once, the order-2 jets of its holomorphic and
-    antiholomorphic first derivatives, the transversal field T, the frame
-    fields, and omega on each frame field.  T and the frame fields are fixed
-    here for the life of the calculus: by default T = N - Nbar with
-    N = sum_j (rho_{zbar_j} / |d'rho|^2) d/dz_j, and the pivoted fields
-    X_j = rho_{z_pivot} d/dz_j - rho_{z_j} d/dz_pivot.  A caller that wants
-    another admissible T or frame (the invariance tests do) passes its
-    coefficient jets (2n entries each, (1,0) first) and gets a second
-    calculus.  Vectors are (n, B) arrays, one column per batch point.
-    """
-
-    def __init__(self, n, rho_jet, pivot, T=None, frame_fields=None):
-        self.n = n
-        self.count = rho_jet.value.shape[0]
-        self.rz = [rho_jet.wirt(k) for k in range(n)]
-        self.rzb = [rho_jet.wirtbar(k) for k in range(n)]
-        if T is None:
-            g = _field_sum([self.rz[i] * self.rzb[i] for i in range(n)])
-            N = [self.rzb[i] / g for i in range(n)]
-            T = N + [-(Ni.conj()) for Ni in N]
-        if frame_fields is None:
-            frame_fields = []
-            for j in range(n):
-                if j != pivot:
-                    coeffs = [0.0] * (2 * n)
-                    coeffs[j] = self.rz[pivot]
-                    coeffs[pivot] = -self.rz[j]
-                    frame_fields.append(coeffs)
-        self.T = T
-        self.frame_fields = frame_fields
-        self.omega_frame = [self.alpha_field_jet(Y) for Y in frame_fields]
-
-    # -- eta and alpha ------------------------------------------------------
-
-    def eta_of_field(self, V):
-        n = self.n
-        terms = []
-        for i in range(n):
-            if not _is_zero(V[i]):
-                terms.append(self.rz[i] * V[i])
-            if not _is_zero(V[n + i]):
-                terms.append(-(self.rzb[i] * V[n + i]))
-        return 0.5 * _field_sum(terms)
-
-    def alpha_field_jet(self, Y):
-        """alpha(Y) = -T(eta(Y)) + eta([T, Y]) as an order-1 scalar jet, or
-        the constant 0 when every term vanishes structurally."""
-        n = self.n
-        T = self.T
-        eta_Y = self.eta_of_field(Y)
-        t_eta_Y = _field_directional(eta_Y, T, n) if isinstance(eta_Y, Jet) else 0.0
-        bracket = []
-        for k in range(2 * n):
-            # [T, Y]^k = T(Y^k) - Y(T^k); constant coefficients differentiate to 0
-            ty = _field_directional(Y[k], T, n) if isinstance(Y[k], Jet) else 0.0
-            yt = _field_directional(T[k], Y, n) if isinstance(T[k], Jet) else 0.0
-            bracket.append(_field_sum([ty, -yt if isinstance(yt, Jet) else 0.0]))
-        eta_br = self.eta_of_field(bracket)
-        return _field_sum([-t_eta_Y if isinstance(t_eta_Y, Jet) else 0.0, eta_br])
-
-    # -- values per batch column ----------------------------------------------
-
-    def _columns(self, entries):
-        """(len(entries), B) complex array of the entries' values."""
-        return np.array([np.broadcast_to(_value(x), (self.count,))
-                         for x in entries], dtype=complex)
-
-    def frame_coefficients(self, L):
-        """Solve L = sum_j c_j X_j(p) at each batch point, in the least-squares
-        sense, for tangent (1,0) vectors L, (n, B); returns the coefficients
-        as an (n-1, B) array."""
-        # (B, n, n-1): the frame vectors X_j(p) as columns, one matrix per point
-        X = np.stack([self._columns(Y[:self.n]) for Y in self.frame_fields],
-                     axis=1).transpose(2, 0, 1)
-        L = np.asarray(L, dtype=complex).T[:, :, None]
-        c = np.linalg.pinv(X) @ L
-        residual = np.linalg.norm(X @ c - L, axis=(1, 2))
-        excess = residual / np.maximum(1.0, np.linalg.norm(L, axis=(1, 2)))
-        if np.any(excess > DECOMPOSITION_TOL):
-            b = int(np.argmax(excess))
-            raise DAngeloError(
-                f"vector is not in the holomorphic tangent space "
-                f"(decomposition residual {residual[b]:.3e})")
-        return c[:, :, 0].T
-
-    # -- the two forms on Levi-null vectors -----------------------------------
-
-    def forms(self, L):
-        """(omega(L), dbar_omega(L, Lbar)) at each batch point for Levi-null
-        (1,0) vectors L, (n, B): a (B,) complex and a (B,) real array, from
-        one frame decomposition of L.
-
-        Raises if L leaves the holomorphic tangent space, or if a dbar
-        column carries an imaginary residue beyond tolerance (convention or
-        extension bug).
-        """
-        c = self.frame_coefficients(L)
-        n = self.n
-        om = self.omega_frame
-
-        # omega(L) as a scalar field along the constant-coefficient frame field
-        omega_L = _field_sum([oj * cj for cj, oj in zip(c, om)
-                              if not _is_zero(oj)])
-
-        # L and Lbar as coefficient fields
-        L10 = [_field_sum([Y[i] * cj for cj, Y in zip(c, self.frame_fields)
-                           if not _is_zero(Y[i])]) for i in range(n)]
-        Lfield = L10 + [0.0] * n
-        Lbarfield = [0.0] * n + [_conj_entry(x) for x in L10]
-
-        # term 1: -Lbar(omega(L)) at p
-        term1 = -_value_directional(omega_L, Lbarfield, n)
-
-        # term 2: -omega_ext([L, Lbar]^{1,0}) at p
-        bracket = self._columns(
-            [_value_directional(Lbarfield[k], Lfield, n)
-             - _value_directional(Lfield[k], Lbarfield, n)
-             for k in range(2 * n)])
-        grad = self._columns(self.rz)
-        cT = 0.5 * (np.sum(grad * bracket[:n], axis=0)
-                    - np.sum(np.conj(grad) * bracket[n:], axis=0))
-        T10 = self._columns(self.T[:n])
-        a_coeffs = self.frame_coefficients(bracket[:n] - cT * T10)
-        term2 = -_pair(a_coeffs, om)
-
-        raw = term1 + term2
-        scale = 1.0 + np.abs(term1) + np.abs(term2)
-        excess = np.abs(raw.imag) / scale
-        if np.any(excess > IMAG_RESIDUE_TOL):
-            b = int(np.argmax(excess))
-            raise DAngeloError(
-                f"imaginary residue {raw.imag[b]:.3e} exceeds tolerance "
-                f"(scale {scale[b]:.3e})")
-        return _pair(c, om), DBAR_SIGN * raw.real
-
-
-class PointCalculus(BatchCalculus):
-    """BatchCalculus at one boundary point, a batch of one; T and
-    frame_fields as for BatchCalculus."""
-
-    def __init__(self, domain, point, T=None, frame_fields=None):
-        rho_jet = domain.rho(point.coords[:, None], order=3)
-        pivot = int(levi.levi_batch(jets.wirtinger(rho_jet, domain.n)).pivot[0])
-        super().__init__(domain.n, rho_jet, pivot, T, frame_fields)
-
-
-# -- public operations ----------------------------------------------------------
-
-def null_forms(n, rho_jet, pivot, L):
+def null_forms(n, rho_jet, L):
     """(omega(L), dbar_omega(L, Lbar)) for a batch of Levi-null vectors.
 
-    rho_jet is the order-3 jet of rho over B boundary points whose tangent
-    frames share ``pivot``, and L is (n, B), one ambient null vector per
-    point.  Returns a (B,) complex and a (B,) real array (BatchCalculus.forms).
+    rho_jet is the order-3 jet of rho over K boundary points and L is (n, K),
+    one ambient (1,0) vector per point.  Returns a (K,) complex and a (K,)
+    real array.  Raises DAngeloError if an L leaves the holomorphic tangent
+    space, or if a dbar carries an imaginary residue beyond tolerance.
     """
-    return BatchCalculus(n, rho_jet, pivot).forms(L)
+    L = np.asarray(L, dtype=complex)
+    Lb = np.conj(L)
+
+    def pairs(a):
+        # each real-coordinate axis as an (n, 2) pair of axes (x_k, y_k),
+        # the batch axis (possibly a broadcast singleton) to full length
+        a = np.broadcast_to(a, a.shape[:-1] + L.shape[1:])
+        return a.reshape((n, 2) * (a.ndim - 1) + L.shape[1:])
+
+    d2 = pairs(rho_jet.d2)
+    r = np.einsum("kxb,x->kb", pairs(rho_jet.d1), _DZ)
+    r_hh = np.einsum("kxlyb,x,y->klb", d2, _DZ, _DZ)
+    r_hb = np.einsum("kxlyb,x,y->klb", d2, _DZ, _DZBAR)
+    r_hbb = np.einsum("kxmylzb,x,y,z->kmlb", pairs(rho_jet.d3),
+                      _DZ, _DZBAR, _DZBAR)
+
+    g = np.sum(np.abs(r) ** 2, axis=0)
+    off = np.abs(np.sum(r * L, axis=0))
+    bad = off > TANGENT_TOL * np.sqrt(g) * np.linalg.norm(L, axis=0)
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise DAngeloError(f"vector is not in the holomorphic tangent space "
+                           f"(|d'rho(L)| = {off[b]:.3e})")
+
+    v = np.einsum("kb,kmb->mb", L, r_hb)
+    omega = np.sum(v * r, axis=0) / g
+    A = np.einsum("kmlb,kb,mb,lb->b", r_hbb, L, r, Lb)
+    S = np.einsum("lmb,lb,mb->b", r_hh, L, np.conj(r))
+    Q = np.einsum("kmb,kb,mb->b", r_hb, np.conj(r), r)
+    lev = np.sum(v * Lb, axis=0)
+    vsq = np.sum(np.abs(v) ** 2, axis=0) / g
+    msq = np.abs(omega) ** 2
+    terms = (-A, omega * np.conj(S), Q * lev / g)  # each divided by g below
+    raw = sum(terms) / g
+    scale = sum(np.abs(t) for t in terms) / g + msq + vsq
+    bad = np.abs(raw.imag) > IMAG_RESIDUE_TOL * scale
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise DAngeloError(f"imaginary residue {raw.imag[b]:.3e} exceeds "
+                           f"tolerance (scale {scale[b]:.3e})")
+    return omega, raw.real + msq - vsq
+
+
+class PointCalculus:
+    """null_forms at one boundary point, a batch of one."""
+
+    def __init__(self, domain, point):
+        self.n = domain.n
+        self.rho_jet = domain.rho(point.coords[:, None], order=3)
+
+    def forms(self, L):
+        """(omega(L), dbar_omega(L, Lbar)) for Levi-null vectors L, (n, B),
+        all at this point: a (B,) complex and a (B,) real array."""
+        L = np.asarray(L, dtype=complex)
+        return null_forms(self.n, self.rho_jet.take(np.zeros(L.shape[1], int)),
+                          L)

@@ -539,6 +539,8 @@ def boundary_scan(domain, anchor, count, seed=0):
     """BoundaryBatch of ``count`` boundary points along random rays from an
     interior anchor.
 
+    The anchor is given by its 2n interleaved real coordinates, or by n real
+    numbers, a point of R^n inside C^n.
     Deterministic: the i-th ray derives its direction from (seed, i).  Every
     point satisfies |rho| <= 1e-12 * (1 + |grad|).  A count below 1 raises:
     no verdict rests on an empty sample.
@@ -547,8 +549,11 @@ def boundary_scan(domain, anchor, count, seed=0):
         raise DomainError(f"boundary sample count must be at least 1, "
                           f"got {count}")
     anchor = np.asarray(anchor, dtype=float)
-    if anchor.size != 2 * domain.n:
+    if anchor.size == domain.n:
         anchor = coords_of_point(anchor)
+    elif anchor.size != 2 * domain.n:
+        raise DomainError(f"anchor has {anchor.size} coordinates; a domain in "
+                          f"C^{domain.n} takes {domain.n} or {2 * domain.n}")
     if domain.value(anchor) >= 0:
         raise DomainError("anchor must lie strictly inside the domain")
     directions = _ray_directions(seed, count, 2 * domain.n)

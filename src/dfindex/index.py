@@ -16,9 +16,10 @@ in the test suite cross-checks the rearrangement.
 
 criterion_samples works on all of its points at once: one order-3 jet pass
 of rho over the batch, one levi.levi_batch call for every point's frame and
-Levi null directions, and one D'Angelo pass (dangelo.null_forms) over all
-(point, null direction) pairs whose frames share a pivot.  Its result is
-one CriterionSamples record of arrays, one entry per pair.
+Levi null directions, and one dangelo.null_forms call, the closed form of
+omega and dbar_omega in the Wirtinger derivatives of rho, over all
+(point, null direction) pairs.  Its result is one CriterionSamples record
+of arrays, one entry per pair.
 
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
@@ -249,10 +250,9 @@ def criterion_samples(domain, points):
 
     One order-3 jet pass of rho covers every point, one levi.levi_batch
     call gives every point's frame and Levi null directions, and one
-    dangelo.null_forms pass covers all (point, null direction) pairs that
-    share a frame pivot.  Strongly pseudoconvex points contribute nothing; a
-    fully strongly pseudoconvex (or empty) point list yields K = 0 (vacuous
-    criterion).
+    dangelo.null_forms call covers all (point, null direction) pairs.
+    Strongly pseudoconvex points contribute nothing; a fully strongly
+    pseudoconvex (or empty) point list yields K = 0 (vacuous criterion).
     """
     points = list(points)
     if not points:
@@ -262,15 +262,8 @@ def criterion_samples(domain, points):
                                 dbar=np.zeros(0))
     rho = domain.rho(np.stack([p.coords for p in points], axis=1), order=3)
     lb = levi.levi_batch(jets.wirtinger(rho, domain.n))
-    rows, L = lb.point, lb.L.T
-    pivots = lb.pivot[rows]
-    dbar = np.empty(rows.size)
-    omega = np.empty(rows.size, dtype=complex)
-    for k in sorted(set(pivots.tolist())):  # np.unique would load numpy.ma
-        sel = np.flatnonzero(pivots == k)
-        omega[sel], dbar[sel] = dangelo.null_forms(
-            domain.n, rho.take(rows[sel]), k, L[:, sel])
-    return CriterionSamples(point=rows, L=lb.L, omega=omega, dbar=dbar)
+    omega, dbar = dangelo.null_forms(domain.n, rho.take(lb.point), lb.L.T)
+    return CriterionSamples(point=lb.point, L=lb.L, omega=omega, dbar=dbar)
 
 
 def _honest(samples):

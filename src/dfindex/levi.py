@@ -6,14 +6,17 @@ M[i, j] = levi(X_i, X_j); it is Hermitian.  A combination v = sum_j a_j X_j
 is Levi-null iff M conj(a) = 0, so null *coefficient* vectors are conjugated
 kernel eigenvectors of M.  The Schur transform Psi = [[I, 0], [-C^{-1}B*,
 C^{-1}]] block-diagonalizes M as Psi* M Psi = diag(A - B C^{-1} B*, C^{-1}),
-and the transformed frame is [X_1 .. X_{n-1}] conj(Psi).
+and the transformed frame, in coefficients of [X_1 .. X_{n-1}], is conj(Psi)
+column by column.
 
 levi_batch works on a whole batch of boundary points at once: it builds
 every point's pivoted frame and Levi matrix, diagonalizes all of them with
 one stacked Hermitian eigensolve, and returns the Levi-null directions of
-the batch as flat arrays.  An eigenvalue below NULL_TOL * max(1, spectral
-radius) counts as null.  Each point's entries are bit-identical to those of
-the same computation on that point alone.
+the batch as flat arrays, which index.criterion_samples hands to
+dangelo.null_forms in one pass whatever each point's pivot.  An eigenvalue
+below NULL_TOL * max(1, spectral radius) counts as null.  Each point's
+entries are bit-identical to those of the same computation on that point
+alone.
 """
 
 from __future__ import annotations
@@ -136,12 +139,12 @@ class SchurResult:
     residual: float
 
 
-def schur_frame(M, m, frame_vectors=None):
+def schur_frame(M, m):
     """Block-diagonalize a frame Levi matrix M around an m-dimensional null
     block.
 
-    Returns Psi, the diagonal blocks, and the transformed frame (ambient
-    vectors when frame_vectors is given, otherwise coefficient columns).
+    Returns Psi, the diagonal blocks, and the transformed frame as
+    coefficient columns.
     """
     M = np.asarray(M, dtype=complex)
     size = M.shape[0]
@@ -170,8 +173,6 @@ def schur_frame(M, m, frame_vectors=None):
     if residual > SCHUR_IDENTITY_TOL * max(np.linalg.norm(M), 1e-300):
         raise LeviError(f"Schur identity violated (residual {residual:.3e})")
 
-    base = np.asarray(frame_vectors, dtype=complex) if frame_vectors is not None \
-        else np.eye(size, dtype=complex)
-    transformed = (base.T @ np.conj(Psi)).T  # row j = sum_i X_i conj(Psi)[i, j]
+    transformed = np.conj(Psi).T  # row j = sum_i e_i conj(Psi)[i, j]
     return SchurResult(Psi=Psi, block_null=block_null, block_pos=Cinv,
                        transformed=transformed, residual=residual)

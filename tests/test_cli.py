@@ -246,6 +246,17 @@ def test_sample_count_without_a_verdict_is_input_error(argv, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "analyze"])
+def test_anchor_of_the_wrong_size_is_input_error(command, tmp_path, capsys):
+    # the ball in C^2 takes an anchor of 2 or 4 coordinates
+    out = tmp_path / "r.out"
+    assert run([command, "--domain", "ball", "--anchor", "0,0,0", "--count",
+                "5", "--output", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: anchor has 3 coordinates")
+    assert not out.exists()
+
+
 def test_invalid_beta_is_input_error(tmp_path):
     assert run(["analyze", "--beta", "1.0", "--t", "0.1", "--spc-count", "10",
                 "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT

@@ -1,10 +1,19 @@
+"""The closed-form D'Angelo forms of dangelo against their definition.
+
+The definition is the Cartan vector-field calculus of
+tests/reference.py (CartanCalculus), which may take any admissible
+transversal T and tangent frame; the program evaluates the closed form in
+the Wirtinger derivatives of rho (dangelo.null_forms).
+"""
+
+import cmath
 import math
 
 import numpy as np
 import pytest
 import reference
 
-from dfindex import domains, jets, levi
+from dfindex import domains, index, jets, levi
 from dfindex.dangelo import DAngeloError, PointCalculus
 from dfindex.jets import Jet
 
@@ -25,7 +34,8 @@ def null_vector(dm, p):
 
 
 def forms(pc, L):
-    """(omega(L), dbar_omega(L, Lbar)) at the point of a PointCalculus."""
+    """(omega(L), dbar_omega(L, Lbar)) at the point of a PointCalculus or
+    of a reference.CartanCalculus."""
     om, db = pc.forms(np.asarray(L, dtype=complex)[:, None])
     return complex(om[0]), float(db[0])
 
@@ -53,8 +63,7 @@ def test_eta_annihilates_tangent_vectors():
 
 def test_transversal_jets_match_values():
     dm, p = worm_point()
-    pc = PointCalculus(dm, p)
-    T = pc.T
+    T = reference.cartan_calculus(dm, p).T
     T10, T01 = reference.transversal(p.wirt)
     for i in range(dm.n):
         assert T[i].value == pytest.approx(T10[i], abs=1e-14)
@@ -90,29 +99,59 @@ def test_omega_norm_positive_on_annulus():
 # -- invariances ------------------------------------------------------------------------
 
 def test_invariance_under_admissible_transversal_perturbation():
+    # the closed form against the definition under admissible T' = T + H - Hbar
     dm = domains.worm_rho(BETA, 0.0)
     rng = np.random.default_rng(21)
     for p in domains.annulus_points(BETA, 5):
-        pc = PointCalculus(dm, p)
+        pc = reference.cartan_calculus(dm, p)
         L = null_vector(dm, p)
-        om0, db0 = forms(pc, L)
+        om0, db0 = forms(PointCalculus(dm, p), L)
         for _ in range(4):
             h = rng.normal(size=dm.n - 1) + 1j * rng.normal(size=dm.n - 1)
             Tp = reference.perturbed_transversal(pc, h)
-            omp, dbp = forms(PointCalculus(dm, p, T=Tp), L)
+            omp, dbp = forms(reference.cartan_calculus(dm, p, T=Tp), L)
             assert omp == pytest.approx(om0, abs=1e-10)
             assert dbp == pytest.approx(db0, abs=1e-10)
 
 
 def test_frame_independence():
+    # the closed form against the definition in a rescaled frame
     dm, p = worm_point()
-    pc = PointCalculus(dm, p)
     L = null_vector(dm, p)
-    _, db0 = forms(pc, L)
+    _, db0 = forms(PointCalculus(dm, p), L)
     scaled = [[1.7 * x if isinstance(x, Jet) else 0.0 for x in Y]
-              for Y in pc.frame_fields]
-    _, db1 = forms(PointCalculus(dm, p, frame_fields=scaled), L)
+              for Y in reference.cartan_calculus(dm, p).frame_fields]
+    _, db1 = forms(reference.cartan_calculus(dm, p, frame_fields=scaled), L)
     assert db1 == pytest.approx(db0, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.6, 2.0, 0.6 * math.pi, BETA, 1.2 * math.pi])
+def test_closed_form_matches_the_cartan_calculus_on_worm_fibers(beta):
+    # the base worm and the realized +-psi members of worm_psi_basis, where
+    # dbar reaches 1e15, at annulus points and at their w-rotations; omega
+    # within 1e-12 |omega|, dbar within 1e-12 max(|dbar|, |omega|^2)
+    family = index.RhoFamily(domains.worm_rho(beta, 0.0),
+                             index.worm_psi_basis(beta))
+    pts = domains.annulus_points(beta, 5, family.base)
+    turned = [jets.coords_of_point([p.z[0], cmath.exp(1j * th) * p.z[1]])
+              for p, th in zip(pts, np.linspace(0.4, 6.0, len(pts)))]
+    checked = 0
+    for c in [np.zeros(family.dim), *np.eye(family.dim), *-np.eye(family.dim)]:
+        dm = family.realize(c)
+        for coords in [p.coords for p in pts] + turned:
+            p = dm.boundary_point(coords)
+            L = levi.levi_batch(jets.wirtinger(dm.rho(p.coords[:, None], 3),
+                                               dm.n)).L.T
+            if L.shape[1] == 0:
+                continue  # a realization whose factor lifts the null eigenvalue
+            checked += L.shape[1]
+            om, db = PointCalculus(dm, p).forms(L)
+            om_ref, db_ref = reference.cartan_calculus(dm, p).forms(L)
+            assert np.all(np.abs(om - om_ref) <= 1e-12 * np.abs(om_ref))
+            assert np.all(np.abs(db - db_ref)
+                          <= 1e-12 * np.maximum(np.abs(db_ref),
+                                                np.abs(om_ref) ** 2))
+    assert checked >= 6 * len(turned)
 
 
 def test_sesquilinear_scaling():

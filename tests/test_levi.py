@@ -188,15 +188,6 @@ def test_schur_full_null_block():
     assert np.array_equal(res.Psi, np.eye(2))
 
 
-def test_schur_transformed_frame_ambient_vectors():
-    rng = np.random.default_rng(3)
-    M = schur_case(rng, 3, 1)
-    base = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    res = levi.schur_frame(M, 1, frame_vectors=base)
-    expected = (base.T @ np.conj(res.Psi)).T
-    assert np.abs(res.transformed - expected).max() == 0.0
-
-
 # -- worm null structure ---------------------------------------------------------------
 
 def test_worm_annulus_has_exact_null_direction():
