@@ -7,7 +7,7 @@ aggregation with the extremal conformal factor of the central worm fiber.
 """
 
 from . import dangelo, domains, exprparse, index, jets, levi
-from .dangelo import PointCalculus, null_forms
+from .dangelo import null_forms
 from .domains import (BoundaryPoint, DomainSpec, annulus_points, ball,
                       boundary_sample, ellipsoid, make_phi, worm_rho)
 from .exprparse import parse_expression
@@ -27,7 +27,7 @@ __all__ = [
     "make_phi", "boundary_sample", "annulus_points",
     "parse_expression",
     "levi_batch", "schur_frame",
-    "PointCalculus", "null_forms",
+    "null_forms",
     "CriterionSamples", "RhoFamily", "IndexReport", "criterion_samples",
     "df_bound", "s_bound", "optimize_rho", "spc_check", "sampled_report",
     "deformation_sweep",

@@ -238,13 +238,14 @@ def run_schur_suite(count=1000, seed=0):
         M = _random_null_matrix(rng, size, m)
         vals, vecs = np.linalg.eigh(M)
         res = levi.schur_frame(M, m)
-        max_resid = max(max_resid,
-                        res.residual / max(np.linalg.norm(M), 1e-300))
+        # relative to the larger scale of M and of its target, as in
+        # schur_frame
+        scale = max(np.linalg.norm(M), np.linalg.norm(res.block_pos), 1e-300)
+        max_resid = max(max_resid, res.residual / scale)
         # null coefficient vectors must lie in the span of the first m
-        # transformed frame rows
+        # transformed frame vectors, whose coefficients are conj(Psi)'s columns
         kernel = vecs[:, vals < 1e-10 * max(1.0, abs(vals).max())]
-        span = res.transformed[:m].T
-        q, _ = np.linalg.qr(span)
+        q, _ = np.linalg.qr(np.conj(res.Psi[:, :m]))
         for k in range(kernel.shape[1]):
             b = np.conj(kernel[:, k])
             proj = np.linalg.norm(b - q @ (q.conj().T @ b))
@@ -422,31 +423,17 @@ def _load_config(path):
     return tokens
 
 
-def _inject_config(argv):
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise exprparse.ParseError("--config requires a path", 0)
-    tokens = _load_config(argv[i + 1])
-    # keep the flag so the subparser records it; config tokens go right after
-    # the subcommand, so explicit flags (later tokens) override them
-    for j, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            return argv[:j + 1] + tokens + argv[j + 1:]
-    return argv + tokens
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _inject_config(argv)
-    except (OSError, exprparse.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # the file's tokens go right after the subcommand, so explicit
+            # flags (later tokens) override them
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _load_config(args.config)
+                                     + argv[i:])
         return args.func(args)
     except (dangelo.DAngeloError, levi.LeviError, VerificationError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)

@@ -42,8 +42,8 @@ minus the complex Hessian of psi on (L, Lbar).  Calibration tests check both
 the shift and the boundary-layer plurisubharmonicity threshold it predicts.
 
 null_forms evaluates both forms as one array expression over a batch of
-(point, null direction) columns; PointCalculus is the same at one boundary
-point, a batch of one.
+(point, null direction) columns; PointCalculus, kept only for the
+benchmark's tracer, is the same at one boundary point.
 """
 
 from __future__ import annotations
@@ -121,7 +121,12 @@ def null_forms(n, rho_jet, L):
 
 
 class PointCalculus:
-    """null_forms at one boundary point, a batch of one."""
+    """null_forms at one boundary point, a batch of one.
+
+    Nothing in the package or its tests calls it; its one remaining user is
+    benchmarks/tracing.py, which patches __init__ through the class
+    __dict__.  Delete it once the tracer stops doing that.
+    """
 
     def __init__(self, domain, point):
         self.n = domain.n

@@ -3,7 +3,8 @@
 Provides the smooth even convex profile phi used by the worm family, the
 one-parameter deformed worm defining function, reference domains (ball,
 ellipsoid, user expressions), and boundary point sampling by ray bisection
-plus Newton polish.
+plus Newton polish.  Everything here, phi-check's quadrature oracle of the
+ramp included (a composite Gauss-Legendre rule), is plain numpy.
 
 Ray i of a sample with seed s points along the normalized standard normal
 vector of numpy's default_rng([s, i]).  The draws come from a pure-Python
@@ -13,8 +14,9 @@ would be.  All rays of one scan run in lockstep: each doubling, bisection
 or Newton step evaluates one order-1 jet over the batch of rays that still
 move (see jets), instead of one jet per ray.  The roots then get one
 order-2 jet pass and one Wirtinger conversion over the whole batch, and one
-vectorized boundary check (a BoundaryBatch); BoundaryPoint objects are
-built from its columns only where a caller asks for them.
+vectorized boundary check (a BoundaryBatch, which keeps the Wirtinger data
+and not the jet); BoundaryPoint objects are built from its columns only
+where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-12
 SEARCH_RADIUS = 10.0
+# phi_quadrature_check's composite Gauss-Legendre rule
+QUAD_PANELS = 32
+QUAD_NODES = 20
 # 1 / ramp(1), correctly rounded, so that phi(r + 1) = 1; a test pins it
 # against ramp_derivatives
 RAMP_NORMALIZER = 6.734210493715397
@@ -290,16 +295,20 @@ def make_phi(beta):
 
 
 def phi_quadrature_check(phi):
-    """Max deviation of ramp_derivatives' ramp from adaptive quadrature at 17
-    points of [0.05, r + 2]."""
-    from scipy.integrate import quad
+    """Max deviation of ramp_derivatives' ramp from quadrature at 17 points u
+    of [0.05, r + 2].
 
-    worst = 0.0
-    for u in np.linspace(0.05, phi.r + 2.0, 17):
-        q, _ = quad(lambda s: math.exp(-1.0 / s) if s > 0 else 0.0, 0.0, u,
-                    epsabs=1e-12, epsrel=1e-13)
-        worst = max(worst, abs(q - ramp_derivatives(u, 0, 0)[0]))
-    return worst
+    The quadrature is a composite Gauss-Legendre rule, QUAD_NODES nodes on
+    each of QUAD_PANELS equal panels of [0, u], applied to exp(-1/s), which
+    is smooth there with every derivative vanishing at 0.  It shares no code
+    with ramp_derivatives, so it stays an independent oracle of the ramp.
+    """
+    x, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    us = np.linspace(0.05, phi.r + 2.0, 17)
+    h = us[:, None, None] / QUAD_PANELS  # panel width per u
+    s = h * (np.arange(QUAD_PANELS)[:, None] + 0.5 * (x + 1.0))
+    quad = np.sum(0.5 * h * weights * np.exp(-1.0 / s), axis=(1, 2))
+    return float(np.max(np.abs(quad - ramp_derivatives(us, 0, 0)[0])))
 
 
 # -- domains ------------------------------------------------------------------
@@ -329,23 +338,20 @@ class DomainSpec:
         """Wrap coordinates as a BoundaryPoint, verifying the residual
         (_check_boundary).
 
-        The point carries the order-2 jet of rho and its Wirtinger data: the
-        Levi form needs no third derivatives.
+        The point carries the Wirtinger data of rho's order-2 jet: the Levi
+        form needs no third derivatives.
         """
         coords = np.asarray(coords, dtype=float)
-        j = self.rho(coords, order=2)
-        w = _check_boundary(jets.wirtinger(j, self.n))
-        return BoundaryPoint(z=point_of_coords(coords), coords=coords, jet=j,
-                             wirt=w)
+        w = _check_boundary(jets.wirtinger(self.rho(coords, order=2), self.n))
+        return BoundaryPoint(z=point_of_coords(coords), coords=coords, wirt=w)
 
     def boundary_batch(self, coords):
         """The BoundaryBatch of the points that are the columns of coords
         (2n, B), from one order-2 jet pass and the check of boundary_point
         on every point."""
         coords = np.asarray(coords, dtype=float)
-        j = self.rho(coords, order=2)
-        w = _check_boundary(jets.wirtinger(j, self.n))
-        return BoundaryBatch(coords=coords, jet=j, wirt=w)
+        w = _check_boundary(jets.wirtinger(self.rho(coords, order=2), self.n))
+        return BoundaryBatch(coords=coords, wirt=w)
 
 
 def _check_boundary(w):
@@ -366,21 +372,20 @@ def _check_boundary(w):
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A point on the zero set of a defining function with its order-2 jet."""
+    """A point on the zero set of a defining function with the Wirtinger
+    data of its order-2 jet; wirt.value is the residual rho(point)."""
 
     z: np.ndarray
     coords: np.ndarray
-    jet: Jet
     wirt: WirtingerData
 
 
 @dataclass(frozen=True)
 class BoundaryBatch:
     """B checked boundary points as one batch: coords (2n, B), one point per
-    column, and the batched order-2 jet of rho and its Wirtinger data."""
+    column, and the batched Wirtinger data of rho's order-2 jet."""
 
     coords: np.ndarray
-    jet: Jet
     wirt: WirtingerData
 
     def point(self, b):
@@ -392,11 +397,10 @@ class BoundaryBatch:
         def column(a):
             return np.array(np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
 
-        j, w = self.jet, self.wirt
+        w = self.wirt
         coords = column(self.coords)
         return BoundaryPoint(
             z=point_of_coords(coords), coords=coords,
-            jet=Jet(j.nvars, j.order, j.value[b], column(j.d1), column(j.d2)),
             wirt=WirtingerData(n=w.n, value=float(w.value[b]),
                                grad=column(w.grad),
                                hess_mixed=column(w.hess_mixed)))
@@ -606,5 +610,5 @@ def samples_to_csv(points, path):
             row = []
             for i in range(n):
                 row += [repr(float(p.z[i].real)), repr(float(p.z[i].imag))]
-            row.append(repr(float(p.jet.value)))
+            row.append(repr(float(p.wirt.value)))
             writer.writerow(row)

@@ -23,7 +23,7 @@ import numpy as np
 from . import _rng, jets
 from .domains import DomainSpec
 
-__all__ = ["ParseError", "parse", "pretty", "parse_expression"]
+__all__ = ["ParseError", "parse", "parse_expression"]
 
 FUNCTIONS = ("abs2", "re", "im", "exp", "log", "sqrt", "sin", "cos")
 # parse_expression checks realness at REALNESS_POINTS points, those of
@@ -184,31 +184,6 @@ class _Parser:
 def parse(text):
     """Parse an expression into its AST."""
     return _Parser(text).parse()
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def pretty(node, parent_prec=0, right=False):
-    """Render an AST back to text; parse(pretty(ast)) == ast."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"z{node.index + 1}"
-    if isinstance(node, Call):
-        return f"{node.name}({pretty(node.arg)})"
-    if isinstance(node, Neg):
-        inner = pretty(node.child, parent_prec=3)
-        return f"-{inner}"
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        text = (f"{pretty(node.left, prec, False)} {node.op} "
-                f"{pretty(node.right, prec, True)}")
-        # right operand of -, / needs parens at equal precedence
-        if prec < parent_prec or (prec == parent_prec and right):
-            return f"({text})"
-        return text
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 def max_var_index(node):

@@ -191,9 +191,10 @@ class RhoFamily:
 
     Any smooth real psi keeps the zero set, the interior sign, and the
     nonvanishing differential of delta, so every member is again a defining
-    function; check_defining spot-checks this on probe points.  Each psi_i
-    is a callable psi(coords, order) giving its jet at one point or, for
-    coordinates of shape (2n, B), over a batch (see jets.lift).
+    function (tests/reference.py::check_defining spot-checks this on probe
+    points).  Each psi_i is a callable psi(coords, order) giving its jet at
+    one point or, for coordinates of shape (2n, B), over a batch (see
+    jets.lift).
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):
@@ -228,17 +229,6 @@ class RhoFamily:
             n=self.base.n, kind=self.base.kind + "+conformal",
             params={"base": self.base.kind, "coefficients": tuple(params)},
             eval_fn=ev)
-
-    def check_defining(self, params, probes):
-        """Spot-check that the realized function defines the same domain."""
-        realized = self.realize(params)
-        for coords in probes:
-            a = self.base.value(coords)
-            b = realized.value(coords)
-            if not math.isfinite(b) or a * b < 0 or (a == 0.0) != (b == 0.0):
-                raise domains.DomainError(
-                    f"realized rho = {b} is not finite or changes sign "
-                    f"against the base defining function at {coords}")
 
 
 # -- criterion sampling and closed-form aggregation -----------------------------

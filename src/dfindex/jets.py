@@ -101,14 +101,6 @@ class Jet:
 
     # -- structural helpers -------------------------------------------------
 
-    def truncate(self, order):
-        """Copy of this jet truncated to a lower (or equal) order."""
-        if order > self.order:
-            raise JetError("cannot raise jet order")
-        return Jet(self.nvars, order, self.value, self.d1,
-                   self.d2 if order >= 2 else None,
-                   self.d3 if order >= 3 else None)
-
     def conj(self):
         d2 = None if self.d2 is None else np.conj(self.d2)
         d3 = None if self.d3 is None else np.conj(self.d3)
@@ -229,17 +221,6 @@ class Jet:
     def __rtruediv__(self, other):
         return reciprocal(self) * other
 
-    def __pow__(self, p):
-        if not isinstance(p, int) or p < 0:
-            raise JetError("jet powers must be nonnegative integers")
-        if p == 0:
-            return Jet.const(1.0, self.nvars, self.order)
-        # starting from self keeps a batch: a constant jet has no batch axis
-        out = self
-        for _ in range(p - 1):
-            out = out * self
-        return out
-
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value})"
 
@@ -340,9 +321,6 @@ class WirtingerData:
     value: float
     grad: np.ndarray
     hess_mixed: np.ndarray
-
-    def grad_norm(self):
-        return float(np.linalg.norm(self.grad))
 
 
 def wirtinger(j, n):

@@ -36,7 +36,9 @@ __all__ = [
 
 NULL_TOL = 1e-7  # eigenvalue < NULL_TOL * max(1, spectral radius) counts as null
 SCHUR_COND_LIMIT = 1e8
-SCHUR_IDENTITY_TOL = 1e-10  # |Psi* M Psi - diag| relative to |M|
+# |Psi* M Psi - diag| relative to max(|M|, |C^{-1}|), the larger of the
+# scales of the matrix and of its block-diagonal target
+SCHUR_IDENTITY_TOL = 1e-10
 
 
 class LeviError(ValueError):
@@ -135,16 +137,15 @@ class SchurResult:
     Psi: np.ndarray
     block_null: np.ndarray   # A - B C^{-1} B*
     block_pos: np.ndarray    # C^{-1}
-    transformed: np.ndarray  # frame-coefficient columns [e_1 .. ] conj(Psi)
-    residual: float
+    residual: float          # Frobenius norm of Psi* M Psi - diag
 
 
 def schur_frame(M, m):
     """Block-diagonalize a frame Levi matrix M around an m-dimensional null
     block.
 
-    Returns Psi, the diagonal blocks, and the transformed frame as
-    coefficient columns.
+    Returns Psi, whose conjugated columns are the frame coefficients of the
+    transformed frame, the diagonal blocks, and the identity residual.
     """
     M = np.asarray(M, dtype=complex)
     size = M.shape[0]
@@ -170,9 +171,8 @@ def schur_frame(M, m):
     target[:m, :m] = block_null
     target[m:, m:] = Cinv
     residual = float(np.linalg.norm(Psi.conj().T @ M @ Psi - target))
-    if residual > SCHUR_IDENTITY_TOL * max(np.linalg.norm(M), 1e-300):
+    scale = max(np.linalg.norm(M), np.linalg.norm(Cinv), 1e-300)
+    if residual > SCHUR_IDENTITY_TOL * scale:
         raise LeviError(f"Schur identity violated (residual {residual:.3e})")
-
-    transformed = np.conj(Psi).T  # row j = sum_i e_i conj(Psi)[i, j]
     return SchurResult(Psi=Psi, block_null=block_null, block_pos=Cinv,
-                       transformed=transformed, residual=residual)
+                       residual=residual)

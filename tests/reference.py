@@ -25,7 +25,9 @@ None of these is used by dfindex itself:
   ``cartan_calculus``: the oracle for the batched
   ``index.criterion_samples``;
 - ``df_bound`` and ``s_bound`` aggregate the bounds one sample at a time,
-  the oracles for the closed-form array expressions of ``index``.
+  the oracles for the closed-form array expressions of ``index``;
+- ``check_defining`` spot-checks that a member of an ``index.RhoFamily``
+  defines the same domain as its base.
 """
 
 import math
@@ -99,10 +101,9 @@ def spc_check(domain, anchor, count, seed=0):
     points = []
     for coords in domains._ray_roots(domain, np.asarray(anchor, dtype=float),
                                      directions):
-        j = domain.rho(coords, order=2)
         points.append(domains.BoundaryPoint(
-            z=jets.point_of_coords(coords), coords=coords, jet=j,
-            wirt=jets.wirtinger(j, domain.n)))
+            z=jets.point_of_coords(coords), coords=coords,
+            wirt=jets.wirtinger(domain.rho(coords, order=2), domain.n)))
     lb = levi.levi_batch(stack_wirtinger([p.wirt for p in points]))
     weak = [points[b] for b in sorted(set(lb.point.tolist()))]
     return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
@@ -401,3 +402,16 @@ def s_bound(samples):
             contrib = math.inf if ratio <= 1.0 else ratio / (ratio - 1.0)
         worst = max(worst, contrib)
     return worst
+
+
+def check_defining(family, params, probes):
+    """Raise DomainError unless the member of ``family`` at ``params`` is
+    finite at every probe and has the sign and zeros of the base there."""
+    realized = family.realize(params)
+    for coords in probes:
+        a = family.base.value(coords)
+        b = realized.value(coords)
+        if not math.isfinite(b) or a * b < 0 or (a == 0.0) != (b == 0.0):
+            raise domains.DomainError(
+                f"realized rho = {b} is not finite or changes sign "
+                f"against the base defining function at {coords}")

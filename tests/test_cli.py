@@ -201,6 +201,33 @@ def test_config_file_missing(tmp_path):
     assert run(["sample", "--config", str(tmp_path / "nope.cfg")]) == cli.EXIT_INPUT
 
 
+# the joined and the abbreviated spellings argparse accepts for --config
+SPELLINGS = {"joined": lambda path: [f"--config={path}"],
+             "abbreviated": lambda path: ["--conf", str(path)]}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_config_file_spellings(spelling, tmp_path):
+    config = SPELLINGS[spelling]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nspc_count = 20\n")
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--t", "0.05", *config(cfg), "--output", str(out)]
+    assert run(argv) == cli.EXIT_OK
+    data = load_without_stamp(out)
+    assert data["seed"] == 3 and data["diagnostics"]["spc_samples"] == 20
+
+    # explicit flags beat the file, before or after it
+    assert run(["analyze", "--seed", "4", "--t", "0.05", *config(cfg),
+                "--spc-count", "10", "--output", str(out)]) == cli.EXIT_OK
+    data = load_without_stamp(out)
+    assert data["seed"] == 4 and data["diagnostics"]["spc_samples"] == 10
+
+    cfg.write_text("seed 3\n")
+    assert run(argv) == cli.EXIT_INPUT
+    assert run(["analyze", *config(tmp_path / "nope.cfg")]) == cli.EXIT_INPUT
+
+
 # -- exit codes ---------------------------------------------------------------------------
 
 def test_bad_expression_is_input_error(tmp_path):

@@ -43,6 +43,18 @@ class TestPhi:
     def test_quadrature_cross_check(self):
         assert domains.phi_quadrature_check(self.phi) < 1e-10
 
+    def test_quadrature_flags_a_perturbed_ramp(self, monkeypatch):
+        # the rule shares no code with ramp_derivatives: a ramp off by 1e-9
+        # must fail phi-check's 1e-10 gate
+        ramp = domains.ramp_derivatives
+
+        def perturbed(s, first, last):
+            out = ramp(s, first, last)
+            return [out[0] + 1e-9, *out[1:]] if first == 0 else out
+
+        monkeypatch.setattr(domains, "ramp_derivatives", perturbed)
+        assert domains.phi_quadrature_check(self.phi) > 1e-10
+
     def test_jet_evaluation_matches_pointwise(self):
         x = R + 0.35
         xj = jets.lift([x, 0.0], order=3)[0]
@@ -203,8 +215,8 @@ class TestBoundarySampling:
                                       seed=3)
         assert len(pts) == 40
         for p in pts:
-            scale = 1.0 + p.wirt.grad_norm()
-            assert abs(p.jet.value) <= 1e-12 * scale
+            scale = 1.0 + np.linalg.norm(p.wirt.grad)
+            assert abs(p.wirt.value) <= 1e-12 * scale
 
     def test_deterministic_in_seed(self):
         dm = domains.ball(2)

@@ -48,6 +48,30 @@ def test_unknown_identifier_message():
 
 # -- pretty printing round trip ----------------------------------------------------
 
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def pretty(node, parent_prec=0, right=False):
+    """Render an AST as text with the fewest parentheses the grammar needs,
+    so that the round trip parse(pretty(ast)) == ast tests the parser's
+    precedence and associativity."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"z{node.index + 1}"
+    if isinstance(node, Call):
+        return f"{node.name}({pretty(node.arg)})"
+    if isinstance(node, Neg):
+        return f"-{pretty(node.child, parent_prec=3)}"
+    prec = _PREC[node.op]
+    text = (f"{pretty(node.left, prec, False)} {node.op} "
+            f"{pretty(node.right, prec, True)}")
+    # right operand of -, / needs parens at equal precedence
+    if prec < parent_prec or (prec == parent_prec and right):
+        return f"({text})"
+    return text
+
+
 def ast_strategy():
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=9.0).map(lambda v: Num(round(v, 2))),
@@ -67,7 +91,7 @@ def ast_strategy():
 @given(ast_strategy())
 @settings(max_examples=150, deadline=None)
 def test_pretty_parse_roundtrip(ast):
-    assert exprparse.parse(exprparse.pretty(ast)) == ast
+    assert exprparse.parse(pretty(ast)) == ast
 
 
 # -- semantic layer -----------------------------------------------------------------

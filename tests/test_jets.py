@@ -85,7 +85,7 @@ def test_sqrt_squares():
     jets_close(jets.sqrt(a) * jets.sqrt(a), a, tol=1e-9)
 
 
-# -- seeds, truncation, conjugation ----------------------------------------------
+# -- seeds, mixed orders, conjugation -------------------------------------------
 
 def test_lift_seeds_coordinates():
     coords = np.array([0.3, -1.2, 0.8, 2.5])
@@ -111,7 +111,6 @@ def _batched_cases(x1, y1, x2, y2):
         "+": x1 + y2 + 0.5,
         "-": x2 - y1 - 0.25,
         "*": (x1 * y2) * 1.5,
-        "**": (x1 + y1) ** 3,
         "/": x2 / (y1 + 2.0) + 3.0 / x1,
         "compose": _cube(x2 * y1),
         "exp": jets.exp(x1 * y1),
@@ -199,21 +198,13 @@ def test_batched_lift_seeds_every_order():
                 assert x.d3.shape == (4, 4, 4, 1) and not x.d3.any()
 
 
-def test_truncate_drops_higher_orders():
-    rng = np.random.default_rng(1)
-    a = rand_jet(rng)
-    t = a.truncate(1)
-    assert t.order == 1 and t.d2 is None and t.d3 is None
-    assert t.value == a.value
-
-
 @pytest.mark.parametrize("low", [1, 2])
 def test_mixed_order_arithmetic_is_truncated_arithmetic(low):
     # a sum or product has the lower order of its operands, bit for bit the
     # result of truncating the higher one first
     rng = np.random.default_rng(5)
     a, b = rand_jet(rng), rand_jet(rng, order=low)
-    cut = a.truncate(low)
+    cut = jets.Jet(a.nvars, low, a.value, a.d1, a.d2)  # drops the rest
     for got, want in ((a + b, cut + b), (b + a, b + cut),
                       (a * b, cut * b), (b * a, b * cut)):
         assert got.order == low

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfindex import domains, exprparse, jets, levi
@@ -44,7 +44,8 @@ def test_tangent_frame_annihilates_gradient():
     assert lb.frame.shape == (25, dm.n - 1, dm.n)
     for p, frame in zip(pts, lb.frame):
         for X in frame:
-            assert abs(p.wirt.grad @ X) < 1e-12 * (1.0 + p.wirt.grad_norm() ** 2)
+            assert abs(p.wirt.grad @ X) < 1e-12 * (
+                1.0 + np.linalg.norm(p.wirt.grad) ** 2)
         assert np.linalg.matrix_rank(frame) == dm.n - 1
 
 
@@ -151,6 +152,7 @@ def schur_case(rng, size, m):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
+@example(8159)  # size 3, cond(C) 7.3e4: |C^{-1}| = 6674 exceeds |M| = 15.5
 @settings(max_examples=80, deadline=None)
 def test_schur_identity_and_null_containment(seed):
     rng = np.random.default_rng(seed)
@@ -164,12 +166,12 @@ def test_schur_identity_and_null_containment(seed):
     target[:m, :m] = res.block_null
     target[m:, m:] = res.block_pos
     err = np.linalg.norm(res.Psi.conj().T @ M @ res.Psi - target)
-    assert err < 1e-10 * np.linalg.norm(M)
+    # the residual scales with the larger of M and its target's C^{-1}
+    assert err < 1e-10 * max(np.linalg.norm(M), np.linalg.norm(res.block_pos))
 
     vals, vecs = np.linalg.eigh(M)
     kernel = vecs[:, vals < 1e-10 * max(1.0, np.abs(vals).max())]
-    span = res.transformed[:m].T
-    q, _ = np.linalg.qr(span)
+    q, _ = np.linalg.qr(np.conj(res.Psi[:, :m]))  # transformed frame vectors
     for k in range(kernel.shape[1]):
         b = np.conj(kernel[:, k])  # null coefficient convention
         assert np.linalg.norm(b - q @ (q.conj().T @ b)) < 1e-8

@@ -1,7 +1,9 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,30 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     missing = [attr for attr in dfindex.__all__ if not hasattr(dfindex, attr)]
     assert missing == []
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(dfindex.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_phi_check_leaves_scipy_unloaded(tmp_path):
+    # its quadrature is numpy's Gauss-Legendre rule, not scipy's quad
+    src = os.path.dirname(os.path.dirname(dfindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, sys\n"
+        "from dfindex import cli\n"
+        "rc = cli.main(['phi-check', '--output', sys.argv[1]])\n"
+        "print(rc, json.load(open(sys.argv[1]))['passed'],\n"
+        "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p.json")],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "0 True False"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -51,8 +77,8 @@ def test_expression_analysis_leaves_scipy_unloaded(tmp_path):
 
 
 def test_worm_fibers_leave_scipy_unloaded(tmp_path):
-    # the worm profile is plain numpy; scipy serves only phi-check's
-    # quadrature, and scipy.special alone costs about 20 MB at start-up
+    # the worm profile is plain numpy; scipy.special alone costs about
+    # 20 MB at start-up
     src = os.path.dirname(os.path.dirname(dfindex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
