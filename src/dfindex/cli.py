@@ -145,9 +145,9 @@ def cmd_sweep(args):
 def cmd_sample(args):
     domain = _domain_from_args(args)
     anchor = _anchor_for(args, domain)
-    points = domains.boundary_sample(domain, anchor, args.count, seed=args.seed)
-    domains.samples_to_csv(points, args.output)
-    print(f"wrote {len(points)} boundary samples to {args.output}",
+    scan = domains.boundary_scan(domain, anchor, args.count, seed=args.seed)
+    domains.samples_to_csv(scan, args.output)
+    print(f"wrote {args.count} boundary samples to {args.output}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -201,6 +201,8 @@ def run_verify_levi(beta, t, count, seed):
 
 
 def cmd_verify_levi(args):
+    if not args.t:
+        raise ValueError("verify-levi needs at least one --t value")
     results = [run_verify_levi(args.beta, t, args.count, args.seed)
                for t in args.t]
     payload = {"results": results}
@@ -229,6 +231,8 @@ def _random_null_matrix(rng, size, null_dim):
 
 def run_schur_suite(count=1000, seed=0):
     """Randomized identity and null-containment checks for schur_frame."""
+    if count < 1:
+        raise ValueError(f"schur-test count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     max_resid = 0.0
     max_proj = 0.0

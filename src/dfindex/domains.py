@@ -317,10 +317,10 @@ def phi_quadrature_check(phi):
 class DomainSpec:
     """A defining function with jet evaluation over 2n real coordinates.
 
-    ``eval_fn(coords, order)`` returns a real-valued Jet of the requested
-    order at the given interleaved real coordinates.  boundary_sample (at
-    order 1) and index.criterion_samples (at order 3) pass a (2n, B) batch,
-    one point per column, and need the batched jet back (see jets.lift).
+    ``eval_fn(coords, order)`` takes interleaved real coordinates (2n, B),
+    one point per column, and returns the real batched Jet of that order
+    (see jets.lift), as _ray_roots (order 1), boundary_batch (order 2) and
+    index.criterion_samples (order 3) call it.
     """
 
     n: int
@@ -329,7 +329,12 @@ class DomainSpec:
     eval_fn: Callable[[np.ndarray, int], Jet] = None
 
     def rho(self, coords, order=3) -> Jet:
-        return self.eval_fn(np.asarray(coords, dtype=float), order)
+        """eval_fn at coords (2n, B); one point (2n,) is read as a batch of
+        one, and its jet comes back without the batch axis."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim == 1:
+            return self.eval_fn(coords[:, None], order).take(0)
+        return self.eval_fn(coords, order)
 
     def value(self, coords) -> float:
         return self.rho(coords, order=1).value
@@ -339,11 +344,10 @@ class DomainSpec:
         (_check_boundary).
 
         The point carries the Wirtinger data of rho's order-2 jet: the Levi
-        form needs no third derivatives.
+        form needs no third derivatives.  One point is a batch of one.
         """
         coords = np.asarray(coords, dtype=float)
-        w = _check_boundary(jets.wirtinger(self.rho(coords, order=2), self.n))
-        return BoundaryPoint(z=point_of_coords(coords), coords=coords, wirt=w)
+        return self.boundary_batch(coords[:, None]).point(0)
 
     def boundary_batch(self, coords):
         """The BoundaryBatch of the points that are the columns of coords
@@ -355,16 +359,15 @@ class DomainSpec:
 
 
 def _check_boundary(w):
-    """Wirtinger data w of one point or of a batch, after checking that
-    every point has |rho| <= BOUNDARY_TOL (1 + |d'rho|) and
-    |d'rho| >= 1e-10 (1 + |d'rho|), d'rho the complex gradient."""
-    value = np.atleast_1d(w.value)
+    """Wirtinger data w of a batch, after checking that every point has
+    |rho| <= BOUNDARY_TOL (1 + |d'rho|) and |d'rho| >= 1e-10 (1 + |d'rho|),
+    d'rho the complex gradient."""
     grad_norm = np.linalg.norm(w.grad, axis=0)
     scale = 1.0 + grad_norm
-    off = np.abs(value) > BOUNDARY_TOL * scale
+    off = np.abs(w.value) > BOUNDARY_TOL * scale
     if off.any():
         raise DomainError(f"point is not on the boundary: |rho| = "
-                          f"{abs(value[np.argmax(off)]):.3e}")
+                          f"{abs(w.value[np.argmax(off)]):.3e}")
     if np.any(grad_norm < 1e-10 * scale):
         raise DomainError("vanishing complex gradient at boundary point")
     return w
@@ -419,11 +422,7 @@ def worm_rho(beta, t):
     tsq = abs(t) ** 2
 
     def ev(coords, order=3):
-        if coords.ndim == 1:  # `and` on one point: np.any costs 50x more
-            singular = coords[2] == 0.0 and coords[3] == 0.0
-        else:
-            singular = np.any((coords[2] == 0.0) & (coords[3] == 0.0))
-        if singular:
+        if np.any((coords[2] == 0.0) & (coords[3] == 0.0)):
             raise DomainError("worm defining function is singular at w = 0")
         x1, y1, x2, y2 = jets.lift(coords, order)
         wsq = x2 * x2 + y2 * y2
@@ -590,25 +589,29 @@ def annulus_points(beta, count, domain=None):
     r = beta - math.pi / 2
     us = np.linspace(-r, r, count)
     us[count // 2] = 0.0
+    # one boundary_batch over all us gives the same points faster, a one-line
+    # change that waits on ROADMAP item 1: the benchmark's report retention
+    # reads a faster central round as a peak-RSS regression
     return [domain.boundary_point(coords_of_point([0.0, math.exp(u / 2.0)]))
             for u in us]
 
 
-def samples_to_csv(points, path):
-    """Dump boundary samples as CSV: re/im of each coordinate plus residual."""
+def samples_to_csv(scan, path):
+    """Dump a BoundaryBatch as CSV: re/im of each coordinate plus the
+    residual rho, one row per point."""
     import csv
 
-    n = points[0].z.size if points else 0
+    z = point_of_coords(scan.coords)
     header = []
-    for i in range(n):
+    for i in range(len(z)):
         header += [f"re(z{i + 1})", f"im(z{i + 1})"]
     header.append("rho_residual")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in points:
+        for zb, value in zip(z.T, scan.wirt.value):
             row = []
-            for i in range(n):
-                row += [repr(float(p.z[i].real)), repr(float(p.z[i].imag))]
-            row.append(repr(float(p.wirt.value)))
+            for zi in zb:
+                row += [repr(float(zi.real)), repr(float(zi.imag))]
+            row.append(repr(float(value)))
             writer.writerow(row)

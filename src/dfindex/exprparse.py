@@ -244,7 +244,7 @@ def _eval_at(node, coords, n, order):
     zvars = [xs[2 * k] + 1j * xs[2 * k + 1] for k in range(n)]
     out = _eval(node, zvars)
     if not isinstance(out, jets.Jet):  # a constant, possibly complex
-        out = jets.constant(out, 2 * n, order)
+        out = out + 0.0 * xs[0]        # as a jet over the batch
     return out
 
 
@@ -252,8 +252,9 @@ def parse_expression(text, n=None):
     """Parse text into a DomainSpec over C^n.
 
     If n is omitted it is inferred from the highest variable index.  The
-    top-level expression must be real-valued, which is checked on randomized
-    points before the domain is accepted.
+    top-level expression must be real-valued, which is checked at the
+    REALNESS_POINTS fixed points that REALNESS_SEED draws before the domain
+    is accepted.
     """
     ast = parse(text)
     used = max_var_index(ast)
@@ -269,14 +270,11 @@ def parse_expression(text, n=None):
     coords = np.array(_rng.uniform(REALNESS_SEED, 0.3, 1.7,
                                    REALNESS_POINTS * 2 * n))
     coords = coords.reshape(REALNESS_POINTS, 2 * n).T
-    j = _eval_at(ast, coords, n, order=2)  # one batch of all points
-    if np.ndim(j.value):
-        j = j.take(np.arange(REALNESS_POINTS))  # broadcast d1, d2 over it
-        d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
-        imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
-        scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
-    else:  # a constant: its derivatives vanish
-        imag, scale = abs(np.imag(j.value)), 1.0 + abs(j.value)
+    # one batch of all points, with d1 and d2 broadcast over it
+    j = _eval_at(ast, coords, n, order=2).take(np.arange(REALNESS_POINTS))
+    d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
+    imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
+    scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
     if np.any(imag > IMAG_PART_TOL * scale):
         raise ParseError("expression is not real-valued", 0)
 

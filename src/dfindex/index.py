@@ -139,16 +139,15 @@ def _log_cos_factor(kappa, r0):
     """psi = log(cos(kappa u))/kappa in u = log|w|^2 on |u| <= r0, blended
     C^inf to 0 on r0 < |u| < r0 + h, h = (pi/(2 kappa) - r0)/2, and 0 beyond,
     where the logarithm ceases to exist.  Each region is evaluated on its own
-    columns of the batch (one point is a batch of one), so log and cos never
-    see an argument outside their domain."""
+    columns of the batch, so log and cos never see an argument outside their
+    domain."""
     h = 0.5 * (0.5 * math.pi / kappa - r0)
 
     def log_cos(u):
         return (1.0 / kappa) * jets.log(jets.cos(kappa * u))
 
     def fn(coords, order=3):
-        coords = np.asarray(coords, dtype=float)
-        x1, y1, x2, y2 = jets.lift(coords.reshape(len(coords), -1), order)
+        x1, y1, x2, y2 = jets.lift(coords, order)
         u = jets.log(x2 * x2 + y2 * y2)
         a = np.abs(u.value)
         inner = np.flatnonzero(a <= r0)
@@ -159,8 +158,7 @@ def _log_cos_factor(kappa, r0):
             abs_u = ue * np.copysign(1.0, ue.value)
             pieces.append((edge, log_cos(ue)
                            * _smooth_step((1.0 / h) * (r0 + h - abs_u))))
-        out = _scatter(a.size, pieces, len(coords), order)
-        return out if coords.ndim > 1 else out.take(0)
+        return _scatter(a.size, pieces, u.nvars, order)
 
     return fn
 
@@ -192,9 +190,9 @@ class RhoFamily:
     Any smooth real psi keeps the zero set, the interior sign, and the
     nonvanishing differential of delta, so every member is again a defining
     function (tests/reference.py::check_defining spot-checks this on probe
-    points).  Each psi_i is a callable psi(coords, order) giving its jet at
-    one point or, for coordinates of shape (2n, B), over a batch (see
-    jets.lift).
+    points).  Each psi_i is a callable psi(coords, order) giving its jet over
+    a batch of coordinates of shape (2n, B), as a DomainSpec's eval_fn does
+    (see jets.lift).
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):

@@ -2,26 +2,24 @@
 
 A ``Jet`` carries the value and the derivative tensors (gradient, Hessian,
 third-order tensor) of a smooth function of ``nvars`` real variables at a
-point.  Arithmetic on jets reproduces the analytic Taylor coefficients of the
-composed functions, truncated beyond order 3, so every first/second/third
-derivative of a defining function is available to machine precision without
-symbolic work.
+batch of B points, one per trailing index: value of shape (B,), d1 (nvars,
+B), d2 (nvars, nvars, B) and d3 (nvars, nvars, nvars, B).  Arithmetic on jets
+reproduces the analytic Taylor coefficients of the composed functions,
+truncated beyond order 3, so every first/second/third derivative of a
+defining function is available to machine precision without symbolic work.
 
 Coefficients may be real or complex (complex jets arise from intermediate
 quantities such as z = x + iy); the underlying coordinates are always real.
 The real coordinates of a point in C^n are interleaved: (x1, y1, ..., xn, yn)
 with z_k = x_k + i*y_k.
 
-A jet may also carry a batch of B points, one per trailing index: value of
-shape (B,), d1 (nvars, B), d2 (nvars, nvars, B) and d3 (nvars, nvars,
-nvars, B).  Its arithmetic, the univariate functions and the Wirtinger
-conversion below act pointwise on the trailing axis, so one pass evaluates
-a defining function and its derivatives up to order 3 at every point of the
-batch (Taylor mode over a batch; Griewank & Walther, *Evaluating
-Derivatives*, ch. 13), and each point's entries are bit-identical to those
-of the jet at that point alone.  (That is why the derivative rules below
-write powers as products: numpy's array power rounds differently from the
-scalar one.)
+The arithmetic, the univariate functions and the Wirtinger conversion below
+act pointwise on the trailing axis, so one pass evaluates a defining
+function and its derivatives up to order 3 at every point of the batch
+(Taylor mode over a batch; Griewank & Walther, *Evaluating Derivatives*,
+ch. 13).  (The derivative rules write powers as products: numpy's power
+would move results in their last bits.)  One point is a batch of one;
+domains.DomainSpec.rho alone accepts a single point.
 
 Jets are immutable after construction and all operations are pure.
 """
@@ -37,7 +35,6 @@ __all__ = [
     "JetError",
     "WirtingerData",
     "lift",
-    "constant",
     "compose",
     "exp",
     "log",
@@ -83,22 +80,6 @@ class Jet:
         if self.d1.shape[:1] != (self.nvars,):
             raise JetError("d1 has wrong shape")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def const(cls, value, nvars, order=3, dtype=float):
-        n = nvars
-        d2 = np.zeros((n, n), dtype) if order >= 2 else None
-        d3 = np.zeros((n, n, n), dtype) if order >= 3 else None
-        return cls(n, order, value, np.zeros(n, dtype), d2, d3)
-
-    @classmethod
-    def seed(cls, value, index, nvars, order=3):
-        j = cls.const(float(value), nvars, order)
-        j.d1 = j.d1.copy()
-        j.d1[index] = 1.0
-        return j
-
     # -- structural helpers -------------------------------------------------
 
     def conj(self):
@@ -108,18 +89,16 @@ class Jet:
                    np.conj(self.d1), d2, d3)
 
     def real_part(self):
-        v = self.value
-        value = v.real.copy() if isinstance(v, np.ndarray) else float(np.real(v))
         d2 = None if self.d2 is None else self.d2.real.copy()
         d3 = None if self.d3 is None else self.d3.real.copy()
-        return Jet(self.nvars, self.order, value, self.d1.real.copy(), d2, d3)
+        return Jet(self.nvars, self.order, self.value.real.copy(),
+                   self.d1.real.copy(), d2, d3)
 
     def imag_part(self):
-        v = self.value
-        value = v.imag.copy() if isinstance(v, np.ndarray) else float(np.imag(v))
         d2 = None if self.d2 is None else self.d2.imag.copy()
         d3 = None if self.d3 is None else self.d3.imag.copy()
-        return Jet(self.nvars, self.order, value, self.d1.imag.copy(), d2, d3)
+        return Jet(self.nvars, self.order, self.value.imag.copy(),
+                   self.d1.imag.copy(), d2, d3)
 
     def take(self, idx):
         """Jet of the batch columns ``idx``: an index array keeps a batch,
@@ -226,30 +205,24 @@ class Jet:
 
 
 def lift(coords, order=3):
-    """Seed jets for the coordinate functions at a point.
+    """Seed jets for the coordinate functions over a batch of points.
 
-    The i-th returned jet has value coords[i], unit gradient e_i and zero
-    higher derivatives.  Coordinates of shape (nvars, B), one point per
-    column, give seeds over the batch: value coords[i] of shape (B,), d1 =
-    e_i as an (nvars, 1) column and zero d2, d3 with the same singleton
-    batch axis, which broadcasts over the batch.
+    Coordinates of shape (nvars, B) hold one point per column.  The i-th
+    returned jet has value coords[i] of shape (B,), unit gradient e_i as an
+    (nvars, 1) column and zero d2, d3 with the same singleton batch axis,
+    which broadcasts over the batch.  Any other shape raises JetError.
     """
     coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2:
+        raise JetError(f"coordinates must be (nvars, B), got {coords.shape}")
     if not np.all(np.isfinite(coords)):
         raise JetError("non-finite coordinates")
-    if coords.ndim == 1:
-        return [Jet.seed(c, i, coords.size, order) for i, c in enumerate(coords)]
     nvars = coords.shape[0]
     eye = np.eye(nvars)
     d2 = np.zeros((nvars, nvars, 1)) if order >= 2 else None
     d3 = np.zeros((nvars, nvars, nvars, 1)) if order >= 3 else None
     return [Jet(nvars, order, coords[i], eye[:, i:i + 1], d2, d3)
             for i in range(nvars)]
-
-
-def constant(value, nvars, order=3):
-    dtype = complex if isinstance(value, complex) else float
-    return Jet.const(value, nvars, order, dtype=dtype)
 
 
 def compose(g, f0, f1, f2=None, f3=None):
@@ -298,8 +271,6 @@ def cos(j):
 
 
 def reciprocal(j):
-    if not isinstance(j, Jet):
-        return 1.0 / j
     v = j.value
     v2 = v * v
     return compose(j, 1.0 / v, -1.0 / v2, 2.0 / (v2 * v), -6.0 / (v2 * v2))
@@ -311,14 +282,15 @@ def reciprocal(j):
 class WirtingerData:
     """Complex first and second derivatives of a real-valued function on C^n.
 
+    value             = rho                     (B,) real
     grad[i]           = rho_{z_i}
     hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
 
-    The Wirtinger data of a batched jet carry the same trailing batch axis.
+    Every field carries the jet's trailing batch axis.
     """
 
     n: int
-    value: float
+    value: np.ndarray
     grad: np.ndarray
     hess_mixed: np.ndarray
 
@@ -329,8 +301,8 @@ def wirtinger(j, n):
     Entrywise, with x = x_k, y = y_k and so on: grad = (d_x - i d_y)/2 and
     mixed = ((xx + yy) + i(xy - yx))/4, formed like the matrix product
     C d2 conj(C)^T that it equals: first the rows, then the columns, each a
-    combination of two exact terms.  A batched jet
-    gives tensors with its trailing batch axis.
+    combination of two exact terms.  The tensors keep the jet's trailing
+    batch axis.
     """
     if j.nvars != 2 * n:
         raise JetError(f"jet has {j.nvars} real variables, expected {2 * n}")
@@ -338,10 +310,9 @@ def wirtinger(j, n):
         raise JetError("wirtinger conversion needs a second-order jet")
     x, y = slice(0, None, 2), slice(1, None, 2)
     rows = j.d2[x] - 1j * j.d2[y]        # (xx - i yx, xy - i yy) per column
-    value = np.real(j.value)
     return WirtingerData(
         n=n,
-        value=float(value) if np.ndim(value) == 0 else value,
+        value=np.real(j.value),
         grad=0.5 * (j.d1[x] - 1j * j.d1[y]),
         hess_mixed=0.25 * (rows[:, x] + 1j * rows[:, y]),
     )
@@ -349,7 +320,7 @@ def wirtinger(j, n):
 
 def coords_of_point(z):
     """Interleave a complex point (z1..zn) into real coordinates."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
     coords = np.empty(2 * z.size)
     coords[0::2] = z.real
     coords[1::2] = z.imag

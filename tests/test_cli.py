@@ -265,6 +265,9 @@ def test_unknown_option_exits_two():
     ["analyze", "--expr", "abs2(z1) + abs2(z2) - 1", "--count", "0"],
     ["analyze", "--t", "0.05", "--spc-count", "0"],
     ["verify-levi", "--count", "0"],
+    ["verify-levi", "--t", ","],
+    ["schur-test", "--count", "0"],
+    ["schur-test", "--count", "-5"],
 ])
 def test_sample_count_without_a_verdict_is_input_error(argv, tmp_path, capsys):
     assert run(argv + ["--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT

@@ -57,8 +57,8 @@ class TestPhi:
 
     def test_jet_evaluation_matches_pointwise(self):
         x = R + 0.35
-        xj = jets.lift([x, 0.0], order=3)[0]
-        pj = self.phi.jet(xj)
+        xj = jets.lift([[x], [0.0]], order=3)[0]
+        pj = self.phi.jet(xj).take(0)
         assert pj.value == pytest.approx(self.phi.value(x), rel=1e-14)
         assert pj.d1[0] == pytest.approx(self.phi.d1(x), rel=1e-12)
         assert pj.d2[0, 0] == pytest.approx(self.phi.d2(x), rel=1e-12)
@@ -346,11 +346,53 @@ def test_central_fiber_builds_phi_once(monkeypatch):
 
 def test_samples_to_csv(tmp_path):
     dm = domains.ball(2)
-    pts = domains.boundary_sample(dm, np.zeros(4), 5, seed=0)
+    scan = domains.boundary_scan(dm, np.zeros(4), 5, seed=0)
     path = tmp_path / "samples.csv"
-    domains.samples_to_csv(pts, path)
+    domains.samples_to_csv(scan, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re(z1),im(z1),re(z2),im(z2),rho_residual"
     assert len(lines) == 6
     row = [float(v) for v in lines[1].split(",")]
     assert sum(v * v for v in row[:4]) == pytest.approx(1.0)
+    # each row is the point boundary_sample gives for that ray
+    for line, p in zip(lines[1:], domains.boundary_sample(dm, np.zeros(4), 5)):
+        want = [repr(float(getattr(z, part)))
+                for z in p.z for part in ("real", "imag")]
+        assert line.split(",") == want + [repr(p.wirt.value)]
+
+
+ONE_POINT_DOMAINS = {
+    "worm t=0": lambda: domains.worm_rho(BETA, 0.0),
+    "worm t=0.05": lambda: domains.worm_rho(BETA, 0.05),
+    "ball": lambda: domains.ball(2),
+    "ellipsoid": lambda: domains.ellipsoid([1.0, 2.5]),
+    "expression": lambda: exprparse.parse_expression(
+        "1.3*abs2(z1)+0.5*re(z1*z1)+abs2(z2)-1"),
+    "constant": lambda: exprparse.parse_expression("2-1", n=1),
+    "conformal": lambda: index.RhoFamily(
+        domains.worm_rho(BETA, 0.0),
+        index.worm_psi_basis(BETA)).realize([0.3, -0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", list(ONE_POINT_DOMAINS))
+def test_one_point_is_a_batch_of_one(name, order):
+    # rho of one point (2n,) is column b of rho over the batch, bit for bit;
+    # u = log|w|^2 covers the annulus, the blend of the conformal factors
+    # just past it (h = 3.9e-6 for the tightest), and beyond
+    dm = ONE_POINT_DOMAINS[name]()
+    us = [-1.6, -R, -0.3, 0.0, 0.5, R, R + 2e-6, R + 1e-4, 1.2]
+    coords = np.stack([jets.coords_of_point(
+        [0.3 * math.sin(3 * k) - 0.1j * k,
+         math.exp(u / 2.0) * complex(math.cos(k), math.sin(k))])
+        for k, u in enumerate(us)], axis=1)[:2 * dm.n]
+    whole = dm.rho(coords, order)
+    for b in range(len(us)):
+        one = dm.rho(coords[:, b], order)
+        assert one.order == order
+        for part in ("value", "d1", "d2", "d3")[:order + 1]:
+            got = getattr(whole, part)
+            got = np.broadcast_to(got, got.shape[:-1] + (len(us),))[..., b]
+            assert np.array_equal(got, getattr(one, part)), (b, part)
+            assert got.shape == getattr(one, part).shape

@@ -22,7 +22,14 @@ def rand_jet(rng, nvars=4, order=3, complex_=True):
           + d3.transpose(1, 2, 0) + d3.transpose(2, 0, 1)
           + d3.transpose(2, 1, 0)) / 6.0
     value = complex(arr(())) if complex_ else float(rng.normal())
-    return jets.Jet(nvars, order, value, arr(nvars), d2, d3)
+    # one point as a batch of one
+    return jets.Jet(nvars, order, np.array([value]), arr(nvars)[:, None],
+                    d2[..., None], d3[..., None])
+
+
+def constant(value, like):
+    """The constant jet ``value`` over the batch of ``like``."""
+    return 0.0 * like + value
 
 
 def jets_close(a, b, tol=1e-10):
@@ -53,8 +60,7 @@ def test_reciprocal_and_division(seed):
     rng = np.random.default_rng(seed)
     a = rand_jet(rng)
     a = a + (3.0 + abs(a.value))  # keep away from zero
-    jets_close(a * jets.reciprocal(a), jets.constant(1.0 + 0j, a.nvars, a.order),
-               tol=1e-9)
+    jets_close(a * jets.reciprocal(a), constant(1.0 + 0j, a), tol=1e-9)
     b = rand_jet(rng)
     jets_close((b / a) * a, b, tol=1e-8)
 
@@ -75,7 +81,7 @@ def test_trig_identity(seed):
     rng = np.random.default_rng(seed)
     a = rand_jet(rng, complex_=False)
     one = jets.sin(a) * jets.sin(a) + jets.cos(a) * jets.cos(a)
-    jets_close(one, jets.constant(1.0, a.nvars, a.order), tol=1e-9)
+    jets_close(one, constant(1.0, a), tol=1e-9)
 
 
 def test_sqrt_squares():
@@ -89,13 +95,20 @@ def test_sqrt_squares():
 
 def test_lift_seeds_coordinates():
     coords = np.array([0.3, -1.2, 0.8, 2.5])
-    xs = jets.lift(coords, 3)
+    xs = [x.take(0) for x in jets.lift(coords[:, None], 3)]
     for i, x in enumerate(xs):
         assert x.value == coords[i]
         expected = np.zeros(4)
         expected[i] = 1.0
         assert np.array_equal(x.d1, expected)
         assert np.abs(x.d2).max() == 0.0
+
+
+def test_lift_takes_only_a_batch():
+    # one point is a batch of one; DomainSpec.rho is where it becomes one
+    for coords in (np.array([0.3, -1.2]), np.zeros((2, 1, 1)), 0.5):
+        with pytest.raises(jets.JetError, match=r"\(nvars, B\)"):
+            jets.lift(coords, 3)
 
 
 def _cube(g):
@@ -124,11 +137,17 @@ def _batched_cases(x1, y1, x2, y2):
     }
 
 
+def _take(cases, k):
+    # the jets of column k of each case
+    return {name: jet.take(k) for name, jet in cases.items()}
+
+
 def test_batched_order1_jets_match_stacked_scalar_jets():
     rng = np.random.default_rng(5)
     coords = rng.uniform(0.2, 1.5, size=(4, 6))
     batched = _batched_cases(*jets.lift(coords, 1))
-    columns = [_batched_cases(*jets.lift(c, 1)) for c in coords.T]
+    columns = [_take(_batched_cases(*jets.lift(c[:, None], 1)), 0)
+               for c in coords.T]
     for name, jet in batched.items():
         assert jet.order == 1 and jet.value.shape == (6,), name
         d1 = np.broadcast_to(jet.d1, (4, 6))
@@ -156,7 +175,7 @@ def test_batched_jets_match_stacked_scalar_jets(order):
     rng = np.random.default_rng(5)
     coords = rng.uniform(0.2, 1.5, size=(4, 6))
     batched = cases(coords)
-    columns = [cases(c) for c in coords.T]
+    columns = [_take(cases(c[:, None]), 0) for c in coords.T]
     for name, jet in batched.items():
         assert jet.value.shape == (6,), name
         for k, col in enumerate(columns):
@@ -247,8 +266,8 @@ def test_wirt_is_half_dx_minus_i_dy():
 def test_compose_matches_analytic_third_order():
     # f(x, y) = exp(x * y + y^2) along seeded coordinates
     coords = np.array([0.4, 0.9])
-    x, y = jets.lift(coords, 3)
-    f = jets.exp(x * y + y * y)
+    x, y = jets.lift(coords[:, None], 3)
+    f = jets.exp(x * y + y * y).take(0)
 
     def fval(x_, y_):
         return math.exp(x_ * y_ + y_ * y_)
@@ -313,9 +332,9 @@ def test_wirtinger_of_hermitian_quadratic():
     coords = np.array([0.3, 0.7, -0.2, 0.5])
 
     def rho(order):
-        x1, y1, x2, y2 = jets.lift(coords, order)
+        x1, y1, x2, y2 = jets.lift(coords[:, None], order)
         return (x1 * x1 + y1 * y1 + 2.0 * (x2 * x2 + y2 * y2)
-                + 2.0 * (x1 * x2 + y1 * y2))
+                + 2.0 * (x1 * x2 + y1 * y2)).take(0)
 
     w = jets.wirtinger(rho(3), 2)
     H = np.array([[1.0, 1.0], [1.0, 2.0]])

@@ -127,3 +127,26 @@ def test_analysis_paths_leave_numpy_random_unloaded(tmp_path):
     assert out.strip().splitlines() == [
         "analyze 0 False", "analyze 0 False", "sweep 0 False",
         "sample 0 False", "verify-levi 0 False"]
+
+
+def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    # reporting a falsifying example makes hypothesis import libcst, which
+    # warns through mypy_extensions; this project's warning filters must not
+    # turn that into an INTERNALERROR that ends the run
+    pyproject = Path(dfindex.__file__).resolve().parents[2] / "pyproject.toml"
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "1 failed, 1 passed" in run.stdout
