@@ -11,8 +11,7 @@ Subcommands
 
 Exit codes: 0 success, 2 input error, 3 numerical-consistency failure.
 A flat key=value config file can seed any option; explicit flags win.
-All commands accept --threads (default 1), which JSON outputs record;
-execution is sequential, so results are identical for every thread count.
+Execution is sequential and deterministic for a given --seed.
 """
 
 from __future__ import annotations
@@ -65,9 +64,8 @@ def _write_json(payload, path):
             fh.write(text + "\n")
 
 
-def _stamp(payload, args):
+def _stamp(payload):
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    payload["threads"] = args.threads
     payload["version"] = __version__
     return payload
 
@@ -108,7 +106,7 @@ def cmd_analyze(args):
         label = "worm"
     payload = report.to_dict()
     payload["domain"] = label
-    _write_json(_stamp(payload, args), args.output)
+    _write_json(_stamp(payload), args.output)
     s_text = "inf" if report.s_upper == math.inf else f"{report.s_upper:.6f}"
     print(f"df_lower = {report.df_lower:.6f}  s_upper = {s_text}  "
           f"null_count = {report.null_count}  spc = {report.spc}",
@@ -131,7 +129,7 @@ def cmd_sweep(args):
                      f"{rep.null_count},{rep.spc}\n")
     if args.json:
         payload = {"reports": [rep.to_dict() for rep in reports]}
-        _write_json(_stamp(payload, args), args.json)
+        _write_json(_stamp(payload), args.json)
     for rep in reports:
         s_text = "inf" if rep.s_upper == math.inf else f"{rep.s_upper:.4f}"
         print(f"t={rep.t:+.3f}  df_lower={rep.df_lower:.4f}  "
@@ -206,7 +204,7 @@ def cmd_verify_levi(args):
     results = [run_verify_levi(args.beta, t, args.count, args.seed)
                for t in args.t]
     payload = {"results": results}
-    _write_json(_stamp(payload, args), args.output)
+    _write_json(_stamp(payload), args.output)
     if not all(r["passed"] for r in results):
         raise VerificationError(
             "closed-form Levi comparison failed: " + json.dumps(results))
@@ -265,7 +263,7 @@ def run_schur_suite(count=1000, seed=0):
 
 def cmd_schur_test(args):
     result = run_schur_suite(count=args.count, seed=args.seed)
-    _write_json(_stamp(dict(result), args), args.output)
+    _write_json(_stamp(dict(result)), args.output)
     if not result["passed"]:
         raise VerificationError("Schur property suite failed: "
                                 + json.dumps(result))
@@ -318,7 +316,7 @@ def run_phi_check(beta):
 
 def cmd_phi_check(args):
     result = run_phi_check(args.beta)
-    _write_json(_stamp(dict(result), args), args.output)
+    _write_json(_stamp(dict(result)), args.output)
     if not result["passed"]:
         raise VerificationError("phi axiom suite failed: "
                                 + json.dumps(result))
@@ -331,10 +329,6 @@ def cmd_phi_check(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is "
-                             "sequential and results are thread-count "
-                             "independent")
     common.add_argument("--config", default=None,
                         help="flat key=value config file; explicit flags win")
 

@@ -42,13 +42,18 @@ minus the complex Hessian of psi on (L, Lbar).  Calibration tests check both
 the shift and the boundary-layer plurisubharmonicity threshold it predicts.
 
 null_forms evaluates both forms as one array expression over a batch of
-(point, null direction) columns; PointCalculus, kept only for the
-benchmark's tracer, is the same at one boundary point.
+(point, null direction) columns.  It reads the four Wirtinger tensors of
+jets.wirtinger (grad, hess, hess_mixed, third), never the real jet, so
+jets.wirtinger is the one place where d/dz and d/dzbar are formed.
+PointCalculus, kept only for the benchmark's tracer, is the same at one
+boundary point.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import jets
 
 __all__ = [
     "DAngeloError",
@@ -59,39 +64,23 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-8  # |Im| of dbar relative to its summed terms
 TANGENT_TOL = 1e-8       # |sum rho_k L^k| relative to |d'rho| |L|
 
-# d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2 on the (x, y)
-# pair of one complex coordinate
-_DZ = np.array([0.5, -0.5j])
-_DZBAR = np.conj(_DZ)
-
 
 class DAngeloError(ValueError):
     """Convention violation (imaginary residue) or misuse (non-tangent input)."""
 
 
-def null_forms(n, rho_jet, L):
+def null_forms(w, L):
     """(omega(L), dbar_omega(L, Lbar)) for a batch of Levi-null vectors.
 
-    rho_jet is the order-3 jet of rho over K boundary points and L is (n, K),
-    one ambient (1,0) vector per point.  Returns a (K,) complex and a (K,)
-    real array.  Raises DAngeloError if an L leaves the holomorphic tangent
-    space, or if a dbar carries an imaginary residue beyond tolerance.
+    w is the WirtingerData of rho's order-3 jet over K boundary points and
+    L is (n, K), one ambient (1,0) vector per point.  Returns a (K,) complex
+    and a (K,) real array.  Raises DAngeloError if an L leaves the
+    holomorphic tangent space, or if a dbar carries an imaginary residue
+    beyond tolerance.
     """
     L = np.asarray(L, dtype=complex)
     Lb = np.conj(L)
-
-    def pairs(a):
-        # each real-coordinate axis as an (n, 2) pair of axes (x_k, y_k),
-        # the batch axis (possibly a broadcast singleton) to full length
-        a = np.broadcast_to(a, a.shape[:-1] + L.shape[1:])
-        return a.reshape((n, 2) * (a.ndim - 1) + L.shape[1:])
-
-    d2 = pairs(rho_jet.d2)
-    r = np.einsum("kxb,x->kb", pairs(rho_jet.d1), _DZ)
-    r_hh = np.einsum("kxlyb,x,y->klb", d2, _DZ, _DZ)
-    r_hb = np.einsum("kxlyb,x,y->klb", d2, _DZ, _DZBAR)
-    r_hbb = np.einsum("kxmylzb,x,y,z->kmlb", pairs(rho_jet.d3),
-                      _DZ, _DZBAR, _DZBAR)
+    r, r_hh, r_hb, r_hbb = w.grad, w.hess, w.hess_mixed, w.third
 
     g = np.sum(np.abs(r) ** 2, axis=0)
     off = np.abs(np.sum(r * L, axis=0))
@@ -129,12 +118,10 @@ class PointCalculus:
     """
 
     def __init__(self, domain, point):
-        self.n = domain.n
-        self.rho_jet = domain.rho(point.coords[:, None], order=3)
+        self.wirt = jets.wirtinger(domain.rho(point.coords[:, None], order=3),
+                                   domain.n)
 
     def forms(self, L):
         """(omega(L), dbar_omega(L, Lbar)) for Levi-null vectors L, (n, B),
         all at this point: a (B,) complex and a (B,) real array."""
-        L = np.asarray(L, dtype=complex)
-        return null_forms(self.n, self.rho_jet.take(np.zeros(L.shape[1], int)),
-                          L)
+        return null_forms(self.wirt.take(np.zeros(np.shape(L)[1], int)), L)

@@ -22,7 +22,7 @@ where a caller asks for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -395,18 +395,12 @@ class BoundaryBatch:
         """The BoundaryPoint of column b.  Its arrays are contiguous copies,
         so per-point arithmetic on them (levi.levi_form, a stacked matmul)
         rounds as it does on the point evaluated alone."""
-        count = self.coords.shape[1]
-
-        def column(a):
-            return np.array(np.broadcast_to(a, a.shape[:-1] + (count,))[..., b])
-
-        w = self.wirt
-        coords = column(self.coords)
+        w = self.wirt.take(b)
+        coords = self.coords[:, b].copy()
         return BoundaryPoint(
             z=point_of_coords(coords), coords=coords,
-            wirt=WirtingerData(n=w.n, value=float(w.value[b]),
-                               grad=column(w.grad),
-                               hess_mixed=column(w.hess_mixed)))
+            wirt=replace(w, value=float(w.value), grad=w.grad.copy(),
+                         hess_mixed=w.hess_mixed.copy()))
 
 
 def worm_rho(beta, t):
@@ -557,7 +551,9 @@ def boundary_scan(domain, anchor, count, seed=0):
     elif anchor.size != 2 * domain.n:
         raise DomainError(f"anchor has {anchor.size} coordinates; a domain in "
                           f"C^{domain.n} takes {domain.n} or {2 * domain.n}")
-    if domain.value(anchor) >= 0:
+    with np.errstate(all="ignore"):  # a NaN value is an anchor outside
+        inside = domain.value(anchor) < 0
+    if not inside:
         raise DomainError("anchor must lie strictly inside the domain")
     directions = _ray_directions(seed, count, 2 * domain.n)
     return domain.boundary_batch(_ray_roots(domain, anchor, directions).T)

@@ -14,6 +14,7 @@ defining function feeds the rest of the toolkit directly.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -201,6 +202,14 @@ _JET_FN = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
 
 
 def _eval(node, zvars):
+    """The jet of node, or its value if it is a constant, which must be finite."""
+    out = _eval_node(node, zvars)
+    if not isinstance(out, jets.Jet) and not cmath.isfinite(out):
+        raise ParseError("constant sub-expression is not finite", 0)
+    return out
+
+
+def _eval_node(node, zvars):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -216,18 +225,21 @@ def _eval(node, zvars):
             return a - b
         if node.op == "*":
             return a * b
+        if not isinstance(b, jets.Jet) and b == 0:
+            raise ParseError("division by zero", 0)
         return a / b
     if isinstance(node, Call):
         arg = _eval(node.arg, zvars)
         if not isinstance(arg, jets.Jet):
             arg = complex(arg)
             if node.name == "abs2":
-                return abs(arg) ** 2
+                return abs(arg) * abs(arg)
             if node.name == "re":
                 return arg.real
             if node.name == "im":
                 return arg.imag
-            return getattr(np, node.name)(arg)
+            with np.errstate(all="ignore"):  # the caller checks the result
+                return complex(getattr(np, node.name)(arg))
         if node.name == "abs2":
             re_, im_ = arg.real_part(), arg.imag_part()
             return re_ * re_ + im_ * im_

@@ -15,11 +15,11 @@ both are array expressions over the samples, and a gamma-bisection oracle
 in the test suite cross-checks the rearrangement.
 
 criterion_samples works on all of its points at once: one order-3 jet pass
-of rho over the batch, one levi.levi_batch call for every point's frame and
-Levi null directions, and one dangelo.null_forms call, the closed form of
-omega and dbar_omega in the Wirtinger derivatives of rho, over all
-(point, null direction) pairs.  Its result is one CriterionSamples record
-of arrays, one entry per pair.
+of rho over the batch and one Wirtinger conversion of it, one
+levi.levi_batch call for every point's frame and Levi null directions, and
+one dangelo.null_forms call, the closed form of omega and dbar_omega in
+the Wirtinger derivatives of rho, over all (point, null direction) pairs.
+Its result is one CriterionSamples record of arrays, one entry per pair.
 
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
@@ -236,9 +236,10 @@ def criterion_samples(domain, points):
     """CriterionSamples of every (weak point, Levi-null basis direction)
     pair, in point order and then null-direction order.
 
-    One order-3 jet pass of rho covers every point, one levi.levi_batch
-    call gives every point's frame and Levi null directions, and one
-    dangelo.null_forms call covers all (point, null direction) pairs.
+    One order-3 jet pass of rho and its Wirtinger conversion cover every
+    point, one levi.levi_batch call gives every point's frame and Levi null
+    directions, and one dangelo.null_forms call covers all (point, null
+    direction) pairs.
     Strongly pseudoconvex points contribute nothing; a fully strongly
     pseudoconvex (or empty) point list yields K = 0 (vacuous criterion).
     """
@@ -248,9 +249,10 @@ def criterion_samples(domain, points):
                                 L=np.zeros((0, domain.n), dtype=complex),
                                 omega=np.zeros(0, dtype=complex),
                                 dbar=np.zeros(0))
-    rho = domain.rho(np.stack([p.coords for p in points], axis=1), order=3)
-    lb = levi.levi_batch(jets.wirtinger(rho, domain.n))
-    omega, dbar = dangelo.null_forms(domain.n, rho.take(lb.point), lb.L.T)
+    w = jets.wirtinger(domain.rho(np.stack([p.coords for p in points], axis=1),
+                                  order=3), domain.n)
+    lb = levi.levi_batch(w)
+    omega, dbar = dangelo.null_forms(w.take(lb.point), lb.L.T)
     return CriterionSamples(point=lb.point, L=lb.L, omega=omega, dbar=dbar)
 
 

@@ -19,7 +19,10 @@ function and its derivatives up to order 3 at every point of the batch
 (Taylor mode over a batch; Griewank & Walther, *Evaluating Derivatives*,
 ch. 13).  (The derivative rules write powers as products: numpy's power
 would move results in their last bits.)  One point is a batch of one;
-domains.DomainSpec.rho alone accepts a single point.
+domains.DomainSpec.rho alone accepts a single point.  A tensor that is the
+same at every point, such as lift's d1, keeps a singleton batch axis.
+wirtinger is the one conversion from a real jet to complex tensors, and it
+broadcasts every batch axis to full length for the layers that read it.
 
 Jets are immutable after construction and all operations are pure.
 """
@@ -27,6 +30,7 @@ Jets are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -82,12 +86,6 @@ class Jet:
 
     # -- structural helpers -------------------------------------------------
 
-    def conj(self):
-        d2 = None if self.d2 is None else np.conj(self.d2)
-        d3 = None if self.d3 is None else np.conj(self.d3)
-        return Jet(self.nvars, self.order, np.conj(self.value),
-                   np.conj(self.d1), d2, d3)
-
     def real_part(self):
         d2 = None if self.d2 is None else self.d2.real.copy()
         d3 = None if self.d3 is None else self.d3.real.copy()
@@ -111,32 +109,6 @@ class Jet:
 
         return Jet(self.nvars, self.order, self.value[idx], pick(self.d1),
                    pick(self.d2), pick(self.d3))
-
-    def deriv(self, i):
-        """Jet of the partial derivative with respect to real coordinate i.
-
-        Drops the order by one; only available for jets of order >= 2.
-        """
-        if self.order < 2:
-            raise JetError("cannot differentiate an order-1 jet")
-        d2 = self.d3[i] if self.order == 3 else None
-        return Jet(self.nvars, self.order - 1, self.d1[i], self.d2[i], d2)
-
-    def wirt(self, k):
-        """Jet of the holomorphic Wirtinger derivative d/dz_k."""
-        return 0.5 * (self.deriv(2 * k) - 1j * self.deriv(2 * k + 1))
-
-    def wirtbar(self, k):
-        """Jet of the antiholomorphic Wirtinger derivative d/dzbar_k."""
-        return 0.5 * (self.deriv(2 * k) + 1j * self.deriv(2 * k + 1))
-
-    def wirt_value(self, k):
-        """Value of d/dz_k at the base point (available at any order)."""
-        return 0.5 * (self.d1[2 * k] - 1j * self.d1[2 * k + 1])
-
-    def wirtbar_value(self, k):
-        """Value of d/dzbar_k at the base point (available at any order)."""
-        return 0.5 * (self.d1[2 * k] + 1j * self.d1[2 * k + 1])
 
     # -- ring operations -----------------------------------------------------
 
@@ -280,42 +252,62 @@ def reciprocal(j):
 
 @dataclass(frozen=True)
 class WirtingerData:
-    """Complex first and second derivatives of a real-valued function on C^n.
+    """Complex derivatives of a real-valued function on C^n.
 
     value             = rho                     (B,) real
-    grad[i]           = rho_{z_i}
-    hess_mixed[i, j]  = rho_{z_i zbar_j}        (Hermitian)
+    grad[k]           = rho_{z_k}
+    hess_mixed[k, m]  = rho_{z_k zbar_m}        (Hermitian)
+    hess[l, m]        = rho_{z_l z_m}           (symmetric)
+    third[k, m, l]    = rho_{z_k zbar_m zbar_l}
 
-    Every field carries the jet's trailing batch axis.
+    hess and third come from an order-3 jet and are None otherwise.  Every
+    field carries the full batch axis last; the data of one point (an
+    unbatched jet) has none.
     """
 
     n: int
     value: np.ndarray
     grad: np.ndarray
     hess_mixed: np.ndarray
+    hess: Optional[np.ndarray] = None
+    third: Optional[np.ndarray] = None
+
+    def take(self, idx):
+        """The data of the batch columns ``idx``; an integer gives one point."""
+        fields = (self.value, self.grad, self.hess_mixed, self.hess, self.third)
+        return WirtingerData(self.n, *(None if a is None else a[..., idx]
+                                       for a in fields))
 
 
 def wirtinger(j, n):
     """Convert a real-coordinate jet of order 2 or 3 into Wirtinger tensors.
 
-    Entrywise, with x = x_k, y = y_k and so on: grad = (d_x - i d_y)/2 and
-    mixed = ((xx + yy) + i(xy - yx))/4, formed like the matrix product
-    C d2 conj(C)^T that it equals: first the rows, then the columns, each a
-    combination of two exact terms.  The tensors keep the jet's trailing
-    batch axis.
+    One axis at a time, with x = x_k, y = y_k: d/dz = (d_x - i d_y)/2 or
+    d/dzbar = (d_x + i d_y)/2, each a combination of two exact terms, so
+    mixed = ((xx + yy) + i(xy - yx))/4 is formed like the matrix product
+    C d2 conj(C)^T that it equals.  Every batch axis is broadcast to the
+    length of j.value's.
     """
     if j.nvars != 2 * n:
         raise JetError(f"jet has {j.nvars} real variables, expected {2 * n}")
     if j.order < 2:
         raise JetError("wirtinger conversion needs a second-order jet")
     x, y = slice(0, None, 2), slice(1, None, 2)
+    batch = np.shape(j.value)  # () for one point
+
+    def full(a):
+        return np.broadcast_to(a, a.shape[:a.ndim - len(batch)] + batch)
+
+    grad = full(0.5 * (j.d1[x] - 1j * j.d1[y]))
     rows = j.d2[x] - 1j * j.d2[y]        # (xx - i yx, xy - i yy) per column
-    return WirtingerData(
-        n=n,
-        value=np.real(j.value),
-        grad=0.5 * (j.d1[x] - 1j * j.d1[y]),
-        hess_mixed=0.25 * (rows[:, x] + 1j * rows[:, y]),
-    )
+    mixed = full(0.25 * (rows[:, x] + 1j * rows[:, y]))
+    hess = third = None
+    if j.order == 3:
+        hess = full(0.25 * (rows[:, x] - 1j * rows[:, y]))
+        a = j.d3[x] - 1j * j.d3[y]
+        a = a[:, x] + 1j * a[:, y]
+        third = full(0.125 * (a[:, :, x] + 1j * a[:, :, y]))
+    return WirtingerData(n, np.real(j.value), grad, mixed, hess, third)
 
 
 def coords_of_point(z):

@@ -87,14 +87,10 @@ def levi_batch(w):
     re-orthonormalized by QR and conjugated into coefficients.
     """
     count = np.shape(w.value)[0]
-
-    def points_first(a):
-        # batch axis first, each point's block contiguous as for one point
-        # alone, so that the stacked matmul rounds as the single one does
-        a = np.broadcast_to(a, a.shape[:-1] + (count,))
-        return np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
-    grad, hess = points_first(w.grad), points_first(w.hess_mixed)
+    # batch axis first, each point's block contiguous as for one point alone,
+    # so that the stacked matmul rounds as the single one does
+    grad, hess = (np.ascontiguousarray(np.moveaxis(a, -1, 0))
+                  for a in (w.grad, w.hess_mixed))
     n = grad.shape[1]
     mag = np.abs(grad)
     if np.any(mag.max(axis=1) < 1e-300):

@@ -9,6 +9,11 @@ None of these is used by dfindex itself:
   default_rng: the oracle for the batched ``index.spc_check``;
   ``stack_wirtinger`` stacks the Wirtinger data of single points into one
   batch for ``levi.levi_batch``;
+- ``conj``, ``deriv``, ``wirt``, ``wirtbar``, ``wirt_value`` and
+  ``wirtbar_value`` take the conjugate, a real partial derivative and the
+  Wirtinger derivatives d/dz_k and d/dzbar_k of a jet, one coordinate at a
+  time, as jets one order lower (or as values): the oracle for the tensors
+  of ``jets.wirtinger`` and the calculus of ``CartanCalculus``;
 - ``eta_value`` and ``transversal`` evaluate eta and the transversal field
   T = N - Nbar from the Wirtinger data alone, as value-level references for
   ``CartanCalculus.T``;
@@ -36,7 +41,7 @@ import numpy as np
 
 from dfindex import domains, index, jets, levi
 from dfindex.dangelo import DAngeloError
-from dfindex.jets import Jet
+from dfindex.jets import Jet, JetError
 from dfindex.levi import LeviError
 
 
@@ -125,6 +130,44 @@ def transversal(w):
     return N, -np.conj(N)
 
 
+# -- Wirtinger derivatives of a jet as jets ------------------------------------------
+
+def conj(j):
+    """The complex conjugate of the jet j."""
+    return Jet(j.nvars, j.order, np.conj(j.value), np.conj(j.d1),
+               None if j.d2 is None else np.conj(j.d2),
+               None if j.d3 is None else np.conj(j.d3))
+
+
+def deriv(j, i):
+    """Jet of the partial derivative of j with respect to real coordinate i,
+    one order lower; j must have order 2 or 3."""
+    if j.order < 2:
+        raise JetError("cannot differentiate an order-1 jet")
+    return Jet(j.nvars, j.order - 1, j.d1[i], j.d2[i],
+               j.d3[i] if j.order == 3 else None)
+
+
+def wirt(j, k):
+    """Jet of the holomorphic Wirtinger derivative d/dz_k of j."""
+    return 0.5 * (deriv(j, 2 * k) - 1j * deriv(j, 2 * k + 1))
+
+
+def wirtbar(j, k):
+    """Jet of the antiholomorphic Wirtinger derivative d/dzbar_k of j."""
+    return 0.5 * (deriv(j, 2 * k) + 1j * deriv(j, 2 * k + 1))
+
+
+def wirt_value(j, k):
+    """Value of d/dz_k j at the base point (any order)."""
+    return 0.5 * (j.d1[2 * k] - 1j * j.d1[2 * k + 1])
+
+
+def wirtbar_value(j, k):
+    """Value of d/dzbar_k j at the base point (any order)."""
+    return 0.5 * (j.d1[2 * k] + 1j * j.d1[2 * k + 1])
+
+
 # -- the D'Angelo forms by their definition -----------------------------------------
 
 IMAG_RESIDUE_TOL = 1e-8
@@ -156,14 +199,14 @@ def _field_directional(f, V, n):
     terms = []
     for i in range(n):
         if not _is_zero(V[i]):
-            terms.append(V[i] * f.wirt(i))
+            terms.append(V[i] * wirt(f, i))
         if not _is_zero(V[n + i]):
-            terms.append(V[n + i] * f.wirtbar(i))
+            terms.append(V[n + i] * wirtbar(f, i))
     return _field_sum(terms)
 
 
 def _conj_entry(x):
-    return x.conj() if isinstance(x, Jet) else np.conj(x)
+    return conj(x) if isinstance(x, Jet) else np.conj(x)
 
 
 def _value_directional(f, V, n):
@@ -174,9 +217,9 @@ def _value_directional(f, V, n):
     acc = 0.0
     for i in range(n):
         if not _is_zero(V[i]):
-            acc = acc + _value(V[i]) * f.wirt_value(i)
+            acc = acc + _value(V[i]) * wirt_value(f, i)
         if not _is_zero(V[n + i]):
-            acc = acc + _value(V[n + i]) * f.wirtbar_value(i)
+            acc = acc + _value(V[n + i]) * wirtbar_value(f, i)
     return acc
 
 
@@ -214,12 +257,12 @@ class CartanCalculus:
     def __init__(self, n, rho_jet, pivot, T=None, frame_fields=None):
         self.n = n
         self.count = rho_jet.value.shape[0]
-        self.rz = [rho_jet.wirt(k) for k in range(n)]
-        self.rzb = [rho_jet.wirtbar(k) for k in range(n)]
+        self.rz = [wirt(rho_jet, k) for k in range(n)]
+        self.rzb = [wirtbar(rho_jet, k) for k in range(n)]
         if T is None:
             g = _field_sum([self.rz[i] * self.rzb[i] for i in range(n)])
             N = [self.rzb[i] / g for i in range(n)]
-            T = N + [-(Ni.conj()) for Ni in N]
+            T = N + [-conj(Ni) for Ni in N]
         if frame_fields is None:
             frame_fields = []
             for j in range(n):

@@ -120,10 +120,10 @@ def test_criterion_07_transversal_invariance():
     rng = np.random.default_rng(0)
     worst = 0.0
     for p in domains.annulus_points(BETA, 32):
-        rho = dm.rho(p.coords[:, None], order=3)
-        L = levi.levi_batch(jets.wirtinger(rho, dm.n)).L.T  # (n, 1)
+        w = jets.wirtinger(dm.rho(p.coords[:, None], order=3), dm.n)
+        L = levi.levi_batch(w).L.T  # (n, 1)
         # the program's closed form against the definition under T'
-        om0, db0 = dangelo.null_forms(dm.n, rho, L)  # a batch of one
+        om0, db0 = dangelo.null_forms(w, L)  # a batch of one
         scale = max(1.0, abs(om0[0]), abs(db0[0]))
         pc = reference.cartan_calculus(dm, p)
         for _ in range(20):

@@ -34,10 +34,11 @@ def null_vector(dm, p):
 
 
 def closed_form(dm, p, L):
-    """dangelo.null_forms at the one point p, a batch of one whose jet
-    broadcasts over the K vectors L, (n, K): a (K,) complex and a (K,) real
+    """dangelo.null_forms at the one point p, its Wirtinger data taken once
+    for each of the K vectors L, (n, K): a (K,) complex and a (K,) real
     array."""
-    return dangelo.null_forms(dm.n, dm.rho(p.coords[:, None], order=3), L)
+    w = jets.wirtinger(dm.rho(p.coords[:, None], order=3), dm.n)
+    return dangelo.null_forms(w.take(np.zeros(L.shape[1], int)), L)
 
 
 def forms(dm, p, L):

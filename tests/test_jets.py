@@ -167,9 +167,9 @@ def test_batched_jets_match_stacked_scalar_jets(order):
     def cases(coords):
         out = _batched_cases(*jets.lift(coords, order))
         f = out["log"] * out["cos"] + out["exp"]
-        out["deriv"] = f.deriv(1)
-        out["wirt"] = f.wirt(0)
-        out["wirtbar"] = f.wirtbar(1)
+        out["deriv"] = reference.deriv(f, 1)
+        out["wirt"] = reference.wirt(f, 0)
+        out["wirtbar"] = reference.wirtbar(f, 1)
         return out
 
     rng = np.random.default_rng(5)
@@ -236,7 +236,7 @@ def test_conj_real_imag_decomposition():
     a = rand_jet(rng)
     re, im = a.real_part(), a.imag_part()
     jets_close(re + 1j * im, a)
-    jets_close(a.conj(), re - 1j * im)
+    jets_close(reference.conj(a), re - 1j * im)
     for part in ("value", "d1", "d2", "d3"):
         assert not np.any(np.imag(getattr(re, part)))
 
@@ -244,7 +244,7 @@ def test_conj_real_imag_decomposition():
 def test_deriv_shifts_derivatives():
     rng = np.random.default_rng(3)
     a = rand_jet(rng)
-    d = a.deriv(2)
+    d = reference.deriv(a, 2)
     assert d.order == 2
     assert d.value == a.d1[2]
     assert np.array_equal(d.d1, a.d2[2])
@@ -254,11 +254,11 @@ def test_deriv_shifts_derivatives():
 def test_wirt_is_half_dx_minus_i_dy():
     rng = np.random.default_rng(4)
     a = rand_jet(rng)
-    w = a.wirt(1)
-    direct = 0.5 * (a.deriv(2) - 1j * a.deriv(3))
+    w = reference.wirt(a, 1)
+    direct = 0.5 * (reference.deriv(a, 2) - 1j * reference.deriv(a, 3))
     jets_close(w, direct)
-    assert a.wirt_value(1) == 0.5 * (a.d1[2] - 1j * a.d1[3])
-    assert a.wirtbar_value(1) == 0.5 * (a.d1[2] + 1j * a.d1[3])
+    assert reference.wirt_value(a, 1) == 0.5 * (a.d1[2] - 1j * a.d1[3])
+    assert reference.wirtbar_value(a, 1) == 0.5 * (a.d1[2] + 1j * a.d1[3])
 
 
 # -- composition against closed forms --------------------------------------------
@@ -347,6 +347,62 @@ def test_wirtinger_of_hermitian_quadratic():
     assert np.array_equal(w2.hess_mixed, w.hess_mixed)
     with pytest.raises(jets.JetError):
         jets.wirtinger(rho(1), 2)
+
+
+def _conversion_case(name, order):
+    """(jet of the given order, n) of one defining function over a batch:
+    the worm delta and its realized +-psi members at the weak annulus, the
+    C^3 egg, the ball and an affine function at points drawn in a cube."""
+    from dfindex import domains, exprparse, index
+
+    beta = 3 * math.pi / 4
+    base = domains.worm_rho(beta, 0.0)
+    annulus = np.stack([p.coords for p in domains.annulus_points(beta, 33)],
+                       axis=1)
+    cube = np.random.default_rng(9).uniform(-0.6, 0.6, size=(6, 7))
+    if name == "egg":
+        egg = exprparse.parse_expression("abs2(z1)+abs2(z2)+abs2(z3)*abs2(z3)-1")
+        return egg.rho(cube, order), 3
+    if name == "ball":
+        return domains.ball(2).rho(cube[:4], order), 2
+    if name == "affine":
+        plane = exprparse.parse_expression("re(z1)+im(z2)-1")
+        return plane.rho(cube[:4], order), 2
+    family = index.RhoFamily(base, index.worm_psi_basis())
+    sign = {"worm": 0.0, "+psi": 1.0, "-psi": -1.0}[name]
+    return family.realize(sign * np.eye(family.dim)[0]).rho(annulus, order), 2
+
+
+@pytest.mark.parametrize("name", ["worm", "+psi", "-psi", "egg", "ball",
+                                  "affine"])
+def test_order3_wirtinger_matches_the_oracle(name):
+    rho, n = _conversion_case(name, 3)
+    count = rho.value.shape[0]
+    if name == "affine":  # its d1, d2 and d3 are the same at every point
+        assert rho.d1.shape[-1] == rho.d2.shape[-1] == rho.d3.shape[-1] == 1
+    w = jets.wirtinger(rho, n)
+    for field in ("value", "grad", "hess_mixed", "hess", "third"):
+        assert getattr(w, field).shape[-1] == count, field
+    for b in range(count):
+        one = rho.take(b)
+        dz = [reference.wirt(one, k) for k in range(n)]  # jets of rho_{z_k}
+        hess = np.array([[reference.wirt_value(dz[m], l) for m in range(n)]
+                         for l in range(n)])
+        third = np.array([[[reference.wirtbar_value(reference.wirtbar(dz[k], m), l)
+                            for l in range(n)] for m in range(n)]
+                          for k in range(n)])
+        for got, want in ((w.hess[..., b], hess), (w.third[..., b], third)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        # one point without a batch axis converts to data without one
+        alone = jets.wirtinger(one, n)
+        for field in ("grad", "hess_mixed", "hess", "third"):
+            assert np.array_equal(getattr(alone, field),
+                                  getattr(w.take(b), field)), field
+    # an order-2 jet gives the same data without the order-3 tensors
+    w2 = jets.wirtinger(_conversion_case(name, 2)[0], n)
+    assert w2.hess is None and w2.third is None
+    for field in ("value", "grad", "hess_mixed"):
+        assert np.array_equal(getattr(w2, field), getattr(w, field)), field
 
 
 def test_coords_roundtrip():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import re
@@ -22,6 +23,23 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     missing = [attr for attr in dfindex.__all__ if not hasattr(dfindex, attr)]
     assert missing == []
+
+
+def test_only_jets_converts_real_jets():
+    # jets.wirtinger is the one real-to-complex conversion: the Levi and
+    # D'Angelo layers read no real jet tensor, and no module but jets
+    # broadcasts a singleton batch axis
+    for path in sorted(Path(dfindex.__file__).resolve().parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        if path.stem in ("dangelo", "levi"):
+            assert not names & {"d1", "d2", "d3"}, path.name
+        if path.stem != "jets":
+            assert "broadcast_to" not in names, path.name
 
 
 def test_runtime_dependencies_are_numpy_alone():
