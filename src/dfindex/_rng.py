@@ -1,18 +1,16 @@
-"""numpy's default_rng streams in plain Python, for drawing rays.
+"""numpy's default_rng normal stream in plain Python, for drawing rays.
 
-normal(seed, count, size) and uniform(seed, low, high, size) return what
-``numpy.random.default_rng([seed, i]).normal(size=size)`` for i < count and
-``numpy.random.default_rng(seed).uniform(low, high, size)`` return under
+normal(seed, count, size) returns as its row i < count what
+``numpy.random.default_rng([seed, i]).normal(size=size)`` returns under
 numpy 2.4.6, bit for bit, without importing numpy.random (about 5 MB of
-resident memory).  The chain is numpy's own: SeedSequence (a pool of four
-32-bit words) seeds a PCG64 generator (a 128-bit LCG with XSL-RR output),
-whose 64-bit words feed the 256-layer ziggurat for normals and
-(u >> 11) 2^-53 for uniforms; the ziggurat tables are numpy's, copied
-below.  The hash constants of SeedSequence do not depend on the data, so
-their sequences are computed once, at import, and the hashing runs on
-uint32 arrays over all streams of a call at once.  numpy's compatibility
-policy (NEP 19) does not promise the same Generator stream across releases;
-this one stays fixed.
+resident memory).  The chain is numpy's own: SeedSequence (a
+pool of four 32-bit words) seeds a PCG64 generator (a 128-bit LCG with
+XSL-RR output), whose 64-bit words feed the 256-layer ziggurat; the
+ziggurat tables are numpy's, copied below.  The hash constants of
+SeedSequence do not depend on the data, so their sequences are computed
+once, at import, and the hashing runs on uint32 arrays over all streams of
+a call at once.  numpy's compatibility policy (NEP 19) does not promise the
+same Generator stream across releases; this one stays fixed.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["normal", "uniform"]
+__all__ = ["normal"]
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -92,11 +90,12 @@ def _words(n):
     return out
 
 
-def _pcg_seeds(words, count):
-    """PCG64 (state, increment) of ``count`` streams, seeded as numpy seeds
+def _pcg_seeds(words):
+    """PCG64 (state, increment) of a batch of streams, seeded as numpy seeds
     them (SeedSequence.mix_entropy, generate_state(4, uint64), then
-    pcg_setseq_128_srandom_r) from the entropy ``words``: each one an int
-    shared by every stream or a uint32 array with one word per stream."""
+    pcg_setseq_128_srandom_r) from the entropy ``words``: ints shared by
+    every stream, then one uint32 array with one word per stream, which
+    the mixing carries into every pool word."""
     words = words + [0] * (_POOL_SIZE - len(words))
     pool = [_hash(w, *pair) for w, pair in zip(words, _MIX_PAIRS)]
     for (src, dst), pair in zip(_MIX_ORDER, _MIX_PAIRS[_POOL_SIZE:]):
@@ -110,7 +109,7 @@ def _pcg_seeds(words, count):
                          _hash(words[_POOL_SIZE + k // _POOL_SIZE], *pair))
     s = [_hash(pool[k % _POOL_SIZE], *pair)
          for k, pair in enumerate(_STATE_PAIRS)]
-    s = [w.tolist() if isinstance(w, np.ndarray) else [w] * count for w in s]
+    s = [w.tolist() for w in s]
     seeds = []
     for s0, s1, s2, s3, s4, s5, s6, s7 in zip(*s):
         # the uint32 words read as little-endian uint64: the seed is
@@ -166,15 +165,8 @@ def normal(seed, count, size):
     words = _words(seed) + [np.arange(count, dtype=np.uint32)]
     # numpy returns loc + scale x = 0.0 + x, which turns -0.0 into 0.0
     out = [_standard_normals(_stream(*pcg).__next__, size)
-           for pcg in _pcg_seeds(words, count)]
+           for pcg in _pcg_seeds(words)]
     return np.array(out).reshape(count, size) + 0.0
-
-
-def uniform(seed, low, high, size):
-    """The list of ``size`` draws of default_rng(seed).uniform(low, high)."""
-    next64 = _stream(*_pcg_seeds(_words(seed), 1)[0]).__next__
-    span = high - low
-    return [low + span * ((next64() >> 11) * _ULP) for _ in range(size)]
 
 
 # fi_double, wi_double (256 float64 each) and ki_double (256 uint64) of

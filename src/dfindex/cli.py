@@ -70,6 +70,15 @@ def _stamp(payload):
     return payload
 
 
+def _verdict(payload, path, passed, failure):
+    """Write a verification subcommand's stamped payload, then raise
+    VerificationError(failure) if its check did not pass."""
+    _write_json(_stamp(dict(payload)), path)
+    if not passed:
+        raise VerificationError(failure)
+    return EXIT_OK
+
+
 def _domain_from_args(args):
     if args.expr:
         return exprparse.parse_expression(args.expr, n=args.dim)
@@ -203,12 +212,10 @@ def cmd_verify_levi(args):
         raise ValueError("verify-levi needs at least one --t value")
     results = [run_verify_levi(args.beta, t, args.count, args.seed)
                for t in args.t]
-    payload = {"results": results}
-    _write_json(_stamp(payload), args.output)
-    if not all(r["passed"] for r in results):
-        raise VerificationError(
-            "closed-form Levi comparison failed: " + json.dumps(results))
-    return EXIT_OK
+    return _verdict({"results": results}, args.output,
+                    all(r["passed"] for r in results),
+                    "closed-form Levi comparison failed: "
+                    + json.dumps(results))
 
 
 # -- schur-test -------------------------------------------------------------------
@@ -263,11 +270,8 @@ def run_schur_suite(count=1000, seed=0):
 
 def cmd_schur_test(args):
     result = run_schur_suite(count=args.count, seed=args.seed)
-    _write_json(_stamp(dict(result)), args.output)
-    if not result["passed"]:
-        raise VerificationError("Schur property suite failed: "
-                                + json.dumps(result))
-    return EXIT_OK
+    return _verdict(result, args.output, result["passed"],
+                    "Schur property suite failed: " + json.dumps(result))
 
 
 # -- phi-check --------------------------------------------------------------------
@@ -316,11 +320,8 @@ def run_phi_check(beta):
 
 def cmd_phi_check(args):
     result = run_phi_check(args.beta)
-    _write_json(_stamp(dict(result)), args.output)
-    if not result["passed"]:
-        raise VerificationError("phi axiom suite failed: "
-                                + json.dumps(result))
-    return EXIT_OK
+    return _verdict(result, args.output, result["passed"],
+                    "phi axiom suite failed: " + json.dumps(result))
 
 
 # -- argument plumbing ------------------------------------------------------------
@@ -414,8 +415,8 @@ def _load_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise exprparse.ParseError(
-                    f"config line {lineno} is not key=value: {line!r}", 0)
+                raise ValueError(
+                    f"config line {lineno} is not key=value: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             tokens += [f"--{key.replace('_', '-')}", value]
     return tokens

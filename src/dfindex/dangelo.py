@@ -45,8 +45,6 @@ null_forms evaluates both forms as one array expression over a batch of
 (point, null direction) columns.  It reads the four Wirtinger tensors of
 jets.wirtinger (grad, hess, hess_mixed, third), never the real jet, so
 jets.wirtinger is the one place where d/dz and d/dzbar are formed.
-PointCalculus, kept only for the benchmark's tracer, is the same at one
-boundary point.
 """
 
 from __future__ import annotations
@@ -55,11 +53,7 @@ import numpy as np
 
 from . import jets
 
-__all__ = [
-    "DAngeloError",
-    "PointCalculus",
-    "null_forms",
-]
+__all__ = ["DAngeloError", "null_forms"]
 
 IMAG_RESIDUE_TOL = 1e-8  # |Im| of dbar relative to its summed terms
 TANGENT_TOL = 1e-8       # |sum rho_k L^k| relative to |d'rho| |L|
@@ -110,18 +104,14 @@ def null_forms(w, L):
 
 
 class PointCalculus:
-    """null_forms at one boundary point, a batch of one.
+    """The Wirtinger data of rho's order-3 jet at one boundary point, as a
+    batch of one.
 
-    Nothing in the package or its tests calls it; its one remaining user is
-    benchmarks/tracing.py, which patches __init__ through the class
-    __dict__.  Delete it once the tracer stops doing that.
+    Nothing in the package or its tests uses it: it stays only because
+    benchmarks/tracing.py patches its __init__ through the class __dict__.
+    Delete it once the tracer stops doing that.
     """
 
     def __init__(self, domain, point):
         self.wirt = jets.wirtinger(domain.rho(point.coords[:, None], order=3),
                                    domain.n)
-
-    def forms(self, L):
-        """(omega(L), dbar_omega(L, Lbar)) for Levi-null vectors L, (n, B),
-        all at this point: a (B,) complex and a (B,) real array."""
-        return null_forms(self.wirt.take(np.zeros(np.shape(L)[1], int)), L)

@@ -466,14 +466,19 @@ def _ray_roots(domain, anchor, directions):
     """First zero of rho along anchor + s*direction for every column of
     ``directions`` (2n, B), by bracketing + bisection + Newton polish with
     all rays in lockstep.  Returns the roots as rows of a (B, 2n) array, or
-    raises if a ray exits SEARCH_RADIUS without a sign change."""
+    raises if a ray exits SEARCH_RADIUS without a sign change or if rho is
+    NaN or infinite at any probe."""
     count = directions.shape[1]
     # per-ray slopes as contiguous length-2n dot products, the same BLAS
     # kernel, and so the same rounding, as one ray's d1 @ direction
     rows = np.ascontiguousarray(directions.T)
 
-    def probe(s, rays):
-        return domain.rho(anchor[:, None] + s * directions[:, rays], 1)
+    def probe(s, rays, finite=True):
+        with np.errstate(all="ignore"):  # a non-finite value raises below
+            j = domain.rho(anchor[:, None] + s * directions[:, rays], 1)
+        if finite and not np.isfinite(j.value).all():
+            raise DomainError("rho is not finite on a ray from the anchor")
+        return j
 
     # expand outward until the sign flips
     lo, hi = np.zeros(count), np.zeros(count)
@@ -491,7 +496,7 @@ def _ray_roots(domain, anchor, directions):
             singular = []
             for i in rays:
                 try:
-                    probe(s[i], [i])
+                    probe(s[i], [i], finite=False)
                 except DomainError:
                     singular.append(i)
             if not singular:

@@ -16,23 +16,21 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from . import _rng, jets
+from . import jets
 from .domains import DomainSpec
 
 __all__ = ["ParseError", "parse", "parse_expression"]
 
 FUNCTIONS = ("abs2", "re", "im", "exp", "log", "sqrt", "sin", "cos")
-# parse_expression checks realness at REALNESS_POINTS points, those of
-# numpy's default_rng(REALNESS_SEED).uniform(0.3, 1.7, (REALNESS_POINTS, 2n))
-# (drawn by _rng, without numpy.random), to IMAG_PART_TOL relative to the
-# jet's value and gradient
+# parse_expression checks realness at the first REALNESS_POINTS points of
+# the Kronecker (R_d) sequence in [0.3, 1.7]^2n, to IMAG_PART_TOL relative
+# to the jet's value and gradient
 REALNESS_POINTS = 8
-REALNESS_SEED = 7
 IMAG_PART_TOL = 1e-9
 
 _TOKEN_RE = re.compile(r"""
@@ -50,23 +48,27 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} at position {position}")
         self.position = position
-        self.reason = message
 
 
+# each AST node's pos is the source position of its token (a Bin's is its
+# operator's), which semantic errors report; it takes no part in equality
 @dataclass(frozen=True)
 class Num:
     value: float
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
     index: int  # zero-based
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     name: str
     arg: object
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,13 @@ class Bin:
     op: str
     left: object
     right: object
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     child: object
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -135,15 +138,15 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
+            op = self.advance()
+            node = Bin(op.text, node, self.term(), op.pos)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.unary())
+            op = self.advance()
+            node = Bin(op.text, node, self.unary(), op.pos)
         return node
 
     def unary(self):
@@ -151,14 +154,14 @@ class _Parser:
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             child = self.unary()
-            return child if tok.text == "+" else Neg(child)
+            return child if tok.text == "+" else Neg(child, tok.pos)
         return self.primary()
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text), tok.pos)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -166,13 +169,13 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(name, arg)
+                return Call(name, arg, tok.pos)
             m = re.fullmatch(r"z(\d+)", name)
             if m:
                 index = int(m.group(1))
                 if index < 1:
                     raise ParseError("variable indices start at z1", tok.pos)
-                return Var(index - 1)
+                return Var(index - 1, tok.pos)
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
@@ -187,14 +190,13 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def max_var_index(node):
+def _vars(node):
+    """The Var nodes of an AST, in source order."""
     if isinstance(node, Var):
-        return node.index + 1
-    if isinstance(node, Bin):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    if isinstance(node, (Call, Neg)):
-        return max_var_index(getattr(node, "arg", None) or node.child)
-    return 0
+        yield node
+    for child in (getattr(node, f.name) for f in fields(node)):
+        if isinstance(child, (Num, Var, Call, Bin, Neg)):
+            yield from _vars(child)
 
 
 _JET_FN = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
@@ -205,7 +207,7 @@ def _eval(node, zvars):
     """The jet of node, or its value if it is a constant, which must be finite."""
     out = _eval_node(node, zvars)
     if not isinstance(out, jets.Jet) and not cmath.isfinite(out):
-        raise ParseError("constant sub-expression is not finite", 0)
+        raise ParseError("constant sub-expression is not finite", node.pos)
     return out
 
 
@@ -226,7 +228,7 @@ def _eval_node(node, zvars):
         if node.op == "*":
             return a * b
         if not isinstance(b, jets.Jet) and b == 0:
-            raise ParseError("division by zero", 0)
+            raise ParseError("division by zero", node.pos)
         return a / b
     if isinstance(node, Call):
         arg = _eval(node.arg, zvars)
@@ -260,33 +262,42 @@ def _eval_at(node, coords, n, order):
     return out
 
 
+def _realness_points(d):
+    """Points i = 1..REALNESS_POINTS of the Kronecker (R_d) sequence
+    frac(1/2 + i alpha) in [0.3, 1.7]^d, the columns of a (d, points) array:
+    alpha_k = g^-k, k = 1..d, with g the positive root of x^(d+1) = x + 1."""
+    g = 2.0
+    for _ in range(64):  # a contraction, by a factor below 1/(d + 1)
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    i = np.arange(1, REALNESS_POINTS + 1)
+    return 0.3 + 1.4 * ((0.5 + np.outer(g ** -np.arange(1.0, d + 1), i)) % 1.0)
+
+
 def parse_expression(text, n=None):
     """Parse text into a DomainSpec over C^n.
 
     If n is omitted it is inferred from the highest variable index.  The
     top-level expression must be real-valued, which is checked at the
-    REALNESS_POINTS fixed points that REALNESS_SEED draws before the domain
-    is accepted.
+    REALNESS_POINTS fixed points of _realness_points before the domain is
+    accepted; a NaN value there is left to boundary_scan's checks to reject.
     """
     ast = parse(text)
-    used = max_var_index(ast)
-    if used == 0 and n is None:
+    var = max(_vars(ast), key=lambda v: v.index, default=None)
+    if var is None and n is None:
         raise ParseError("expression uses no variables", 0)
     if n is None:
-        n = used
-    if used > n:
-        raise ParseError(
-            f"unknown identifier: z{used} exceeds declared dimension n={n}",
-            text.find(f"z{used}") if f"z{used}" in text else 0)
+        n = var.index + 1
+    if var is not None and var.index >= n:
+        raise ParseError(f"unknown identifier: z{var.index + 1} exceeds "
+                         f"declared dimension n={n}", var.pos)
 
-    coords = np.array(_rng.uniform(REALNESS_SEED, 0.3, 1.7,
-                                   REALNESS_POINTS * 2 * n))
-    coords = coords.reshape(REALNESS_POINTS, 2 * n).T
-    # one batch of all points, with d1 and d2 broadcast over it
-    j = _eval_at(ast, coords, n, order=2).take(np.arange(REALNESS_POINTS))
-    d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
-    imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
-    scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
+    with np.errstate(all="ignore"):
+        # one batch of all points, with d1 and d2 broadcast over it
+        j = _eval_at(ast, _realness_points(2 * n), n, order=2).take(
+            np.arange(REALNESS_POINTS))
+        d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
+        imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
+        scale = 1.0 + np.abs(j.value) + np.abs(d1).max(axis=0)
     if np.any(imag > IMAG_PART_TOL * scale):
         raise ParseError("expression is not real-valued", 0)
 

@@ -125,40 +125,33 @@ def _smooth_step(x):
                     *(np.where(one, 0.0, d) for d in parts))
 
 
-def _scatter(count, pieces, nvars, order):
-    """Jet over a batch of ``count`` points that is 0 except on the columns
-    of each (columns, jet) piece, where it is that jet."""
-    arrays = [np.zeros((nvars,) * k + (count,)) for k in range(order + 1)]
-    for idx, j in pieces:
-        for a, part in zip(arrays, (j.value, j.d1, j.d2, j.d3)):
-            a[..., idx] = part
-    return jets.Jet(nvars, order, *arrays)
+def _scatter(count, columns, j):
+    """Jet over a batch of ``count`` points that is 0 except on ``columns``,
+    where it is the jet j."""
+    arrays = [np.zeros((j.nvars,) * k + (count,)) for k in range(j.order + 1)]
+    for a, part in zip(arrays, (j.value, j.d1, j.d2, j.d3)):
+        a[..., columns] = part
+    return jets.Jet(j.nvars, j.order, *arrays)
 
 
 def _log_cos_factor(kappa, r0):
     """psi = log(cos(kappa u))/kappa in u = log|w|^2 on |u| <= r0, blended
     C^inf to 0 on r0 < |u| < r0 + h, h = (pi/(2 kappa) - r0)/2, and 0 beyond,
-    where the logarithm ceases to exist.  Each region is evaluated on its own
-    columns of the batch, so log and cos never see an argument outside their
-    domain."""
+    where the logarithm ceases to exist.  The product of log-cos and the
+    blending step is evaluated on the columns with |u| < r0 + h alone, so
+    log and cos never see an argument outside their domain; on |u| <= r0
+    the step is the exact constant-1 jet (_smooth_step)."""
     h = 0.5 * (0.5 * math.pi / kappa - r0)
-
-    def log_cos(u):
-        return (1.0 / kappa) * jets.log(jets.cos(kappa * u))
 
     def fn(coords, order=3):
         x1, y1, x2, y2 = jets.lift(coords, order)
         u = jets.log(x2 * x2 + y2 * y2)
-        a = np.abs(u.value)
-        inner = np.flatnonzero(a <= r0)
-        edge = np.flatnonzero((a > r0) & (a < r0 + h))
-        pieces = [(inner, log_cos(u.take(inner)))]
-        if edge.size:
-            ue = u.take(edge)
-            abs_u = ue * np.copysign(1.0, ue.value)
-            pieces.append((edge, log_cos(ue)
-                           * _smooth_step((1.0 / h) * (r0 + h - abs_u))))
-        return _scatter(a.size, pieces, u.nvars, order)
+        near = np.flatnonzero(np.abs(u.value) < r0 + h)
+        u = u.take(near)
+        abs_u = u * np.copysign(1.0, u.value)
+        psi = ((1.0 / kappa) * jets.log(jets.cos(kappa * u))
+               * _smooth_step((1.0 / h) * (r0 + h - abs_u)))
+        return _scatter(coords.shape[1], near, psi)
 
     return fn
 

@@ -181,10 +181,12 @@ def test_config_file_with_override(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 7
 
 
-def test_config_file_bad_line(tmp_path):
+def test_config_file_bad_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("count 4\n")
     assert run(["sample", "--config", str(cfg)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: config line 1 is not key=value: 'count 4'\n")
 
 
 def test_config_file_missing(tmp_path):
@@ -267,6 +269,12 @@ def test_unknown_option_exits_two(capsys):
     ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*log(0)"],
     ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*exp(1000)"],
     ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*log(abs2(z1)-0.5)"],
+    # NaN along rays but not at the anchor
+    ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*log(0.5+abs2(z1)-abs2(z2))"],
+    ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*sqrt(0.5-abs2(z2))"],
+    # NaN at some realness points, which parse_expression evaluates without
+    # a RuntimeWarning, and at the anchor
+    ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*log(abs2(z1)-1.5)"],
 ])
 def test_sample_count_without_a_verdict_is_input_error(argv, tmp_path, capsys):
     assert run(argv + ["--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT

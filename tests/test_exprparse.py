@@ -34,10 +34,13 @@ def test_unary_minus():
     ("z1 @ z2", 3),
     ("foo(z1)", 0),
     ("z0 + 1", 0),
+    # semantic errors point at their node: the '/' and the 'log'
+    ("abs2(z1)+abs2(z2)-1/0", 19),
+    ("abs2(z1)+abs2(z2)-1+0*log(0)", 22),
 ])
 def test_error_positions(text, pos):
     with pytest.raises(ParseError) as err:
-        exprparse.parse(text)
+        exprparse.parse_expression(text)
     assert err.value.position == pos
 
 
@@ -108,6 +111,10 @@ def test_parse_expression_dimension_inference_and_override():
     assert dm.n == 3
     with pytest.raises(ParseError, match="exceeds declared dimension"):
         exprparse.parse_expression("abs2(z3) - 1", n=2)
+    # the error points at the highest variable, its leftmost occurrence
+    with pytest.raises(ParseError, match="z3 exceeds") as err:
+        exprparse.parse_expression("abs2(z1) + abs2(z3) - abs2(z3)", n=2)
+    assert err.value.position == 16
 
 
 def test_parse_expression_rejects_complex_valued():
