@@ -79,42 +79,46 @@ def _verdict(payload, path, passed, failure):
     return EXIT_OK
 
 
-def _domain_from_args(args):
+def _domain_and_anchor(args):
+    """The domain that analyze or sample names, the interior anchor of its
+    rays, and whether it is the worm.  --dim sets the dimension of the ball
+    (2 by default) and of an expression; for the worm and an ellipsoid it
+    may only repeat theirs."""
+    worm = not args.expr and args.domain == "worm"
+    if args.dim is not None and args.dim < 1:
+        raise domains.DomainError(f"--dim must be at least 1, got {args.dim}")
     if args.expr:
-        return exprparse.parse_expression(args.expr, n=args.dim)
-    if args.domain == "worm":
-        return domains.worm_rho(args.beta, args.t)
-    if args.domain == "ball":
-        return domains.ball(args.dim or 2)
-    if not args.coeffs:
+        domain = exprparse.parse_expression(args.expr, n=args.dim)
+    elif worm:
+        domain = domains.worm_rho(args.beta, args.t)
+    elif args.domain == "ball":
+        domain = domains.ball(args.dim or 2)
+    elif args.coeffs:
+        domain = domains.ellipsoid(args.coeffs)
+    else:
         raise domains.DomainError("ellipsoid requires --coeffs")
-    return domains.ellipsoid(args.coeffs)
-
-
-def _anchor_for(args, domain):
+    if args.dim not in (None, domain.n):
+        raise domains.DomainError(f"--dim {args.dim} does not match the "
+                                  f"{args.domain}, a domain in C^{domain.n}")
+    anchor = index.WORM_ANCHOR.copy() if worm else np.zeros(2 * domain.n)
     if args.anchor is not None:
-        return args.anchor  # domains.boundary_scan checks its size
-    if domain.kind == "worm":
-        return index.WORM_ANCHOR.copy()
-    return np.zeros(2 * domain.n)
+        anchor = args.anchor  # domains.boundary_scan checks its size
+    return domain, anchor, worm
 
 
 # -- analyze ----------------------------------------------------------------------
 
 
 def cmd_analyze(args):
-    if args.expr or args.domain != "worm":
-        domain = _domain_from_args(args)
-        report = index.sampled_report(domain, _anchor_for(args, domain),
-                                      args.count, args.seed)
-        label = args.expr or args.domain
-    else:
+    domain, anchor, worm = _domain_and_anchor(args)
+    if worm:
         report = index.worm_fiber_report(
             args.beta, args.t, annulus_count=args.annulus_count,
-            spc_count=args.spc_count, seed=args.seed)
-        label = "worm"
+            spc_count=args.spc_count, seed=args.seed, domain=domain)
+    else:
+        report = index.sampled_report(domain, anchor, args.count, args.seed)
     payload = report.to_dict()
-    payload["domain"] = label
+    payload["domain"] = args.expr or args.domain
     _write_json(_stamp(payload), args.output)
     s_text = "inf" if report.s_upper == math.inf else f"{report.s_upper:.6f}"
     print(f"df_lower = {report.df_lower:.6f}  s_upper = {s_text}  "
@@ -150,8 +154,7 @@ def cmd_sweep(args):
 
 
 def cmd_sample(args):
-    domain = _domain_from_args(args)
-    anchor = _anchor_for(args, domain)
+    domain, anchor, _ = _domain_and_anchor(args)
     scan = domains.boundary_scan(domain, anchor, args.count, seed=args.seed)
     domains.samples_to_csv(scan, args.output)
     print(f"wrote {args.count} boundary samples to {args.output}",
@@ -175,9 +178,9 @@ def worm_levi_closed_form(phi, z, w, tsq=0.0):
     """
     u = np.log(np.abs(w) ** 2)
     g = z - np.exp(1j * u)
-    first = 1j * np.conj(z) * g + phi.d1(u)
-    inner = np.abs(first) ** 2 + np.abs(g) ** 2 * (phi.value(u) + phi.d2(u)
-                                                     + tsq)
+    value, d1, d2 = phi.derivatives(u, 0, 2)
+    first = 1j * np.conj(z) * g + d1
+    inner = np.abs(first) ** 2 + np.abs(g) ** 2 * (value + d2 + tsq)
     return np.exp(2.0 * np.angle(w)) / np.abs(w) ** 2 * inner
 
 
@@ -198,7 +201,7 @@ def run_verify_levi(beta, t, count, seed):
     z, w = z[used], w[used]
     lhs = (levi.levi_batch(scan.wirt).M[used, 0, 0].real
            * np.exp(2.0 * np.angle(w)))
-    rhs = worm_levi_closed_form(domain.params["phi"], z, w, tsq=abs(t) ** 2)
+    rhs = worm_levi_closed_form(domains.make_phi(beta), z, w, abs(t) ** 2)
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
                                          1e-10)
     max_rel = float(np.max(rel, initial=0.0))
@@ -280,11 +283,11 @@ def cmd_schur_test(args):
 def run_phi_check(beta):
     """Axiom suite for the profile function phi."""
     phi = domains.make_phi(beta)
-    r, a = phi.r, phi.a
+    r, a = phi.r, phi.r + 1.0  # phi(a) = 1
     xs = np.linspace(-a - 1.0, a + 1.0, PHI_CHECK_POINTS)
-    vals = phi.value(xs)
-    second = phi.d2(xs)
-    even_defect = np.abs(vals - phi.value(-xs)).max()
+    vals, _, second = phi.derivatives(xs, 0, 2)
+    even_defect = np.abs(vals - phi.derivatives(-xs, 0, 0)[0]).max()
+    value_at_a, slope_at_a = phi.derivatives(a, 0, 1)
     inside = np.abs(xs) <= r
     zero_on_interval = float(np.abs(vals[inside]).max())
     # exp(-1/s) underflows for s below ~1/745, so positivity immediately
@@ -302,8 +305,8 @@ def run_phi_check(beta):
         "zero_on_interval": zero_on_interval,
         "positive_outside_interval": positive_outside,
         "monotone_outward": monotone_outward,
-        "value_at_a": float(phi.value(a)),
-        "slope_at_a": float(phi.d1(a)),
+        "value_at_a": float(value_at_a),
+        "slope_at_a": float(slope_at_a),
         "quadrature_error": float(quad_err),
     }
     passed = (checks["nonnegative"]

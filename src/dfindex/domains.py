@@ -22,7 +22,7 @@ where a caller asks for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .jets import Jet, WirtingerData, coords_of_point, point_of_coords
 
 __all__ = [
     "DomainError",
+    "annulus_radius",
     "PhiSpec",
     "make_phi",
     "DomainSpec",
@@ -225,6 +226,13 @@ def ramp_derivatives(s, first, last):
     return [d.reshape(shape) for d in out]
 
 
+def annulus_radius(beta):
+    """r = beta - pi/2 for a finite beta > pi/2; phi's zero set is [-r, r]."""
+    if not (math.isfinite(beta) and beta > math.pi / 2):
+        raise DomainError(f"beta must be finite and exceed pi/2, got {beta}")
+    return beta - math.pi / 2
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """Even convex profile phi with phi^{-1}(0) = [-r, r] and phi(r+1) = 1.
@@ -233,15 +241,10 @@ class PhiSpec:
     For r > 0 this is the one live branch of K * (ramp(x - r) + ramp(-x - r)),
     so phi^(k)(x) = sign(x)^k K ramp^(k)(|x| - r), every order from one
     ramp_derivatives call.  K = RAMP_NORMALIZER normalizes phi(r + 1) = 1,
-    which fixes the threshold a = r + 1 beyond which phi exceeds 1 with
-    nonvanishing slope.
+    beyond which phi exceeds 1 with nonvanishing slope.
     """
 
     r: float
-
-    @property
-    def a(self):
-        return self.r + 1.0
 
     def derivatives(self, x, first, last):
         """phi^(k)(x) for k = first..last, 0 <= first <= last <= 3."""
@@ -250,15 +253,6 @@ class PhiSpec:
         odd = np.copysign(RAMP_NORMALIZER, x)
         return [(odd if k % 2 else RAMP_NORMALIZER) * d
                 for k, d in enumerate(ramps, first)]
-
-    def value(self, x):
-        return self.derivatives(x, 0, 0)[0]
-
-    def d1(self, x):
-        return self.derivatives(x, 1, 1)[0]
-
-    def d2(self, x):
-        return self.derivatives(x, 2, 2)[0]
 
     def jet(self, xj: Jet) -> Jet:
         """phi composed with xj; only the derivatives its order needs."""
@@ -273,22 +267,22 @@ def make_phi(beta):
     there indicates a bug, not bad input.  The value-level axioms are
     cli.run_phi_check's.
     """
-    if not beta > math.pi / 2:
-        raise DomainError(f"beta must exceed pi/2, got {beta}")
-    r = beta - math.pi / 2
+    r = annulus_radius(beta)
     phi = PhiSpec(r=r)
 
     xs = np.linspace(-r - 3.0, r + 3.0, 2001)
-    if np.any(phi.d2(xs) < -1e-12):
+    d1, d2 = phi.derivatives(xs, 1, 2)
+    if np.any(d2 < -1e-12):
         raise DomainError("profile self-check failed: convexity")
+    # values on [-r, r] only: past r each costs a table or series evaluation
     inside = np.abs(xs) <= r
-    if np.any(np.abs(phi.value(xs[inside])) > 1e-12):
+    if np.any(np.abs(phi.derivatives(xs[inside], 0, 0)[0]) > 1e-12):
         raise DomainError("profile self-check failed: zero set too small")
     # outside [-r, r], phi grows away from the interval: phi' points outward,
     # strictly from r + 0.01 on (exp(-1/s) underflows to 0 for s below about
     # 1/745); the values are checked by phi-check.
     outside = xs[~inside]
-    slope = np.sign(outside) * phi.d1(outside)
+    slope = np.sign(outside) * d1[~inside]
     if np.any(slope < 0) or np.any(slope[np.abs(outside) >= r + 0.01] <= 0):
         raise DomainError("profile self-check failed: zero set too large")
     return phi
@@ -324,9 +318,7 @@ class DomainSpec:
     """
 
     n: int
-    kind: str
-    params: dict = field(default_factory=dict)
-    eval_fn: Callable[[np.ndarray, int], Jet] = None
+    eval_fn: Callable[[np.ndarray, int], Jet]
 
     def rho(self, coords, order=3) -> Jet:
         """eval_fn at coords (2n, B); one point (2n,) is read as a batch of
@@ -425,39 +417,33 @@ def worm_rho(beta, t):
         dim = y1 - jets.sin(u)
         return dre * dre + dim * dim - (1.0 - tsq) + phi.jet(u)
 
-    return DomainSpec(n=2, kind="worm",
-                      params={"beta": beta, "t": t, "phi": phi}, eval_fn=ev)
+    return DomainSpec(n=2, eval_fn=ev)
 
 
 def ball(n=2):
-    """Unit ball: sum |z_i|^2 - 1."""
-
-    def ev(coords, order=3):
-        xs = jets.lift(coords, order)
-        acc = xs[0] * xs[0]
-        for x in xs[1:]:
-            acc = acc + x * x
-        return acc - 1.0
-
-    return DomainSpec(n=n, kind="ball", eval_fn=ev)
+    """Unit ball in C^n: sum |z_k|^2 - 1."""
+    return ellipsoid(np.ones(n))
 
 
 def ellipsoid(coeffs):
-    """Ellipsoid: sum c_i |z_i|^2 - 1 with positive coefficients."""
+    """Ellipsoid in C^n: sum c_k |z_k|^2 - 1, n >= 1 finite positive c_k,
+    summed one real coordinate x_j at a time, c_k x_j^2 in coordinate order
+    (so for c_k = 1 it rounds as the plain sum of squares does)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if np.any(coeffs <= 0):
-        raise DomainError("ellipsoid coefficients must be positive")
-    n = coeffs.size
+    if not (coeffs.ndim == 1 and coeffs.size
+            and np.all((coeffs > 0) & (coeffs < math.inf))):
+        raise DomainError(f"an ellipsoid takes one or more finite positive "
+                          f"coefficients, got {coeffs.tolist()}")
+    weights = np.repeat(coeffs, 2)  # one per real coordinate
 
     def ev(coords, order=3):
         xs = jets.lift(coords, order)
-        acc = None
-        for i, c in enumerate(coeffs):
-            term = c * (xs[2 * i] * xs[2 * i] + xs[2 * i + 1] * xs[2 * i + 1])
-            acc = term if acc is None else acc + term
+        acc = weights[0] * (xs[0] * xs[0])
+        for c, x in zip(weights[1:], xs[1:]):
+            acc = acc + c * (x * x)
         return acc - 1.0
 
-    return DomainSpec(n=n, kind="ellipsoid", params={"coeffs": coeffs}, eval_fn=ev)
+    return DomainSpec(n=coeffs.size, eval_fn=ev)
 
 
 # -- boundary sampling --------------------------------------------------------
@@ -585,9 +571,9 @@ def annulus_points(beta, count, domain=None):
     if count < 3:
         raise DomainError(f"annulus point count must be at least 3 (both "
                           f"ends and the middle), got {count}")
+    r = annulus_radius(beta)
     if domain is None:
         domain = worm_rho(beta, 0.0)
-    r = beta - math.pi / 2
     us = np.linspace(-r, r, count)
     us[count // 2] = 0.0
     # one boundary_batch over all us gives the same points faster, a one-line

@@ -304,5 +304,4 @@ def parse_expression(text, n=None):
     def ev(coords, order=3):
         return _eval_at(ast, coords, n, order).real_part()
 
-    return DomainSpec(n=n, kind="custom", params={"expression": text, "ast": ast},
-                      eval_fn=ev)
+    return DomainSpec(n=n, eval_fn=ev)

@@ -169,9 +169,7 @@ def worm_psi_basis(beta=3.0 * math.pi / 4.0):
     annulus each member is blended to 0 (_log_cos_factor), so its annulus
     jets are exactly those of psi_kappa.
     """
-    if not beta > math.pi / 2:
-        raise domains.DomainError(f"beta must exceed pi/2, got {beta}")
-    r0 = beta - math.pi / 2
+    r0 = domains.annulus_radius(beta)
     kappa_star = math.pi / (2.0 * r0)
     return [_log_cos_factor((1.0 - eps) * kappa_star, r0)
             for eps in LOG_COS_GAPS]
@@ -216,10 +214,7 @@ class RhoFamily:
                 psi = term if psi is None else psi + term
             return (jets.exp(psi) * self.base.rho(coords, order)).real_part()
 
-        return domains.DomainSpec(
-            n=self.base.n, kind=self.base.kind + "+conformal",
-            params={"base": self.base.kind, "coefficients": tuple(params)},
-            eval_fn=ev)
+        return domains.DomainSpec(n=self.base.n, eval_fn=ev)
 
 
 # -- criterion sampling and closed-form aggregation -----------------------------
@@ -497,15 +492,17 @@ def _worm_ground_truth(beta):
 
 
 def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
-                      seed=0):
+                      seed=0, domain=None):
     """Index report of the worm fiber at deformation parameter t.
 
     Nonzero t goes through sampled_report and raises LeviError unless the
     fiber is found strongly pseudoconvex.  The central fiber certifies the
     extremal factors of worm_psi_basis(beta) on its weak annulus, and its
-    report carries _worm_ground_truth(beta).
+    report carries _worm_ground_truth(beta).  ``domain`` is the
+    worm_rho(beta, t) to analyze; by default it is built here.
     """
-    domain = domains.worm_rho(beta, t)
+    if domain is None:
+        domain = domains.worm_rho(beta, t)
     if t != 0.0:
         report = sampled_report(domain, WORM_ANCHOR, spc_count, seed, t=t,
                                 beta=beta)

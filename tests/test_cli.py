@@ -275,6 +275,13 @@ def test_unknown_option_exits_two(capsys):
     # NaN at some realness points, which parse_expression evaluates without
     # a RuntimeWarning, and at the anchor
     ["analyze", "--expr", "abs2(z1)+abs2(z2)-1+0*log(abs2(z1)-1.5)"],
+    # a dimension or coefficients the domain cannot take
+    ["analyze", "--domain", "ball", "--dim", "0"],
+    ["analyze", "--domain", "ball", "--dim", "-2"],
+    ["analyze", "--domain", "worm", "--dim", "3"],
+    ["sample", "--domain", "worm", "--dim", "3"],
+    ["analyze", "--domain", "ellipsoid", "--coeffs", "1,2", "--dim", "3"],
+    ["analyze", "--domain", "ellipsoid", "--coeffs", "nan,1"],
 ])
 def test_sample_count_without_a_verdict_is_input_error(argv, tmp_path, capsys):
     assert run(argv + ["--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
@@ -294,6 +301,18 @@ def test_anchor_of_the_wrong_size_is_input_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_invalid_beta_is_input_error(tmp_path):
-    assert run(["analyze", "--beta", "1.0", "--t", "0.1", "--spc-count", "10",
-                "--output", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
+# beta at or below pi/2, and beta = inf, which passed a bare beta > pi/2 test
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--beta", "1.0", "--t", "0.1", "--spc-count", "10"],
+    ["analyze", "--beta", "inf", "--t", "0"],
+    ["sweep", "--beta", "inf"],
+    ["phi-check", "--beta", "inf"],
+    ["sample", "--domain", "worm", "--beta", "inf"],
+    ["verify-levi", "--beta", "inf"],
+])
+def test_invalid_beta_is_input_error(argv, tmp_path, capsys):
+    out = tmp_path / "r.out"
+    assert run(argv + ["--output", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -191,7 +191,7 @@ def scaled_worm(c):
         u = jets.log(xs[2] * xs[2] + xs[3] * xs[3])
         return jets.exp((c * u) * u) * base.rho(coords, order)
 
-    return domains.DomainSpec(n=2, kind="custom", params={"c": c}, eval_fn=ev)
+    return domains.DomainSpec(n=2, eval_fn=ev)
 
 
 @pytest.mark.parametrize("c", [0.3, -0.25])

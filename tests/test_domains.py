@@ -12,33 +12,38 @@ R = BETA - math.pi / 2
 
 # -- profile function --------------------------------------------------------------
 
+def phi_k(phi, x, k):
+    """phi^(k)(x), one order of PhiSpec.derivatives."""
+    return phi.derivatives(x, k, k)[0]
+
+
 class TestPhi:
     def setup_method(self):
         self.phi = domains.make_phi(BETA)
 
     def test_interval_parameters(self):
         assert self.phi.r == pytest.approx(R)
-        assert self.phi.a == pytest.approx(R + 1.0)
 
     def test_even_and_nonnegative(self):
         xs = np.linspace(-3.0, 3.0, 801)
         for x in xs:
-            assert self.phi.value(x) >= 0.0
-            assert self.phi.value(x) == self.phi.value(-x)
+            assert phi_k(self.phi, x, 0) >= 0.0
+            assert phi_k(self.phi, x, 0) == phi_k(self.phi, -x, 0)
 
     def test_convex(self):
         xs = np.linspace(-3.0, 3.0, 2001)
-        assert min(self.phi.d2(x) for x in xs) >= -1e-12
+        assert min(phi_k(self.phi, x, 2) for x in xs) >= -1e-12
 
     def test_zero_set(self):
         for x in np.linspace(-R, R, 101):
-            assert self.phi.value(x) == 0.0
-        assert self.phi.value(R + 0.05) > 0.0
-        assert self.phi.value(-R - 0.05) > 0.0
+            assert phi_k(self.phi, x, 0) == 0.0
+        assert phi_k(self.phi, R + 0.05, 0) > 0.0
+        assert phi_k(self.phi, -R - 0.05, 0) > 0.0
 
     def test_normalization_at_a(self):
-        assert self.phi.value(self.phi.a) == pytest.approx(1.0, abs=1e-10)
-        assert self.phi.d1(self.phi.a) > 0.0
+        a = R + 1.0
+        assert phi_k(self.phi, a, 0) == pytest.approx(1.0, abs=1e-10)
+        assert phi_k(self.phi, a, 1) > 0.0
 
     def test_quadrature_cross_check(self):
         assert domains.phi_quadrature_check(self.phi) < 1e-10
@@ -59,11 +64,11 @@ class TestPhi:
         x = R + 0.35
         xj = jets.lift([[x], [0.0]], order=3)[0]
         pj = self.phi.jet(xj).take(0)
-        assert pj.value == pytest.approx(self.phi.value(x), rel=1e-14)
-        assert pj.d1[0] == pytest.approx(self.phi.d1(x), rel=1e-12)
-        assert pj.d2[0, 0] == pytest.approx(self.phi.d2(x), rel=1e-12)
-        assert pj.d3[0, 0, 0] == pytest.approx(
-            self.phi.derivatives(x, 3, 3)[0], rel=1e-10)
+        assert pj.value == pytest.approx(phi_k(self.phi, x, 0), rel=1e-14)
+        assert pj.d1[0] == pytest.approx(phi_k(self.phi, x, 1), rel=1e-12)
+        assert pj.d2[0, 0] == pytest.approx(phi_k(self.phi, x, 2), rel=1e-12)
+        assert pj.d3[0, 0, 0] == pytest.approx(phi_k(self.phi, x, 3),
+                                               rel=1e-10)
 
     def test_beta_must_exceed_half_pi(self):
         with pytest.raises(domains.DomainError):
@@ -168,8 +173,8 @@ class TestWorm:
         # exp(-1/s) is 0 in floating point within about 1e-3 of r, so the
         # profile self-check must not demand phi > 0 there
         dm = domains.worm_rho(beta, 0.0)
-        phi = dm.params["phi"]
-        assert phi.value(phi.r + 0.01) > 0.0
+        phi = domains.make_phi(beta)
+        assert phi_k(phi, phi.r + 0.01, 0) > 0.0
         assert dm.value(jets.coords_of_point([0.0, 1.0])) == pytest.approx(
             0.0, abs=1e-15)
 
@@ -204,6 +209,29 @@ def test_ball_and_ellipsoid():
     assert e.value(jets.coords_of_point([0.0, 2.0 ** 0.5])) == pytest.approx(0.0)
     with pytest.raises(domains.DomainError):
         domains.ellipsoid([1.0, -1.0])
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], [math.nan, 1.0],
+                                    [math.inf, 1.0], [0.0, 1.0]])
+def test_ellipsoid_rejects_coefficients(coeffs):
+    with pytest.raises(domains.DomainError):
+        domains.ellipsoid(coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_is_the_plain_sum_of_squares(n, order):
+    # ball(n) is ellipsoid(ones): 1.0 * v is exact, so it keeps the bits of
+    # x1*x1 + y1*y1 + x2*x2 + ... summed in coordinate order
+    coords = np.cos(np.arange(2.0 * n * 16) + 0.3).reshape(2 * n, 16)
+    xs = jets.lift(coords, order)
+    want = xs[0] * xs[0]
+    for x in xs[1:]:
+        want = want + x * x
+    want = want - 1.0
+    got = domains.ball(n).rho(coords, order)
+    for part in ("value", "d1", "d2", "d3")[:order + 1]:
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 # -- boundary machinery ---------------------------------------------------------------
@@ -297,7 +325,7 @@ def test_singular_probe_nudges_only_its_ray():
             raised.append(coords.shape)
             raise
 
-    watched = domains.DomainSpec(n=2, kind="worm", eval_fn=spy)
+    watched = domains.DomainSpec(n=2, eval_fn=spy)
     mixed = others[:3] + singular + others[3:]
     roots = domains._ray_roots(watched, index.WORM_ANCHOR, np.array(mixed).T)
     assert (4, 1) in raised  # the probe on w = 0 was met and singled out

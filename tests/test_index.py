@@ -216,8 +216,7 @@ class TestRhoFamily:
         def flip_ev(coords, order=3):
             return -1.0 * self.base.rho(coords, order)
 
-        bad.realize = lambda params: domains.DomainSpec(
-            n=2, kind="custom", params={}, eval_fn=flip_ev)
+        bad.realize = lambda params: domains.DomainSpec(n=2, eval_fn=flip_ev)
         with pytest.raises(domains.DomainError):
             reference.check_defining(bad, [1.0],
                                      [np.array([1.0, 0.0, 1.0, 0.0])])
