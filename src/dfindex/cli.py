@@ -114,7 +114,7 @@ def cmd_analyze(args):
     if worm:
         report = index.worm_fiber_report(
             args.beta, args.t, annulus_count=args.annulus_count,
-            spc_count=args.spc_count, seed=args.seed, domain=domain)
+            spc_count=args.spc_count, seed=args.seed)
     else:
         report = index.sampled_report(domain, anchor, args.count, args.seed)
     payload = report.to_dict()

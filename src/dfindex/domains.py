@@ -437,10 +437,11 @@ def ellipsoid(coeffs):
     weights = np.repeat(coeffs, 2)  # one per real coordinate
 
     def ev(coords, order=3):
-        xs = jets.lift(coords, order)
-        acc = weights[0] * (xs[0] * xs[0])
-        for c, x in zip(weights[1:], xs[1:]):
-            acc = acc + c * (x * x)
+        acc = None
+        for c, x in zip(weights, jets.lift(coords, order)):
+            # c = 1 (every term of the ball) skips the scaling: 1.0 * v is v
+            term = x * x if c == 1.0 else c * (x * x)
+            acc = term if acc is None else acc + term
         return acc - 1.0
 
     return DomainSpec(n=coeffs.size, eval_fn=ev)

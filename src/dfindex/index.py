@@ -492,17 +492,15 @@ def _worm_ground_truth(beta):
 
 
 def worm_fiber_report(beta, t, annulus_count=33, spc_count=SPC_SAMPLES,
-                      seed=0, domain=None):
+                      seed=0):
     """Index report of the worm fiber at deformation parameter t.
 
     Nonzero t goes through sampled_report and raises LeviError unless the
     fiber is found strongly pseudoconvex.  The central fiber certifies the
     extremal factors of worm_psi_basis(beta) on its weak annulus, and its
-    report carries _worm_ground_truth(beta).  ``domain`` is the
-    worm_rho(beta, t) to analyze; by default it is built here.
+    report carries _worm_ground_truth(beta).
     """
-    if domain is None:
-        domain = domains.worm_rho(beta, t)
+    domain = domains.worm_rho(beta, t)
     if t != 0.0:
         report = sampled_report(domain, WORM_ANCHOR, spc_count, seed, t=t,
                                 beta=beta)
