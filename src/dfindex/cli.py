@@ -185,7 +185,7 @@ def worm_levi_closed_form(phi, z, w, tsq=0.0):
 
 
 def run_verify_levi(beta, t, count, seed):
-    """Compare AD Levi values against the closed form on random samples.
+    """Compare AD Levi values against the closed form on sampled points.
 
     One boundary_scan gives the samples and one levi.levi_batch their Levi
     matrices: in C^2 the one pivoted frame vector is +-L, so M[:, 0, 0] is
@@ -436,6 +436,8 @@ def main(argv=None):
             i = argv.index(args.command) + 1
             args = parser.parse_args(argv[:i] + _load_config(args.config)
                                      + argv[i:])
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (dangelo.DAngeloError, levi.LeviError, VerificationError) as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)

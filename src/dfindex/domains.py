@@ -6,11 +6,13 @@ ellipsoid, user expressions), and boundary point sampling by ray bisection
 plus Newton polish.  Everything here, phi-check's quadrature oracle of the
 ramp included (a composite Gauss-Legendre rule), is plain numpy.
 
-Ray i of a sample with seed s points along the normalized standard normal
-vector of numpy's default_rng([s, i]).  The draws come from a pure-Python
-port of that stream (_rng), so sampling never imports numpy.random, and
-each ray is normalized by its own length-2n dot product, as one ray alone
-would be.  All rays of one scan run in lockstep: each doubling, bisection
+Rays come from one deterministic design, not from a random stream: ray i
+is point i + 1 of the Kronecker (R_d) sequence frac(shift + k alpha) in
+[0, 1)^2n (Niederreiter 1992), mapped to a normal vector by Box-Muller and divided by
+its own length-2n dot product, as one ray alone would be.  The seed picks
+the Cranley-Patterson shift, a hash of the seed alone, so ray i depends on
+(seed, i) and not on the ray count, and sampling never imports numpy.random.
+All rays of one scan run in lockstep: each doubling, bisection
 or Newton step evaluates one order-1 jet over the batch of rays that still
 move (see jets), instead of one jet per ray.  The roots then get one
 order-2 jet pass and one Wirtinger conversion over the whole batch, and one
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _rng, jets
+from . import jets
 from .jets import Jet, WirtingerData, coords_of_point, point_of_coords
 
 __all__ = [
@@ -515,22 +517,72 @@ def _ray_roots(domain, anchor, directions):
     return anchor + s[:, None] * rows
 
 
+def _kronecker(d, count, shift):
+    """Points i = 1..count of the Kronecker (R_d) sequence frac(shift +
+    i alpha) in [0, 1)^d, the columns of a (d, count) array: alpha_k = g^-k,
+    k = 1..d, with g the positive root of x^(d+1) = x + 1.  shift is one
+    number or d of them; column i depends on i alone, not on count."""
+    g = 2.0
+    for _ in range(64):  # a contraction, by a factor below 1/(d + 1)
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    i = np.arange(1, count + 1)
+    return (np.reshape(shift, (-1, 1))
+            + np.outer(g ** -np.arange(1.0, d + 1), i)) % 1.0
+
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment, 2^64 / golden ratio
+
+
+def _mix64(z):
+    """splitmix64's output function (Steele, Lea & Flood, OOPSLA 2014), a
+    bijection of 64-bit words with full avalanche."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _seed_shift(seed, d):
+    """The Cranley-Patterson shift of seed's ray design: d numbers in [0, 1).
+
+    The seed's 64-bit words, lowest first, are absorbed into one word h by
+    _mix64; shift k is the top 53 bits of _mix64(h + k _GOLDEN), k = 1..d,
+    the splitmix64 stream from h.  Integer arithmetic, so any non-negative
+    int seed works, and unrelated seeds get unrelated designs (a shift of
+    seed * alpha would make seed s + 1 seed s's design moved by one ray)."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"the seed must be non-negative, got {seed}")
+    h = 0
+    for bit in range(0, max(seed.bit_length(), 1), 64):
+        h = _mix64((h + (seed >> bit & _M64) + _GOLDEN) & _M64)
+    return np.array([(_mix64((h + k * _GOLDEN) & _M64) >> 11) * 2.0 ** -53
+                     for k in range(1, d + 1)])
+
+
 def _ray_directions(seed, count, nvars):
-    """(nvars, count) unit ray directions: column i is the normal vector of
-    numpy's default_rng([seed, i]) divided by its norm, computed as one
-    ray's np.linalg.norm computes it (the same BLAS dot product per row)."""
-    d = _rng.normal(seed, count, nvars)
+    """(nvars, count) unit ray directions, nvars even: column i is point
+    i + 1 of the seed's shifted R_d design through Box-Muller, each pair
+    (u, v) giving sqrt(-2 log(1 - u)) (cos 2 pi v, sin 2 pi v), divided by
+    its norm as one ray's np.linalg.norm computes it (the same BLAS dot
+    product per row)."""
+    u = _kronecker(nvars, count, _seed_shift(seed, nvars))
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    d = np.empty((count, nvars))
+    d[:, 0::2] = (radius * np.cos(angle)).T
+    d[:, 1::2] = (radius * np.sin(angle)).T
     norms = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     return (d / norms[:, None]).T
 
 
 def boundary_scan(domain, anchor, count, seed=0):
-    """BoundaryBatch of ``count`` boundary points along random rays from an
-    interior anchor.
+    """BoundaryBatch of ``count`` boundary points along the rays of
+    _ray_directions from an interior anchor.
 
     The anchor is given by its 2n interleaved real coordinates, or by n real
     numbers, a point of R^n inside C^n.
-    Deterministic: the i-th ray derives its direction from (seed, i).  Every
+    Deterministic: the i-th ray's direction depends on (seed, i) alone.  Every
     point satisfies |rho| <= 1e-12 * (1 + |grad|).  A count below 1 raises:
     no verdict rests on an empty sample.
     """

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .domains import DomainSpec
+from .domains import DomainSpec, _kronecker
 
 __all__ = ["ParseError", "parse", "parse_expression"]
 
@@ -264,13 +264,9 @@ def _eval_at(node, coords, n, order):
 
 def _realness_points(d):
     """Points i = 1..REALNESS_POINTS of the Kronecker (R_d) sequence
-    frac(1/2 + i alpha) in [0.3, 1.7]^d, the columns of a (d, points) array:
-    alpha_k = g^-k, k = 1..d, with g the positive root of x^(d+1) = x + 1."""
-    g = 2.0
-    for _ in range(64):  # a contraction, by a factor below 1/(d + 1)
-        g = (1.0 + g) ** (1.0 / (d + 1))
-    i = np.arange(1, REALNESS_POINTS + 1)
-    return 0.3 + 1.4 * ((0.5 + np.outer(g ** -np.arange(1.0, d + 1), i)) % 1.0)
+    frac(1/2 + i alpha) (domains._kronecker) in [0.3, 1.7]^d, the columns of
+    a (d, points) array."""
+    return 0.3 + 1.4 * _kronecker(d, REALNESS_POINTS, 0.5)
 
 
 def parse_expression(text, n=None):

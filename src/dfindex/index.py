@@ -30,10 +30,12 @@ transformation law (ConformalLaw) predicts that certificate from one
 order-2 jet pass per basis function, as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
-sampled path instead: sampled_report runs spc_check over random boundary
+sampled path instead: sampled_report runs spc_check over sampled boundary
 rays (one batched order-2 jet and Wirtinger pass over the ray roots, then
-one levi.levi_batch call for every point's smallest Levi eigenvalue) and
-feeds the weak points it finds to criterion_samples.
+one levi.levi_batch call for every point's smallest Levi eigenvalue, and
+one stacked eigvalsh for its psh margin) and feeds the weak points it finds
+to criterion_samples, unless a Levi gap or a plurisubharmonic defining
+function already decides the bounds (1, 1).
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ SCHEMA_VERSION = 1
 MSQ_EPS = 1e-10          # |omega(L)|^2 below this (times scale) counts as zero
 SPC_THRESHOLD = 1e-6     # normalized Levi eigenvalue gap for strong pseudoconvexity
 SPC_SAMPLES = 2000
+PSH_TOL = 1e-12          # psh margin down to -PSH_TOL counts as plurisubharmonic
 WORM_ANCHOR = np.array([1.0, 0.0, 1.0, 0.0])
 # kappa = (1 - eps) kappa* of the worm's extremal factors, tightest first;
 # optimize_rho steps down when a realization loses a weak point.
@@ -443,12 +446,14 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
 def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
     """Scan ``count`` sampled boundary points for Levi-null directions.
 
-    Returns (weak, min_eig): the sampled points with a numerically null Levi
-    eigenvalue (see levi.levi_batch), and the smallest eigenvalue over all
-    samples, normalized per point by the Levi matrix's spectral scale.  One
-    boundary_scan gives the Wirtinger data of every point as one batch, and
-    one levi.levi_batch call their eigenvalues; only the weak points become
-    BoundaryPoint objects.
+    Returns (weak, min_eig, psh_margin): the sampled points with a
+    numerically null Levi eigenvalue (see levi.levi_batch), the smallest
+    Levi eigenvalue over all samples, each over its Levi matrix's spectral
+    scale, and the psh margin, the smallest eigenvalue of the complex
+    Hessian rho_{z zbar} over its largest |eigenvalue| (0 where it vanishes).
+    One boundary_scan gives the Wirtinger data of every point as one batch,
+    one levi.levi_batch call their Levi eigenvalues and one stacked eigvalsh
+    the Hessian's; only the weak points become BoundaryPoint objects.
     """
     if domain.n < 2:
         raise domains.DomainError(
@@ -457,27 +462,47 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
     scan = domains.boundary_scan(domain, anchor, count, seed=seed)
     lb = levi.levi_batch(scan.wirt)
     weak = [scan.point(b) for b in sorted(set(lb.point.tolist()))]
-    return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
+    lam = np.linalg.eigvalsh(np.moveaxis(scan.wirt.hess_mixed, -1, 0))
+    top = np.maximum(np.abs(lam).max(axis=1), np.finfo(float).tiny)
+    return (weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale)),
+            float(np.min(lam[:, 0] / top)))
 
 
 def sampled_report(domain, anchor, count=SPC_SAMPLES, seed=0, t=0.0,
                    beta=float("nan")):
-    """Index report of a domain from ``count`` random boundary rays.
+    """Index report of a domain from ``count`` sampled boundary rays.
 
-    The weak points that spc_check finds go through criterion_samples.  The
-    domain is reported strongly pseudoconvex, with bounds (1, 1), when none
-    is weak and every normalized Levi eigenvalue clears SPC_THRESHOLD; this
-    is a sampled verdict, not a certificate.
+    The weak points that spc_check finds go through criterion_samples, and
+    the first rule that holds decides the bounds (diagnostics "certificate"):
+
+    - "levi_gap": no point is weak and every normalized Levi eigenvalue
+      clears SPC_THRESHOLD.  The domain is reported strongly pseudoconvex
+      (spc), with bounds (1, 1).
+    - "psh_boundary": rho is plurisubharmonic at every sampled point, its
+      psh margin (spc_check) at least -PSH_TOL.  Bounds (1, 1).  Fornaess
+      and Herbig (Math. Z. 257, 2007, for C^2; Math. Ann. 342, 2008, for
+      C^n): a smoothly bounded domain with a smooth defining function that
+      is plurisubharmonic on the boundary, i rho_{z zbar}(p)(xi, xi) >= 0 for
+      every p in bOmega and every xi in C^n, has Diederich-Fornaess index 1.
+      Yum (J. Geom. Anal. 29, 2019, "On the Steinness index") gives
+      Steinness index 1 under the same hypothesis.
+    - "criterion": otherwise, df_bound and s_bound of the samples.
+
+    The first two are sampled verdicts, not certificates: they read the
+    boundary only at the ray roots.
     """
-    weak, min_eig = spc_check(domain, anchor, count, seed)
+    weak, min_eig, psh_margin = spc_check(domain, anchor, count, seed)
     samples = criterion_samples(domain, weak)
     spc = not samples and min_eig > SPC_THRESHOLD
+    if spc or psh_margin >= -PSH_TOL:
+        certificate, df, s = ("levi_gap" if spc else "psh_boundary"), 1.0, 1.0
+    else:
+        certificate, df, s = "criterion", df_bound(samples), s_bound(samples)
     return IndexReport(
-        df_lower=1.0 if spc else df_bound(samples),
-        s_upper=1.0 if spc else s_bound(samples),
-        null_count=len(samples), spc=spc, t=t, beta=beta, seed=seed,
-        tolerances=TOLERANCES,
-        diagnostics={"min_levi_eigenvalue": min_eig, "spc_samples": count})
+        df_lower=df, s_upper=s, null_count=len(samples), spc=spc, t=t,
+        beta=beta, seed=seed, tolerances=TOLERANCES,
+        diagnostics={"min_levi_eigenvalue": min_eig, "psh_margin": psh_margin,
+                     "certificate": certificate, "spc_samples": count})
 
 
 def _worm_ground_truth(beta):

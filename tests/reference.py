@@ -4,9 +4,12 @@ None of these is used by dfindex itself:
 
 - ``ray_root`` is the one-ray-at-a-time boundary root finder, the oracle
   for the lockstep ``domains._ray_roots``;
+- ``ray_direction`` builds ray i of a seed's design alone, from the closed
+  form of the shifted Kronecker sequence and Box-Muller: the oracle for the
+  batched ``domains._ray_directions``;
 - ``spc_check`` is the boundary scan one point at a time, each with its own
-  order-2 jet and Wirtinger conversion and its ray drawn by numpy's
-  default_rng: the oracle for the batched ``index.spc_check``;
+  ray, order-2 jet, Wirtinger conversion and Hessian eigensolve: the oracle
+  for the batched ``index.spc_check``;
   ``stack_wirtinger`` stacks the Wirtinger data of single points into one
   batch for ``levi.levi_batch``;
 - ``conj``, ``deriv``, ``wirt``, ``wirtbar``, ``wirt_value`` and
@@ -95,23 +98,64 @@ def stack_wirtinger(ws):
         hess_mixed=np.stack([w.hess_mixed for w in ws], axis=-1))
 
 
+def _seed_words(seed, d):
+    """The splitmix64 words behind seed's shift, in wrapping uint64 array
+    arithmetic (numpy ufuncs) instead of the package's Python ints: the
+    seed's 64-bit words absorbed lowest first, then d words of the stream."""
+
+    def mix(z):
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+        return z ^ (z >> np.uint64(31))
+
+    golden = np.array([0x9E3779B97F4A7C15], dtype=np.uint64)
+    words = [seed >> (64 * k) & (2 ** 64 - 1)
+             for k in range(max(1, -(-seed.bit_length() // 64)))]
+    h = np.zeros(1, dtype=np.uint64)
+    for word in words:
+        h = mix(h + np.array([word], dtype=np.uint64) + golden)
+    return [int(mix(h + np.uint64(k) * golden)[0]) for k in range(1, d + 1)]
+
+
+def ray_direction(seed, i, nvars):
+    """Ray i of seed's design, made alone: point i + 1 of the Kronecker
+    sequence frac(shift + (i + 1) alpha), alpha_k = g^-k with g the fixed
+    point of g = (1 + g)^(1/(nvars + 1)), shift_k the top 53 bits of word k
+    of _seed_words; each coordinate pair (u, v) becomes
+    sqrt(-2 log(1 - u)) (cos 2 pi v, sin 2 pi v) through numpy ufuncs on
+    length-1 arrays, and the vector is divided by its np.linalg.norm."""
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (nvars + 1))
+    words = _seed_words(seed, nvars)
+    d = np.empty(nvars)
+    for k in range(0, nvars, 2):
+        u, v = ((words[m] >> 11) * 2.0 ** -53
+                + g ** -np.array([m + 1.0]) * float(i + 1) for m in (k, k + 1))
+        radius = np.sqrt(-2.0 * np.log1p(-(u % 1.0)))
+        angle = 2.0 * math.pi * (v % 1.0)
+        d[k], d[k + 1] = (radius * np.cos(angle))[0], (radius * np.sin(angle))[0]
+    return d / np.linalg.norm(d)
+
+
 def spc_check(domain, anchor, count, seed=0):
-    """(weak, min_eig) as index.spc_check defines them, from boundary points
-    made one at a time: ray i along default_rng([seed, i]).normal, divided
-    by its np.linalg.norm, and each root's own order-2 jet."""
-    directions = np.empty((2 * domain.n, count))
-    for i in range(count):
-        d = np.random.default_rng([seed, i]).normal(size=2 * domain.n)
-        directions[:, i] = d / np.linalg.norm(d)
-    points = []
+    """(weak, min_eig, psh_margin) as index.spc_check defines them, from
+    boundary points made one at a time: ray i from ray_direction, and each
+    root's own order-2 jet and Hessian eigensolve."""
+    directions = np.stack([ray_direction(seed, i, 2 * domain.n)
+                           for i in range(count)], axis=1)
+    points, margin = [], math.inf
     for coords in domains._ray_roots(domain, np.asarray(anchor, dtype=float),
                                      directions):
+        w = jets.wirtinger(domain.rho(coords, order=2), domain.n)
         points.append(domains.BoundaryPoint(
-            z=jets.point_of_coords(coords), coords=coords,
-            wirt=jets.wirtinger(domain.rho(coords, order=2), domain.n)))
+            z=jets.point_of_coords(coords), coords=coords, wirt=w))
+        lam = np.linalg.eigvalsh(w.hess_mixed)
+        top = max(np.abs(lam).max(), np.finfo(float).tiny)
+        margin = min(margin, float(lam[0] / top))
     lb = levi.levi_batch(stack_wirtinger([p.wirt for p in points]))
     weak = [points[b] for b in sorted(set(lb.point.tolist()))]
-    return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale))
+    return weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale)), margin
 
 
 def eta_value(w, v10, v01=None):

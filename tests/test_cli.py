@@ -80,7 +80,7 @@ def test_sampled_reports_share_diagnostics(tmp_path):
         assert run(["analyze", *flags, "--output", str(out)]) == cli.EXIT_OK
         keys[name] = set(load_without_stamp(out)["diagnostics"])
     assert keys["ball"] == keys["expr"] == keys["deformed"] \
-        == {"min_levi_eigenvalue", "spc_samples"}
+        == {"certificate", "min_levi_eigenvalue", "psh_margin", "spc_samples"}
 
 
 @pytest.mark.parametrize("flags", [["--expr", "abs2(z1)-1"],
@@ -316,3 +316,16 @@ def test_invalid_beta_is_input_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_negative_seed_is_an_input_error(tmp_path, capsys):
+    # every subcommand takes --seed, and schur-test and phi-check never
+    # reach the ray design's own check, so the command line checks it first
+    for argv in (["analyze", "--t", "0.05"], ["sweep"], ["sample"],
+                 ["verify-levi"], ["schur-test"], ["phi-check"]):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--seed", "-1", "--output", str(out)]) \
+            == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()

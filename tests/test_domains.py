@@ -272,12 +272,38 @@ class TestBoundarySampling:
 
 
 def _directions(seed, count, nvars):
-    # as boundary_sample draws them
-    out = []
-    for i in range(count):
-        d = np.random.default_rng([seed, i]).normal(size=nvars)
-        out.append(d / np.linalg.norm(d))
-    return out
+    # as boundary_sample draws them, each ray made alone
+    return [reference.ray_direction(seed, i, nvars) for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 7])
+@pytest.mark.parametrize("nvars", [4, 6])
+def test_ray_directions_match_the_one_ray_closed_form(seed, nvars):
+    got = domains._ray_directions(seed, 50, nvars)
+    assert np.array_equal(got, np.array(_directions(seed, 50, nvars)).T)
+
+
+def test_ray_i_does_not_depend_on_the_ray_count():
+    # the benchmark re-derives an operation's first rays with a smaller count
+    for seed in (0, 7):
+        assert np.array_equal(domains._ray_directions(seed, 12, 4),
+                              domains._ray_directions(seed, 100, 4)[:, :12])
+
+
+def test_seeds_share_no_ray():
+    rays = np.hstack([domains._ray_directions(seed, 100, 4)
+                      for seed in range(10)])
+    assert len(np.unique(rays, axis=1).T) == 1000
+
+
+def test_a_seed_beyond_64_bits_gives_a_valid_design():
+    d = domains._ray_directions(2 ** 64 + 7, 200, 6)
+    assert d.shape == (6, 200) and np.isfinite(d).all()
+    assert np.allclose(np.linalg.norm(d, axis=0), 1.0, rtol=0, atol=1e-15)
+    assert len(np.unique(d, axis=1).T) == 200
+    assert not np.array_equal(d, domains._ray_directions(7, 200, 6))
+    with pytest.raises(domains.DomainError, match="non-negative"):
+        domains.boundary_scan(domains.ball(2), np.zeros(4), 3, seed=-1)
 
 
 def _rel_gap(a, b):

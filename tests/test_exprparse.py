@@ -150,3 +150,15 @@ def test_expression_feeds_geometry():
     lb = levi.levi_batch(scan.wirt)
     # |z2|^4 is Levi-flat in z2 along its zero set
     assert lb.point.tolist() == [0]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_realness_points_are_unchanged(d):
+    # realness is checked at points i = 1..8 of frac(1/2 + i alpha), scaled
+    # to [0.3, 1.7]; the shared R_d generator must give them bit for bit
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    i = np.arange(1, exprparse.REALNESS_POINTS + 1)
+    want = 0.3 + 1.4 * ((0.5 + np.outer(g ** -np.arange(1.0, d + 1), i)) % 1.0)
+    assert np.array_equal(exprparse._realness_points(d), want)

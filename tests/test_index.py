@@ -480,12 +480,14 @@ def test_report_serialization():
 # -- optimization and the sweep -------------------------------------------------------------
 
 def test_spc_check_ball_and_deformed_worm():
-    weak, min_eig = index.spc_check(domains.ball(2), np.zeros(4), 60, 1)
+    weak, min_eig, psh = index.spc_check(domains.ball(2), np.zeros(4), 60, 1)
     assert weak == [] and min_eig > index.SPC_THRESHOLD
     assert min_eig > 0.1
-    weak, min_eig = index.spc_check(domains.worm_rho(BETA, 0.3),
-                                    index.WORM_ANCHOR, 60, 1)
+    assert psh == 1.0  # the ball's complex Hessian is the identity
+    weak, min_eig, psh = index.spc_check(domains.worm_rho(BETA, 0.3),
+                                         index.WORM_ANCHOR, 60, 1)
     assert weak == [] and min_eig > index.SPC_THRESHOLD
+    assert psh < -0.1  # the worm's rho is not plurisubharmonic
 
 
 EGGS = ("abs2(z1)+abs2(z2)*abs2(z2)-1",
@@ -501,17 +503,44 @@ def test_spc_check_matches_the_per_point_scan(case):
     else:
         dm = exprparse.parse_expression(case)
         anchor, count = np.zeros(2 * dm.n), 100
-    weak, min_eig = index.spc_check(dm, anchor, count, seed=0)
-    want, want_eig = reference.spc_check(dm, anchor, count, seed=0)
-    assert min_eig == want_eig
+    weak, min_eig, psh = index.spc_check(dm, anchor, count, seed=0)
+    want, want_eig, want_psh = reference.spc_check(dm, anchor, count, seed=0)
+    assert min_eig == want_eig and psh == want_psh
     assert len(weak) == len(want)
-    if case == EGGS[1]:
-        assert weak  # ray 25 lands on the weak set {z2 = 0}
     for p, q in zip(weak, want):
         for a, b in ((p.coords, q.coords), (p.z, q.z),
                      (p.wirt.value, q.wirt.value), (p.wirt.grad, q.wirt.grad),
                      (p.wirt.hess_mixed, q.wirt.hess_mixed)):
             assert np.array_equal(a, b)
+
+
+def test_egg_is_levi_null_on_its_weak_set():
+    # no ray needs to land there: z = (1, 0) lies on {z2 = 0}, where the
+    # |z2|^8 egg's Levi form vanishes on the tangent direction d/dz2
+    dm = exprparse.parse_expression(EGGS[1])
+    p = dm.boundary_point(jets.coords_of_point([1.0, 0.0]))
+    assert p.wirt.grad[1] == 0.0
+    assert levi.levi_form(p.wirt, [0, 1], [0, 1]) == 0.0
+    assert len(index.criterion_samples(dm, [p])) == 1
+
+
+def test_psh_boundary_decides_when_a_ray_meets_the_weak_set(monkeypatch):
+    # ray 0 forced onto the egg's weak point (1, 0): the Levi gap fails, and
+    # the plurisubharmonic rho still decides DF = S = 1
+    design = domains._ray_directions
+
+    def through_weak_point(seed, count, nvars):
+        d = design(seed, count, nvars)
+        d[:, 0] = [1.0, 0.0, 0.0, 0.0]
+        return d
+
+    monkeypatch.setattr(domains, "_ray_directions", through_weak_point)
+    rep = index.sampled_report(exprparse.parse_expression(EGGS[1]),
+                               np.zeros(4), 20, seed=0)
+    assert not rep.spc and rep.null_count >= 1
+    assert rep.diagnostics["psh_margin"] >= -index.PSH_TOL
+    assert rep.diagnostics["certificate"] == "psh_boundary"
+    assert (rep.df_lower, rep.s_upper) == (1.0, 1.0)
 
 
 def test_optimize_rho_improves_on_base():

@@ -122,9 +122,9 @@ def test_worm_fibers_leave_scipy_unloaded(tmp_path):
 
 
 def test_analysis_paths_leave_numpy_random_unloaded(tmp_path):
-    # rays come from dfindex._rng and realness points from a Kronecker
-    # sequence (exprparse._realness_points); importing numpy.random costs
-    # about 5 MB at start-up.  schur-test still uses it.
+    # rays and realness points both come from a Kronecker sequence
+    # (domains._kronecker), not a random stream; importing numpy.random
+    # costs about 5 MB at start-up.  schur-test still uses it.
     src = os.path.dirname(os.path.dirname(dfindex.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
