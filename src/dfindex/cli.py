@@ -112,6 +112,10 @@ def _domain_and_anchor(args):
 def cmd_analyze(args):
     domain, anchor, worm = _domain_and_anchor(args)
     if worm:
+        if args.anchor is not None:
+            raise domains.DomainError(
+                "--anchor does not apply to analyze on the worm: its rays "
+                f"start at index.WORM_ANCHOR = {index.WORM_ANCHOR.tolist()}")
         report = index.worm_fiber_report(
             args.beta, args.t, annulus_count=args.annulus_count,
             spc_count=args.spc_count, seed=args.seed)

@@ -51,6 +51,9 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-12
 SEARCH_RADIUS = 10.0
+# annulus_points places w = e^(+-r/2), r = beta - pi/2; up to r = 708 both
+# |w|^2 = e^(+-r) are finite normal doubles (e^-709 is subnormal)
+ANNULUS_BETA_MAX = math.pi / 2 + 708.0
 # phi_quadrature_check's composite Gauss-Legendre rule
 QUAD_PANELS = 32
 QUAD_NODES = 20
@@ -625,6 +628,10 @@ def annulus_points(beta, count, domain=None):
         raise DomainError(f"annulus point count must be at least 3 (both "
                           f"ends and the middle), got {count}")
     r = annulus_radius(beta)
+    if beta > ANNULUS_BETA_MAX:
+        raise DomainError(f"the annulus ends w = e^(+-r/2), r = beta - pi/2, "
+                          f"need e^(+-r) to be finite normal doubles: beta "
+                          f"must be at most {ANNULUS_BETA_MAX!r}, got {beta}")
     if domain is None:
         domain = worm_rho(beta, 0.0)
     us = np.linspace(-r, r, count)

@@ -1,4 +1,4 @@
-"""Parser and evaluator for user-supplied defining functions.
+"""Parser of user-supplied defining functions into jet evaluators.
 
 Grammar (infix, left-associative, usual precedence):
 
@@ -8,23 +8,27 @@ Grammar (infix, left-associative, usual precedence):
     primary := NUMBER | zK | fn '(' expr ')' | '(' expr ')'
 
 Variables are the complex coordinates z1..zn; functions are abs2, re, im,
-exp, log, sqrt, sin, cos.  Expressions evaluate over jets, so a parsed
-defining function feeds the rest of the toolkit directly.
+exp, log, sqrt, sin, cos.  The parser emits the evaluator as it reads: each
+rule returns either a constant, folded and checked for finiteness once, or a
+closure from the coordinate jets to the jet of its sub-expression.  The
+closure of the whole expression evaluates it over a batch of points, so a
+parsed defining function feeds the rest of the toolkit directly.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 import re
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .domains import DomainSpec, _kronecker
 
-__all__ = ["ParseError", "parse", "parse_expression"]
+__all__ = ["ParseError", "parse_expression"]
 
 FUNCTIONS = ("abs2", "re", "im", "exp", "log", "sqrt", "sin", "cos")
 # parse_expression checks realness at the first REALNESS_POINTS points of
@@ -50,41 +54,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-# each AST node's pos is the source position of its token (a Bin's is its
-# operator's), which semantic errors report; it takes no part in equality
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # zero-based
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    pos: int = field(default=0, compare=False)
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str
@@ -105,10 +74,37 @@ def _tokenize(text):
     return tokens
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def _abs2(j):
+    re_, im_ = j.real_part(), j.imag_part()
+    return re_ * re_ + im_ * im_
+
+
+# each function on a jet argument; an entry is looked up when an expression
+# is parsed, so rebinding one (as a span tracer does) reaches later parses
+_JET_FN = {"abs2": _abs2, "re": jets.Jet.real_part, "im": jets.Jet.imag_part,
+           "exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
+           "sin": jets.sin, "cos": jets.cos}
+
+
 class _Parser:
+    """Recursive descent that emits the evaluator.  Each rule returns a
+    constant (a Python number) or a closure zvars -> Jet over the list of
+    coordinate jets z1..zn.  Syntax errors raise at once; the first constant
+    fault (a constant that is not finite, a division by a constant zero) is
+    kept in ``fault``, at the position of the token that made it, for
+    parse_expression to raise after its dimension checks.  ``top`` is the
+    (index, position) of the highest variable, at its leftmost occurrence.
+    """
+
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.top = None
+        self.fault = None
 
     def peek(self):
         return self.tokens[self.i]
@@ -129,39 +125,83 @@ class _Parser:
             self.fail(f"'{text}'")
         return self.advance()
 
+    # -- constant folding ------------------------------------------------------
+
+    def record(self, message, pos):
+        if self.fault is None:
+            self.fault = ParseError(message, pos)
+
+    def constant(self, value, pos):
+        if not cmath.isfinite(value):
+            self.record("constant sub-expression is not finite", pos)
+        return value
+
+    def binary(self, op, a, b, pos):
+        if op == "/" and not callable(b) and b == 0:
+            self.record("division by zero", pos)
+            return math.nan
+        fn = _BINARY[op]
+        if callable(a) and callable(b):
+            return lambda z: fn(a(z), b(z))
+        if callable(a):
+            return lambda z: fn(a(z), b)
+        if callable(b):
+            return lambda z: fn(a, b(z))
+        return self.constant(fn(a, b), pos)
+
+    def call(self, name, arg, pos):
+        if callable(arg):
+            fn = _JET_FN[name]
+            return lambda z: fn(arg(z))
+        arg = complex(arg)
+        if name == "abs2":
+            value = abs(arg) * abs(arg)
+        elif name == "re":
+            value = arg.real
+        elif name == "im":
+            value = arg.imag
+        else:
+            with np.errstate(all="ignore"):  # constant() checks the result
+                value = complex(getattr(np, name)(arg))
+        return self.constant(value, pos)
+
+    # -- grammar ---------------------------------------------------------------
+
     def parse(self):
-        node = self.expr()
+        out = self.expr()
         if self.peek().kind != "eof":
             self.fail("end of input")
-        return node
+        return out
 
     def expr(self):
-        node = self.term()
+        out = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
-            node = Bin(op.text, node, self.term(), op.pos)
-        return node
+            out = self.binary(op.text, out, self.term(), op.pos)
+        return out
 
     def term(self):
-        node = self.unary()
+        out = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance()
-            node = Bin(op.text, node, self.unary(), op.pos)
-        return node
+            out = self.binary(op.text, out, self.unary(), op.pos)
+        return out
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
-            child = self.unary()
-            return child if tok.text == "+" else Neg(child, tok.pos)
+            out = self.unary()
+            if tok.text == "+":
+                return out
+            return (lambda z: -out(z)) if callable(out) else -out
         return self.primary()
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text), tok.pos)
+            return self.constant(float(tok.text), tok.pos)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -169,97 +209,30 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(name, arg, tok.pos)
+                return self.call(name, arg, tok.pos)
             m = re.fullmatch(r"z(\d+)", name)
             if m:
-                index = int(m.group(1))
-                if index < 1:
+                index = int(m.group(1)) - 1
+                if index < 0:
                     raise ParseError("variable indices start at z1", tok.pos)
-                return Var(index - 1, tok.pos)
+                if self.top is None or index > self.top[0]:
+                    self.top = (index, tok.pos)
+                return operator.itemgetter(index)
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            out = self.expr()
             self.expect(")")
-            return node
+            return out
         self.fail("operand")
 
 
-def parse(text):
-    """Parse an expression into its AST."""
-    return _Parser(text).parse()
-
-
-def _vars(node):
-    """The Var nodes of an AST, in source order."""
-    if isinstance(node, Var):
-        yield node
-    for child in (getattr(node, f.name) for f in fields(node)):
-        if isinstance(child, (Num, Var, Call, Bin, Neg)):
-            yield from _vars(child)
-
-
-_JET_FN = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
-           "sin": jets.sin, "cos": jets.cos}
-
-
-def _eval(node, zvars):
-    """The jet of node, or its value if it is a constant, which must be finite."""
-    out = _eval_node(node, zvars)
-    if not isinstance(out, jets.Jet) and not cmath.isfinite(out):
-        raise ParseError("constant sub-expression is not finite", node.pos)
-    return out
-
-
-def _eval_node(node, zvars):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return zvars[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.child, zvars)
-    if isinstance(node, Bin):
-        a = _eval(node.left, zvars)
-        b = _eval(node.right, zvars)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if not isinstance(b, jets.Jet) and b == 0:
-            raise ParseError("division by zero", node.pos)
-        return a / b
-    if isinstance(node, Call):
-        arg = _eval(node.arg, zvars)
-        if not isinstance(arg, jets.Jet):
-            arg = complex(arg)
-            if node.name == "abs2":
-                return abs(arg) * abs(arg)
-            if node.name == "re":
-                return arg.real
-            if node.name == "im":
-                return arg.imag
-            with np.errstate(all="ignore"):  # the caller checks the result
-                return complex(getattr(np, node.name)(arg))
-        if node.name == "abs2":
-            re_, im_ = arg.real_part(), arg.imag_part()
-            return re_ * re_ + im_ * im_
-        if node.name == "re":
-            return arg.real_part()
-        if node.name == "im":
-            return arg.imag_part()
-        return _JET_FN[node.name](arg)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _eval_at(node, coords, n, order):
+def _eval_at(f, coords, n, order):
+    """The jet of f, a parsed expression, at coords."""
     xs = jets.lift(coords, order)
-    zvars = [xs[2 * k] + 1j * xs[2 * k + 1] for k in range(n)]
-    out = _eval(node, zvars)
-    if not isinstance(out, jets.Jet):  # a constant, possibly complex
-        out = out + 0.0 * xs[0]        # as a jet over the batch
-    return out
+    if not callable(f):            # a constant, possibly complex,
+        return f + 0.0 * xs[0]     # as a jet over the batch
+    return f([xs[2 * k] + 1j * xs[2 * k + 1] for k in range(n)])
 
 
 def _realness_points(d):
@@ -277,19 +250,21 @@ def parse_expression(text, n=None):
     REALNESS_POINTS fixed points of _realness_points before the domain is
     accepted; a NaN value there is left to boundary_scan's checks to reject.
     """
-    ast = parse(text)
-    var = max(_vars(ast), key=lambda v: v.index, default=None)
-    if var is None and n is None:
+    parser = _Parser(text)
+    f = parser.parse()
+    if parser.top is None and n is None:
         raise ParseError("expression uses no variables", 0)
     if n is None:
-        n = var.index + 1
-    if var is not None and var.index >= n:
-        raise ParseError(f"unknown identifier: z{var.index + 1} exceeds "
-                         f"declared dimension n={n}", var.pos)
+        n = parser.top[0] + 1
+    if parser.top is not None and parser.top[0] >= n:
+        raise ParseError(f"unknown identifier: z{parser.top[0] + 1} exceeds "
+                         f"declared dimension n={n}", parser.top[1])
+    if parser.fault is not None:
+        raise parser.fault
 
     with np.errstate(all="ignore"):
         # one batch of all points, with d1 and d2 broadcast over it
-        j = _eval_at(ast, _realness_points(2 * n), n, order=2).take(
+        j = _eval_at(f, _realness_points(2 * n), n, order=2).take(
             np.arange(REALNESS_POINTS))
         d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
         imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
@@ -298,6 +273,6 @@ def parse_expression(text, n=None):
         raise ParseError("expression is not real-valued", 0)
 
     def ev(coords, order=3):
-        return _eval_at(ast, coords, n, order).real_part()
+        return _eval_at(f, coords, n, order).real_part()
 
     return DomainSpec(n=n, eval_fn=ev)

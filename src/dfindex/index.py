@@ -96,7 +96,7 @@ class CriterionSamples:
 
     def __post_init__(self):
         if not (np.isfinite(self.omega).all() and np.isfinite(self.dbar).all()):
-            raise ValueError("criterion samples must be finite")
+            raise dangelo.DAngeloError("criterion samples must be finite")
 
     def __len__(self):
         return len(self.dbar)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,9 @@ def test_anchor_of_the_wrong_size_is_input_error(command, tmp_path, capsys):
     ["phi-check", "--beta", "inf"],
     ["sample", "--domain", "worm", "--beta", "inf"],
     ["verify-levi", "--beta", "inf"],
+    # the central fiber's annulus ends e^(+-r/2) leave the normal doubles
+    ["analyze", "--beta", "1000", "--t", "0"],
+    ["analyze", "--beta", "1500", "--t", "0"],
 ])
 def test_invalid_beta_is_input_error(argv, tmp_path, capsys):
     out = tmp_path / "r.out"
@@ -316,6 +323,32 @@ def test_invalid_beta_is_input_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_worm_analyze_rejects_an_anchor(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--t", "0.05", "--spc-count", "50", "--anchor",
+                "5,0,5,0", "--output", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --anchor") and "index.WORM_ANCHOR" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_non_finite_criterion_samples_are_no_input_error(tmp_path):
+    # at beta = 20 a realized extremal factor overflows in its criterion
+    # samples, which the optimizer must treat as a failed realization.  The
+    # overflow warns, and the tests turn warnings into errors, so the command
+    # runs as a user runs it: in its own process
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "r.json"
+    code = subprocess.run(
+        [sys.executable, "-m", "dfindex", "analyze", "--t", "0", "--beta",
+         "20", "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True).returncode
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_OK:
+        assert json.loads(out.read_text())["df_lower"] <= math.pi / 40
 
 
 def test_negative_seed_is_an_input_error(tmp_path, capsys):

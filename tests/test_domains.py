@@ -384,6 +384,13 @@ class TestAnnulusPoints:
         built = domains.annulus_points(BETA, 9)
         assert [p.z.tolist() for p in given] == [p.z.tolist() for p in built]
 
+    @pytest.mark.parametrize("beta", [1000.0, 1500.0])
+    def test_ends_must_be_normal_doubles(self, beta):
+        # e^(-r) underflows past r = 708.4 (and e^(-r/2) to 0 past 1490)
+        with pytest.raises(domains.DomainError,
+                           match=f"at most {domains.ANNULUS_BETA_MAX!r}"):
+            domains.annulus_points(beta, 33)
+
 
 def test_central_fiber_builds_phi_once(monkeypatch):
     calls = []

@@ -22,13 +22,19 @@ RUNS = (
     ["analyze", "--t", "0.05", "--spc-count", "20"],
     ["analyze", "--expr", "abs2(z1)+abs2(z2)*abs2(z2)-1", "--count", "20"],
 )
+# the parser looks each function up in exprparse._JET_FN, which the tracer
+# rebinds, so this expression's own run must record their jets spans
+FUNCTION_RUN = ["analyze", "--expr",
+                "exp(abs2(z1))+sqrt(1+abs2(z2))+log(1+abs2(z2))-3",
+                "--count", "20"]
 
 
 def test_traced_analyses_give_finite_layer_metrics(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for argv in RUNS:
+        for argv in (*RUNS, FUNCTION_RUN):
+            first_span = len(tracer.name)
             out = tmp_path / "r.json"
             assert cli.main(argv + ["--output", str(out)]) == cli.EXIT_OK
     finally:
@@ -36,5 +42,10 @@ def test_traced_analyses_give_finite_layer_metrics(tmp_path):
     metrics = tracing.layer_metrics(tracer, 1)
     bad = {k: v for k, (v, _) in metrics.items() if not math.isfinite(v)}
     assert bad == {}
+    # tracer.names lists every wrapped function; tracer.name holds the
+    # name id of each span recorded
+    recorded = {tracer.names[i] for i in set(tracer.name)}
     assert {"levi.levi_batch", "dangelo.null_forms", "jets.eval3",
-            "index.spc_check"} <= set(tracer.names)
+            "index.spc_check"} <= recorded
+    last_run = {tracer.names[i] for i in set(tracer.name[first_span:])}
+    assert {"jets.exp", "jets.log", "jets.sqrt"} <= last_run
