@@ -24,10 +24,14 @@ Its result is one CriterionSamples record of arrays, one entry per pair.
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
 supplies the extremal factor log(cos(kappa u))/kappa with kappa just below
-its critical value, and optimize_rho realizes it and reports only the
-certificate that the full criterion pipeline gives; the conformal
-transformation law (ConformalLaw) predicts that certificate from one
-order-2 jet pass per basis function, as a health check.
+its critical value.  optimize_rho evaluates delta's order-3 jet over the
+points once, which also gives the base criterion samples, and each tried
+psi_i's order-3 jet at most once; each candidate is the jet product
+e^{+-psi_i} delta (_member_jet, the formula RhoFamily.realize evaluates
+too), and only the certificate that the full criterion pipeline gives for
+it is reported.  The conformal transformation law (ConformalLaw) predicts
+that certificate from one order-2 jet pass per basis function, as a health
+check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over sampled boundary
@@ -186,7 +190,9 @@ class RhoFamily:
     function (tests/reference.py::check_defining spot-checks this on probe
     points).  Each psi_i is a callable psi(coords, order) giving its jet over
     a batch of coordinates of shape (2n, B), as a DomainSpec's eval_fn does
-    (see jets.lift).
+    (see jets.lift).  realize(c) is the member as a DomainSpec; its jet is
+    _member_jet of the jets of delta and of the psi_i with c_i != 0, the
+    product optimize_rho forms from jets it has already evaluated.
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):
@@ -211,13 +217,22 @@ class RhoFamily:
         terms = [(c, fn) for c, fn in zip(params, self.psi_basis) if c != 0.0]
 
         def ev(coords, order=3):
-            psi = None
-            for c, fn in terms:
-                term = c * fn(coords, order)
-                psi = term if psi is None else psi + term
-            return (jets.exp(psi) * self.base.rho(coords, order)).real_part()
+            return _member_jet(self.base.rho(coords, order),
+                               [(c, fn(coords, order)) for c, fn in terms])
 
         return domains.DomainSpec(n=self.base.n, eval_fn=ev)
+
+
+def _member_jet(delta, terms):
+    """Jet of the member e^{sum c psi} delta from the jet of delta and the
+    (c, psi jet) pairs of its nonzero coefficients, all over one batch.
+    RhoFamily.realize and optimize_rho both build members here, so a
+    realized member reproduces the optimizer's jets bit for bit."""
+    psi = None
+    for c, j in terms:
+        term = c * j
+        psi = term if psi is None else psi + term
+    return (jets.exp(psi) * delta).real_part()
 
 
 # -- criterion sampling and closed-form aggregation -----------------------------
@@ -240,8 +255,17 @@ def criterion_samples(domain, points):
                                 L=np.zeros((0, domain.n), dtype=complex),
                                 omega=np.zeros(0, dtype=complex),
                                 dbar=np.zeros(0))
-    w = jets.wirtinger(domain.rho(np.stack([p.coords for p in points], axis=1),
-                                  order=3), domain.n)
+    return _jet_samples(domain.rho(_stack(points), order=3), domain.n)
+
+
+def _stack(points):
+    """The coordinates of a non-empty point list, one point per column."""
+    return np.stack([p.coords for p in points], axis=1)
+
+
+def _jet_samples(rho, n):
+    """criterion_samples from the order-3 jet of rho over the points."""
+    w = jets.wirtinger(rho, n)
     lb = levi.levi_batch(w)
     omega, dbar = dangelo.null_forms(w.take(lb.point), lb.L.T)
     return CriterionSamples(point=lb.point, L=lb.L, omega=omega, dbar=dbar)
@@ -361,44 +385,57 @@ class ConformalLaw:
 
 def conformal_law(family, points):
     """The base criterion samples of a family and its basis columns A, H,
-    from one order-2 jet pass per basis function over all sample points."""
-    samples = criterion_samples(family.base, points)
+    from one order-3 jet pass of delta and one order-2 jet pass per basis
+    function over all sample points."""
+    return _base_law(family, points)[2]
+
+
+def _base_law(family, points):
+    """(coords, delta, law): the points' coordinates (2n, B), the order-3
+    jet of the base delta over them, and the ConformalLaw read off that
+    jet.  No points give coords and delta None and an empty law."""
+    points = list(points)
+    if points:
+        coords = _stack(points)
+        delta = family.base.rho(coords, 3)
+        samples = _jet_samples(delta, family.base.n)
+    else:
+        coords = delta = None
+        samples = criterion_samples(family.base, points)
     A = np.zeros((family.dim, len(samples)), dtype=complex)
     H = np.zeros((family.dim, len(samples)))
     if len(samples):
-        coords = np.stack([p.coords for p in points], axis=1)[:, samples.point]
-        L = samples.L.T
+        weak, L = coords[:, samples.point], samples.L.T
         for i, psi in enumerate(family.psi_basis):
-            w = jets.wirtinger(psi(coords, 2), family.base.n)
+            w = jets.wirtinger(psi(weak, 2), family.base.n)
             A[i] = np.sum(w.grad * L, axis=0)
             H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
                           axis=(0, 1)).real
-    return ConformalLaw(samples=samples, A=A, H=H)
+    return coords, delta, ConformalLaw(samples=samples, A=A, H=H)
 
 
-def _certify(family, points, law, c, kind):
-    """(coefficients, certified bound, relative prediction gap).
+# failures of a candidate's jets or criterion samples; the base bound stands
+_FAULTS = (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
+           FloatingPointError, OverflowError)
+_SIGNS = {"df": 1.0, "s": -1.0}
 
-    The coefficients c are realized and run through criterion_samples.  The
-    base delta's bound is returned instead when that fails, when the
-    realization has lost (or gained) weak points against the base null
-    count, when its bound is no better than the base one, or when it departs
-    from the law's prediction by more than PREDICTION_GAP_TOL (a vacuous
-    degenerate-msq certificate, for one).
+
+def _certify(law, c, kind, samples):
+    """(certified bound, relative prediction gap) of the member with
+    coefficients c and criterion samples ``samples``, or None, which keeps
+    the base delta's bound: when the member has lost (or gained) weak points
+    against the base null count, when its bound is no better than the base
+    one, or when it departs from the law's prediction by more than
+    PREDICTION_GAP_TOL (a vacuous degenerate-msq certificate, for one).
     """
     bound = df_bound if kind == "df" else s_bound
-    base = (np.zeros(family.dim), bound(law.samples), 0.0)
-    try:
-        samples = criterion_samples(family.realize(c), points)
-    except (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
-            FloatingPointError, OverflowError):
-        return base
+    base = bound(law.samples)
     value = bound(samples)
     if len(samples) != len(law.samples) or not (
-            value > base[1] if kind == "df" else value < base[1]):
-        return base
+            value > base if kind == "df" else value < base):
+        return None
     gap = abs(bound(law.predict(c)) - value) / value
-    return base if gap > PREDICTION_GAP_TOL else (c, value, gap)
+    return None if gap > PREDICTION_GAP_TOL else (value, gap)
 
 
 def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
@@ -411,8 +448,13 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
     worm_psi_basis orders its extremal factors tightest first, so this is
     the tightest one whose realization keeps every weak point.  The result
     does not depend on ``seed``, which is only recorded.
+
+    delta's order-3 jet over the points is evaluated once and gives the
+    law's base samples.  Each tried psi_i's order-3 jet is evaluated at most
+    once, and the candidates +-e_i are the jets e^{+-psi_i} delta built from
+    the two (_member_jet), so no candidate re-runs delta's jet pass.
     """
-    law = conformal_law(family, points)
+    coords, delta, law = _base_law(family, points)
     null_count = len(law.samples)
     if null_count == 0:
         zeros = np.zeros(family.dim)
@@ -421,17 +463,31 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
             t=t, beta=beta, seed=seed, tolerances=TOLERANCES,
             best_params={"df": zeros, "s": zeros}, ground_truth=ground_truth)
 
-    base_s = s_bound(law.samples)
-    diagnostics = {"base_df": df_bound(law.samples),
-                   "base_s": "inf" if base_s == math.inf else base_s}
-    best, values = {}, {}
-    for kind, sign in (("df", 1.0), ("s", -1.0)):
-        for c in np.diag(np.full(family.dim, sign)):
-            best[kind], values[kind], gap = _certify(family, points, law, c,
-                                                     kind)
-            if best[kind].any():
-                break
-        diagnostics[f"{kind}_prediction_gap"] = gap
+    values = {"df": df_bound(law.samples), "s": s_bound(law.samples)}
+    diagnostics = {"base_df": values["df"],
+                   "base_s": "inf" if values["s"] == math.inf else values["s"],
+                   "df_prediction_gap": 0.0, "s_prediction_gap": 0.0}
+    best = {kind: np.zeros(family.dim) for kind in _SIGNS}
+    for i, fn in enumerate(family.psi_basis):
+        pending = [kind for kind in _SIGNS if not best[kind].any()]
+        if not pending:
+            break
+        try:
+            psi = fn(coords, 3)
+        except _FAULTS:
+            continue
+        for kind in pending:
+            c = np.zeros(family.dim)
+            c[i] = _SIGNS[kind]
+            try:
+                samples = _jet_samples(_member_jet(delta, [(c[i], psi)]),
+                                       family.base.n)
+            except _FAULTS:
+                continue
+            got = _certify(law, c, kind, samples)
+            if got is not None:
+                best[kind] = c
+                values[kind], diagnostics[f"{kind}_prediction_gap"] = got
 
     return IndexReport(
         df_lower=values["df"], s_upper=values["s"],

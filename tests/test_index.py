@@ -557,19 +557,29 @@ def test_optimize_rho_improves_on_base():
 
 
 def test_optimize_rho_reports_realized_certificates():
-    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
-    pts = domains.annulus_points(BETA, 9)
-    rep = index.optimize_rho(family, pts, seed=0, beta=BETA)
-    for kind, bound, value in (("df", index.df_bound, rep.df_lower),
-                               ("s", index.s_bound, rep.s_upper)):
-        samples = index.criterion_samples(
-            family.realize(rep.best_params[kind]), pts)
-        assert len(samples) == rep.null_count
-        assert abs(bound(samples) - value) <= 1e-12
-        assert rep.diagnostics[f"{kind}_prediction_gap"] <= 1e-10
-    # kappa < kappa* keeps the certificates inside the true index range
-    assert 2.0 / 3.0 - 1e-5 <= rep.df_lower <= 2.0 / 3.0
-    assert 2.0 <= rep.s_upper <= 2.0 + 1e-4
+    # the optimizer builds each member's jet from jets it already holds;
+    # realizing the reported coefficients from scratch gives the same bits.
+    # At 1.6 (DF) and 2.0 (S) the ladder certifies with its third member
+    for beta in (BETA, 1.6, 2.0, 0.6 * math.pi):
+        family = index.RhoFamily(domains.worm_rho(beta, 0.0),
+                                 index.worm_psi_basis(beta))
+        pts = domains.annulus_points(beta, 9)
+        rep = index.optimize_rho(family, pts, seed=0, beta=beta)
+        for kind, bound, value in (("df", index.df_bound, rep.df_lower),
+                                   ("s", index.s_bound, rep.s_upper)):
+            samples = index.criterion_samples(
+                family.realize(rep.best_params[kind]), pts)
+            assert len(samples) == rep.null_count
+            assert bound(samples) == value
+            assert rep.diagnostics[f"{kind}_prediction_gap"] <= 1e-10
+        # kappa < kappa* keeps the certificates inside the true index range
+        df_exact = math.pi / (2.0 * beta)
+        s_exact = math.pi / (2.0 * math.pi - 2.0 * beta)
+        assert df_exact - 1e-3 <= rep.df_lower <= df_exact
+        assert s_exact <= rep.s_upper <= s_exact * (1.0 + 1e-2)
+        if beta == BETA:
+            assert 2.0 / 3.0 - 1e-5 <= rep.df_lower <= 2.0 / 3.0
+            assert 2.0 <= rep.s_upper <= 2.0 + 1e-4
 
 
 def test_optimize_rho_is_deterministic_in_seed():
@@ -605,13 +615,15 @@ def test_optimize_rho_rejects_certificate_that_loses_weak_points():
         assert bound(samples) == (rep.df_lower if kind == "df" else rep.s_upper)
 
 
-def test_optimize_rho_rejects_certificate_that_departs_from_the_law():
-    # realizing half of each candidate is not the member the law predicts:
+def test_optimize_rho_rejects_certificate_that_departs_from_the_law(
+        monkeypatch):
+    # building half of each candidate is not the member the law predicts:
     # the prediction gap rejects every DF certificate, and the base is kept
     family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
     pts = domains.annulus_points(BETA, 5)
-    realize = family.realize
-    family.realize = lambda c: realize(0.5 * np.asarray(c))
+    member_jet = index._member_jet
+    monkeypatch.setattr(index, "_member_jet", lambda delta, terms: member_jet(
+        delta, [(0.5 * c, psi) for c, psi in terms]))
     rep = index.optimize_rho(family, pts)
     assert not rep.best_params["df"].any() and not rep.best_params["s"].any()
     assert rep.df_lower == rep.diagnostics["base_df"]
@@ -630,6 +642,44 @@ def test_central_fiber_reaches_exact_indices_across_beta(beta):
         assert s_exact <= rep.s_upper <= s_exact * (1.0 + 1e-4)
     else:
         assert rep.s_upper == math.inf
+
+
+def test_optimize_rho_keeps_the_report_of_no_points():
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
+    rep = index.optimize_rho(family, [], beta=BETA)
+    assert rep.null_count == 0 and rep.spc
+    assert (rep.df_lower, rep.s_upper) == (1.0, 1.0)
+    for kind in ("df", "s"):
+        assert np.array_equal(rep.best_params[kind], np.zeros(family.dim))
+    assert len(index.conformal_law(family, []).samples) == 0
+
+
+def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
+    # delta's order-3 jet once for the law and every candidate, and each
+    # tried factor's once for both of its candidates +-e_i
+    beta = 1.6  # DF steps down the ladder to its third member
+    family = index.RhoFamily(domains.worm_rho(beta, 0.0),
+                             index.worm_psi_basis(beta))
+    pts = domains.annulus_points(beta, 5)
+    calls = []
+    rho = domains.DomainSpec.rho
+
+    def counted_rho(spec, coords, order=3):
+        calls.append(("delta", order))
+        return rho(spec, coords, order)
+
+    def counted(i, fn):
+        def psi(coords, order=3):
+            calls.append((i, order))
+            return fn(coords, order)
+        return psi
+
+    monkeypatch.setattr(domains.DomainSpec, "rho", counted_rho)
+    family.psi_basis = [counted(i, fn) for i, fn in enumerate(family.psi_basis)]
+    rep = index.optimize_rho(family, pts, beta=beta)
+    assert rep.best_params["df"][2] == 1.0
+    order3 = [name for name, order in calls if order == 3]
+    assert order3 == ["delta", 0, 1, 2]
 
 
 def test_optimize_rho_spc_shortcut():

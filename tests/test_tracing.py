@@ -4,7 +4,8 @@ The tracer wraps dfindex functions by name and patches class attributes
 through their ``__dict__`` (``DomainSpec.rho``, ``DomainSpec.boundary_point``,
 ``PointCalculus.__init__``, ``RhoFamily.realize``, ``Jet.__init__``), so a
 rename or a removed ``__init__`` breaks traced benchmark runs.  One small
-analysis of each benchmark workload kind runs under it here.
+analysis of each benchmark workload kind runs under it here, and the spans
+of the central fiber's optimizer pin how many jet passes it makes.
 """
 
 import math
@@ -49,3 +50,21 @@ def test_traced_analyses_give_finite_layer_metrics(tmp_path):
             "index.spc_check"} <= recorded
     last_run = {tracer.names[i] for i in set(tracer.name[first_span:])}
     assert {"jets.exp", "jets.log", "jets.sqrt"} <= last_run
+    # the central fiber's optimizer evaluates delta's order-3 jet once and
+    # builds every candidate from it, realizing no DomainSpec
+    below = _names_below(tracer, "index.optimize_rho")
+    assert below.count("jets.eval3") == 1
+    assert "index.realize" not in below
+
+
+def _names_below(tracer, name):
+    """Names of the spans that have an ancestor span called ``name``."""
+    parent, names = tracer.parent, tracer.names
+    out = []
+    for i, nid in enumerate(tracer.name):
+        p = parent[i]
+        while p >= 0 and names[tracer.name[p]] != name:
+            p = parent[p]
+        if p >= 0:
+            out.append(names[nid])
+    return out
