@@ -403,8 +403,17 @@ class BoundaryBatch:
 def worm_rho(beta, t):
     """Deformed worm defining function on C^2.
 
-    rho_t(z, w) = |z - e^{i log|w|^2}|^2 - (1 - phi(log|w|^2) - |t|^2),
-    undefined on the axis w = 0.
+    rho_t(z, w) = |z - e^{iu}|^2 - (1 - |t|^2) + phi(u), u = log|w|^2,
+    undefined on the axis w = 0.  It is evaluated expanded as
+
+        x1 (x1 - 2 cos u) + y1 (y1 - 2 sin u) + (|t|^2 + phi(u)),
+
+    |z|^2 - 2 Re(conj(z) e^{iu}) + |t|^2 + phi(u), the same function with
+    the constant 1 = |e^{iu}|^2 cancelled.  On the central fiber's weak
+    annulus (z = 0, t = 0, |u| <= beta - pi/2, where phi = 0) every term is
+    then an exact 0.0, so rho vanishes there exactly instead of leaving the
+    rounding of cos^2 u + sin^2 u - 1, which a steep conformal factor would
+    amplify past the Levi null cutoff.
     """
     t = complex(t)
     if not abs(t) < 1:
@@ -418,9 +427,10 @@ def worm_rho(beta, t):
         x1, y1, x2, y2 = jets.lift(coords, order)
         wsq = x2 * x2 + y2 * y2
         u = jets.log(wsq)
-        dre = x1 - jets.cos(u)
-        dim = y1 - jets.sin(u)
-        return dre * dre + dim * dim - (1.0 - tsq) + phi.jet(u)
+        # x1 + (-2 cos u) is x1 - 2 cos u bit for bit, in one jet addition
+        # where a jet subtraction takes two
+        return (x1 * (x1 + -2.0 * jets.cos(u)) + y1 * (y1 + -2.0 * jets.sin(u))
+                + (phi.jet(u) + tsq))
 
     return DomainSpec(n=2, eval_fn=ev)
 

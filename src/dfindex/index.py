@@ -23,15 +23,16 @@ Its result is one CriterionSamples record of arrays, one entry per pair.
 
 The defining-function degree of freedom is the conformal family
 rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
-supplies the extremal factor log(cos(kappa u))/kappa with kappa just below
-its critical value.  optimize_rho evaluates delta's order-3 jet over the
-points once, which also gives the base criterion samples, and each tried
-psi_i's order-3 jet at most once; each candidate is the jet product
-e^{+-psi_i} delta (_member_jet, the formula RhoFamily.realize evaluates
-too), and only the certificate that the full criterion pipeline gives for
-it is reported.  The conformal transformation law (ConformalLaw) predicts
-that certificate from one order-2 jet pass per basis function, as a health
-check.
+supplies one factor, the extremal log(cos(kappa u))/kappa with kappa a
+relative LOG_COS_GAP below its critical value.  The conformal
+transformation law (ConformalLaw) predicts every member's criterion samples
+from one order-2 jet pass per basis function.  optimize_rho evaluates
+delta's order-3 jet over the points once, which also gives the base
+criterion samples, and builds only the candidates whose predicted bound
+beats the base one: each is the jet product e^{+-psi_i} delta (_member_jet,
+the formula RhoFamily.realize evaluates too), and only the certificate that
+the full criterion pipeline gives for it is reported, after the law's
+prediction has matched it as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over sampled boundary
@@ -75,9 +76,7 @@ SPC_THRESHOLD = 1e-6     # normalized Levi eigenvalue gap for strong pseudoconve
 SPC_SAMPLES = 2000
 PSH_TOL = 1e-12          # psh margin down to -PSH_TOL counts as plurisubharmonic
 WORM_ANCHOR = np.array([1.0, 0.0, 1.0, 0.0])
-# kappa = (1 - eps) kappa* of the worm's extremal factors, tightest first;
-# optimize_rho steps down when a realization loses a weak point.
-LOG_COS_GAPS = (1e-5, 1e-4, 1e-3)
+LOG_COS_GAP = 1e-5       # the worm factor's kappa = (1 - LOG_COS_GAP) kappa*
 PREDICTION_GAP_TOL = 1e-10  # certificate vs law, relative; larger is a fault
 
 TOLERANCES = {"spc_threshold": SPC_THRESHOLD, "msq_eps": MSQ_EPS}
@@ -164,22 +163,25 @@ def _log_cos_factor(kappa, r0):
 
 
 def worm_psi_basis(beta=3.0 * math.pi / 4.0):
-    """Extremal conformal factors of the worm with opening beta, tightest first.
+    """The extremal conformal factor of the worm with opening beta, as a
+    one-member basis.
 
     On the weak annulus |u| <= r0 = beta - pi/2, u = log|w|^2, a psi of u
     gives the criterion ratio r = -psi''/(1 + psi'^2).  r >= kappa forces
     arctan(psi') to drop by 2 kappa r0 < pi, so kappa < kappa* = pi/(2 r0),
-    and psi_kappa = log(cos(kappa u))/kappa attains r = kappa.  Member i has
-    kappa = (1 - LOG_COS_GAPS[i]) kappa*: +psi_kappa certifies
+    and psi_kappa = log(cos(kappa u))/kappa attains r = kappa.  The factor
+    has kappa = (1 - LOG_COS_GAP) kappa*: +psi_kappa certifies
     DF >= kappa/(1 + kappa) < pi/(2 beta), and -psi_kappa certifies
     S <= kappa/(kappa - 1) > pi/(2 pi - 2 beta) if kappa > 1.  Past the
-    annulus each member is blended to 0 (_log_cos_factor), so its annulus
-    jets are exactly those of psi_kappa.
+    annulus it is blended to 0 (_log_cos_factor), so its annulus jets are
+    exactly those of psi_kappa.  The worm vanishes exactly on the annulus
+    points (domains.worm_rho), so psi'' ~ 1/LOG_COS_GAP^2 amplifies no
+    boundary residual into the Levi null cutoff, and the one factor keeps
+    all 33 weak points of the central fiber for openings up to about 36.
     """
     r0 = domains.annulus_radius(beta)
     kappa_star = math.pi / (2.0 * r0)
-    return [_log_cos_factor((1.0 - eps) * kappa_star, r0)
-            for eps in LOG_COS_GAPS]
+    return [_log_cos_factor((1.0 - LOG_COS_GAP) * kappa_star, r0)]
 
 
 class RhoFamily:
@@ -418,23 +420,29 @@ def _base_law(family, points):
 _FAULTS = (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
            FloatingPointError, OverflowError)
 _SIGNS = {"df": 1.0, "s": -1.0}
+_BOUNDS = {"df": df_bound, "s": s_bound}
 
 
-def _certify(law, c, kind, samples):
-    """(certified bound, relative prediction gap) of the member with
-    coefficients c and criterion samples ``samples``, or None, which keeps
-    the base delta's bound: when the member has lost (or gained) weak points
-    against the base null count, when its bound is no better than the base
-    one, or when it departs from the law's prediction by more than
+def _beats(kind, value, base):
+    """Whether a bound of kind "df" (higher is better) or "s" (lower is
+    better) is strictly better than ``base``."""
+    return value > base if kind == "df" else value < base
+
+
+def _certify(law, kind, predicted, samples):
+    """(certified bound, relative prediction gap) of a member with criterion
+    samples ``samples`` and law-predicted bound ``predicted``, or None, which
+    keeps the base delta's bound: when the member has lost (or gained) weak
+    points against the base null count, when its bound is no better than the
+    base one, or when it departs from the law's prediction by more than
     PREDICTION_GAP_TOL (a vacuous degenerate-msq certificate, for one).
     """
-    bound = df_bound if kind == "df" else s_bound
-    base = bound(law.samples)
+    bound = _BOUNDS[kind]
     value = bound(samples)
-    if len(samples) != len(law.samples) or not (
-            value > base if kind == "df" else value < base):
+    if len(samples) != len(law.samples) or not _beats(
+            kind, value, bound(law.samples)):
         return None
-    gap = abs(bound(law.predict(c)) - value) / value
+    gap = abs(predicted - value) / value
     return None if gap > PREDICTION_GAP_TOL else (value, gap)
 
 
@@ -443,16 +451,18 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
     """Certified index bounds from the first accepted basis function.
 
     Each basis function alone is a candidate, in basis order: coefficient +1
-    for the DF bound and -1 for the Steinness one.  The first candidate that
-    _certify accepts is reported; if none is, the base delta's bound is.
-    worm_psi_basis orders its extremal factors tightest first, so this is
-    the tightest one whose realization keeps every weak point.  The result
-    does not depend on ``seed``, which is only recorded.
+    for the DF bound and -1 for the Steinness one.  The conformal law screens
+    every candidate before it is built: one whose predicted bound does not
+    beat the base bound (S at an opening beta >= pi, for one) gets no jet and
+    no criterion pass.  The first built candidate that _certify accepts is
+    reported; if none is, the base delta's bound is.  The result does not
+    depend on ``seed``, which is only recorded.
 
     delta's order-3 jet over the points is evaluated once and gives the
-    law's base samples.  Each tried psi_i's order-3 jet is evaluated at most
-    once, and the candidates +-e_i are the jets e^{+-psi_i} delta built from
-    the two (_member_jet), so no candidate re-runs delta's jet pass.
+    law's base samples.  Each psi_i's order-3 jet is evaluated at most once,
+    and only when one of its candidates passes the screen; the candidates
+    +-e_i are the jets e^{+-psi_i} delta built from the two (_member_jet),
+    so no candidate re-runs delta's jet pass.
     """
     coords, delta, law = _base_law(family, points)
     null_count = len(law.samples)
@@ -469,22 +479,28 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
                    "df_prediction_gap": 0.0, "s_prediction_gap": 0.0}
     best = {kind: np.zeros(family.dim) for kind in _SIGNS}
     for i, fn in enumerate(family.psi_basis):
-        pending = [kind for kind in _SIGNS if not best[kind].any()]
-        if not pending:
-            break
+        screened = []
+        for kind, sign in _SIGNS.items():
+            if best[kind].any():
+                continue
+            c = np.zeros(family.dim)
+            c[i] = sign
+            predicted = _BOUNDS[kind](law.predict(c))
+            if _beats(kind, predicted, values[kind]):
+                screened.append((kind, c, predicted))
+        if not screened:
+            continue
         try:
             psi = fn(coords, 3)
         except _FAULTS:
             continue
-        for kind in pending:
-            c = np.zeros(family.dim)
-            c[i] = _SIGNS[kind]
+        for kind, c, predicted in screened:
             try:
                 samples = _jet_samples(_member_jet(delta, [(c[i], psi)]),
                                        family.base.n)
             except _FAULTS:
                 continue
-            got = _certify(law, c, kind, samples)
+            got = _certify(law, kind, predicted, samples)
             if got is not None:
                 best[kind] = c
                 values[kind], diagnostics[f"{kind}_prediction_gap"] = got

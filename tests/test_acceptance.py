@@ -80,15 +80,16 @@ def test_criterion_04_index_bounds_vs_ground_truth(sweep):
     assert truth["df"] == pytest.approx(2.0 / 3.0)
     assert truth["s"] == pytest.approx(2.0)
     assert truth["relation"] == pytest.approx(2.0)
-    # best_params are +-unit vectors whose realizations reproduce the bounds
+    # best_params are the one factor's +-1, whose realizations reproduce the
+    # bounds bit for bit
     family = index.RhoFamily(domains.worm_rho(BETA, 0.0), index.worm_psi_basis())
     points = domains.annulus_points(BETA, 33)
     for kind, sign, bound, value in (("df", 1.0, index.df_bound, central.df_lower),
                                      ("s", -1.0, index.s_bound, central.s_upper)):
         c = central.best_params[kind]
-        assert sorted(c) == sorted([sign, 0.0, 0.0])
+        assert c.tolist() == [sign]
         samples = index.criterion_samples(family.realize(c), points)
-        assert abs(bound(samples) - value) <= 1e-12
+        assert bound(samples) == value
     ok(4, f"df_lower = {central.df_lower:.7f} in [2/3 - 1e-5, 2/3], "
           f"s_upper = {central.s_upper:.7f} in [2, 2 + 1e-4]; "
           f"sign calibration discharged")

@@ -335,20 +335,41 @@ def test_worm_analyze_rejects_an_anchor(tmp_path, capsys):
 
 
 def test_non_finite_criterion_samples_are_no_input_error(tmp_path):
-    # at beta = 20 a realized extremal factor overflows in its criterion
-    # samples, which the optimizer must treat as a failed realization.  The
-    # overflow warns, and the tests turn warnings into errors, so the command
-    # runs as a user runs it: in its own process
+    # at beta = 60 the realized extremal factor's criterion samples are not
+    # finite, which the optimizer must treat as a failed realization.  The
+    # invalid division warns, and the tests turn warnings into errors, so
+    # the command runs as a user runs it: in its own process
     src = Path(cli.__file__).resolve().parents[1]
     out = tmp_path / "r.json"
     code = subprocess.run(
         [sys.executable, "-m", "dfindex", "analyze", "--t", "0", "--beta",
-         "20", "--output", str(out)],
+         "60", "--output", str(out)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True).returncode
-    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC)
-    if code == cli.EXIT_OK:
-        assert json.loads(out.read_text())["df_lower"] <= math.pi / 40
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["df_lower"] <= math.pi / 120
+
+
+def test_wide_opening_is_certified_without_warnings(tmp_path):
+    # at beta = 30 the extremal factor keeps all 33 weak points, and the
+    # conformal law screens out the Steinness candidate (S = inf past
+    # beta = pi) before its jets can overflow; the command runs in its own
+    # process with every RuntimeWarning an error
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dfindex",
+         "analyze", "--t", "0", "--beta", "30", "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["null_count"] == 33
+    assert data["df_lower"] == pytest.approx(math.pi / 60.0, rel=1e-5)
+    assert data["df_lower"] <= math.pi / 60.0
+    assert proc.stderr.splitlines() == [
+        f"df_lower = {data['df_lower']:.6f}  s_upper = inf  null_count = 33  "
+        f"spc = False"]
 
 
 def test_negative_seed_is_an_input_error(tmp_path, capsys):

@@ -178,6 +178,16 @@ class TestWorm:
         assert dm.value(jets.coords_of_point([0.0, 1.0])) == pytest.approx(
             0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("beta", [0.6 * math.pi, BETA, 1.6, 2.0,
+                                      1.2 * math.pi, 18.0, 30.0, 36.0])
+    def test_vanishes_exactly_on_the_annulus(self, beta):
+        # at z = 0, t = 0 and phi(u) = 0 every term of the expanded form is
+        # an exact 0.0: no rounding of cos^2 u + sin^2 u - 1 is left over
+        dm = domains.worm_rho(beta, 0.0)
+        coords = np.stack([p.coords for p in domains.annulus_points(beta, 33)],
+                          axis=1)
+        assert dm.rho(coords, 3).value.tolist() == [0.0] * 33
+
     def test_interior_anchor(self):
         dm = domains.worm_rho(BETA, 0.3)
         assert dm.value(np.array([1.0, 0.0, 1.0, 0.0])) < 0.0
@@ -432,7 +442,9 @@ ONE_POINT_DOMAINS = {
     "constant": lambda: exprparse.parse_expression("2-1", n=1),
     "conformal": lambda: index.RhoFamily(
         domains.worm_rho(BETA, 0.0),
-        index.worm_psi_basis(BETA)).realize([0.3, -0.2, 0.1]),
+        [*index.worm_psi_basis(BETA),
+         index._log_cos_factor((1.0 - 1e-3) * math.pi / (2.0 * R), R)]
+    ).realize([0.3, -0.2]),
 }
 
 
@@ -440,8 +452,9 @@ ONE_POINT_DOMAINS = {
 @pytest.mark.parametrize("name", list(ONE_POINT_DOMAINS))
 def test_one_point_is_a_batch_of_one(name, order):
     # rho of one point (2n,) is column b of rho over the batch, bit for bit;
-    # u = log|w|^2 covers the annulus, the blend of the conformal factors
-    # just past it (h = 3.9e-6 for the tightest), and beyond
+    # u = log|w|^2 covers the annulus, the blend of the two conformal
+    # factors just past it (h = 3.9e-6 for worm_psi_basis's, 3.9e-4 for the
+    # looser one), and beyond
     dm = ONE_POINT_DOMAINS[name]()
     us = [-1.6, -R, -0.3, 0.0, 0.5, R, R + 2e-6, R + 1e-4, 1.2]
     coords = np.stack([jets.coords_of_point(

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 
@@ -185,12 +186,15 @@ class TestRhoFamily:
         assert self.family.realize(np.zeros(self.family.dim)) is self.base
 
     def test_realized_value_matches_manual_product(self):
-        params = np.zeros(self.family.dim)
-        params[0], params[1], params[2] = 0.3, -0.2, 0.1
-        realized = self.family.realize(params)
+        # two members: worm_psi_basis's factor and a looser one
+        r0 = BETA - math.pi / 2
+        looser = index._log_cos_factor((1.0 - 1e-3) * math.pi / (2.0 * r0), r0)
+        family = index.RhoFamily(self.base, [*self.family.psi_basis, looser])
+        params = np.array([0.3, -0.2])
+        realized = family.realize(params)
         coords = jets.coords_of_point([0.2 + 0.1j, 1.1 - 0.2j])
         psi = sum(c * psi_fn(coords[:, None], 3).take(0).value
-                  for c, psi_fn in zip(params, self.family.psi_basis))
+                  for c, psi_fn in zip(params, family.psi_basis))
         assert realized.value(coords) == pytest.approx(
             math.exp(psi) * self.base.value(coords), rel=1e-13)
 
@@ -279,7 +283,7 @@ def test_conformal_law_pins_sign_of_omega_shift():
     def im_w(coords, order=3):
         return jets.lift(coords, order)[3]
 
-    basis = [im_w, index.worm_psi_basis()[1]]
+    basis = [im_w, index.worm_psi_basis()[0]]
     family = index.RhoFamily(domains.worm_rho(BETA, 0.0), basis)
     pts = [p for p in domains.annulus_points(BETA, 9) if p.z[1].imag == 0.0]
     assert len(pts) == 9
@@ -404,7 +408,7 @@ def test_criterion_samples_match_oracle_across_pivot_groups(factor):
 def test_log_cos_factor_batch_matches_each_point(order):
     # the three u-regions of the factor: log cos, the blend to 0, and 0
     r0 = BETA - math.pi / 2
-    kappa = (1.0 - index.LOG_COS_GAPS[-1]) * math.pi / (2.0 * r0)
+    kappa = (1.0 - index.LOG_COS_GAP) * math.pi / (2.0 * r0)
     h = 0.5 * (0.5 * math.pi / kappa - r0)
     fn = index._log_cos_factor(kappa, r0)
     us = np.concatenate([np.linspace(-r0, r0, 9),
@@ -434,14 +438,12 @@ def test_log_cos_factor_is_psi_kappa_at_the_annulus_end():
     x1, y1, x2, y2 = jets.lift(coords, 3)
     u = jets.log(x2 * x2 + y2 * y2)
     assert u.value[0] > r0
-    kappa_star = math.pi / (2.0 * r0)
-    for eps, fn in zip(index.LOG_COS_GAPS, index.worm_psi_basis(BETA)):
-        kappa = (1.0 - eps) * kappa_star
-        want = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
-        got = fn(coords, 3)
-        for part in ("value", "d1", "d2", "d3"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), \
-                (eps, part)
+    kappa = (1.0 - index.LOG_COS_GAP) * math.pi / (2.0 * r0)
+    want = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
+    [fn] = index.worm_psi_basis(BETA)
+    got = fn(coords, 3)
+    for part in ("value", "d1", "d2", "d3"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 def test_smooth_step_is_exact_where_one_side_vanishes():
@@ -558,8 +560,7 @@ def test_optimize_rho_improves_on_base():
 
 def test_optimize_rho_reports_realized_certificates():
     # the optimizer builds each member's jet from jets it already holds;
-    # realizing the reported coefficients from scratch gives the same bits.
-    # At 1.6 (DF) and 2.0 (S) the ladder certifies with its third member
+    # realizing the reported coefficients from scratch gives the same bits
     for beta in (BETA, 1.6, 2.0, 0.6 * math.pi):
         family = index.RhoFamily(domains.worm_rho(beta, 0.0),
                                  index.worm_psi_basis(beta))
@@ -572,11 +573,14 @@ def test_optimize_rho_reports_realized_certificates():
             assert len(samples) == rep.null_count
             assert bound(samples) == value
             assert rep.diagnostics[f"{kind}_prediction_gap"] <= 1e-10
-        # kappa < kappa* keeps the certificates inside the true index range
+        # kappa < kappa* keeps the certificates inside the true index range,
+        # and kappa = (1 - 1e-5) kappa* within 1e-5 (DF), 1e-4 (S) of it
+        assert rep.best_params["df"].tolist() == [1.0]
+        assert rep.best_params["s"].tolist() == [-1.0]
         df_exact = math.pi / (2.0 * beta)
         s_exact = math.pi / (2.0 * math.pi - 2.0 * beta)
-        assert df_exact - 1e-3 <= rep.df_lower <= df_exact
-        assert s_exact <= rep.s_upper <= s_exact * (1.0 + 1e-2)
+        assert (1.0 - 1e-5) * df_exact <= rep.df_lower <= df_exact
+        assert s_exact <= rep.s_upper <= s_exact * (1.0 + 1e-4)
         if beta == BETA:
             assert 2.0 / 3.0 - 1e-5 <= rep.df_lower <= 2.0 / 3.0
             assert 2.0 <= rep.s_upper <= 2.0 + 1e-4
@@ -594,25 +598,38 @@ def test_optimize_rho_is_deterministic_in_seed():
                                   reports[0].best_params[kind])
 
 
+def residual_worm(beta):
+    """The central worm fiber written as |z - e^{iu}|^2 - 1 + phi(u): the
+    function domains.worm_rho evaluates at t = 0, but cos^2 u + sin^2 u - 1
+    leaves a rounding residual of up to 2.2e-16 at annulus points."""
+    phi = domains.make_phi(beta)
+
+    def ev(coords, order=3):
+        x1, y1, x2, y2 = jets.lift(coords, order)
+        u = jets.log(x2 * x2 + y2 * y2)
+        dre = x1 - jets.cos(u)
+        dim = y1 - jets.sin(u)
+        return dre * dre + dim * dim - 1.0 + phi.jet(u)
+
+    return domains.DomainSpec(n=2, eval_fn=ev)
+
+
 def test_optimize_rho_rejects_certificate_that_loses_weak_points():
-    # at these openings and sides the two tightest factors are so steep at
-    # the annulus ends that their realized Levi eigenvalue there clears the
-    # null cutoff, so the ladder steps down to the third
-    for beta, kind, sign in ((1.6, "df", 1.0), (2.0, "s", -1.0)):
-        family = index.RhoFamily(domains.worm_rho(beta, 0.0),
-                                 index.worm_psi_basis(beta))
-        pts = domains.annulus_points(beta, 5)
-        for c in sign * np.eye(family.dim)[:2]:
-            broken = index.criterion_samples(family.realize(c), pts)
-            assert len(broken) < len(pts)
+    # on the residual worm the factor's psi'' ~ 1/LOG_COS_GAP^2 lifts the
+    # realized Levi eigenvalue at some annulus points past the null cutoff:
+    # the DF member at beta = 1.6 keeps 3 of 5, the S member at 2.0 keeps 4
+    for beta, kind, sign, kept in ((1.6, "df", 1.0, 3), (2.0, "s", -1.0, 4)):
+        dm = residual_worm(beta)
+        family = index.RhoFamily(dm, index.worm_psi_basis(beta))
+        pts = domains.annulus_points(beta, 5, dm)
+        broken = index.criterion_samples(family.realize([sign]), pts)
+        assert len(broken) == kept
 
         rep = index.optimize_rho(family, pts, beta=beta)
-        reported = rep.best_params[kind]
-        assert np.array_equal(reported, [0.0, 0.0, sign])
-        samples = index.criterion_samples(family.realize(reported), pts)
-        assert len(samples) == rep.null_count == len(pts)
-        bound = index.df_bound if kind == "df" else index.s_bound
-        assert bound(samples) == (rep.df_lower if kind == "df" else rep.s_upper)
+        assert rep.null_count == len(pts)
+        assert rep.best_params[kind].tolist() == [0.0]
+        value = rep.df_lower if kind == "df" else rep.s_upper
+        assert value == float(rep.diagnostics[f"base_{kind}"])
 
 
 def test_optimize_rho_rejects_certificate_that_departs_from_the_law(
@@ -630,18 +647,32 @@ def test_optimize_rho_rejects_certificate_that_departs_from_the_law(
     assert rep.s_upper == math.inf
 
 
-@pytest.mark.parametrize("beta", [0.6 * math.pi, 0.7 * math.pi, BETA,
-                                  0.9 * math.pi, 1.2 * math.pi])
+CENTRAL_BETAS = [0.6 * math.pi, 0.7 * math.pi, BETA, 0.9 * math.pi,
+                 1.2 * math.pi, 1.6, 2.0, 24, 30, 36]
+
+
+@functools.lru_cache(maxsize=None)
+def central_report(beta):
+    return index.worm_fiber_report(beta, 0.0)
+
+
+@pytest.mark.parametrize("beta", CENTRAL_BETAS)
 def test_central_fiber_reaches_exact_indices_across_beta(beta):
-    rep = index.worm_fiber_report(beta, 0.0)
+    # the one factor keeps all 33 weak points up to beta = 36
+    rep = central_report(beta)
     assert rep.null_count == 33
     df_exact = math.pi / (2.0 * beta)
-    assert df_exact - 1e-5 <= rep.df_lower <= df_exact
+    assert (1.0 - 1e-5) * df_exact <= rep.df_lower <= df_exact
     if beta < math.pi:
         s_exact = math.pi / (2.0 * math.pi - 2.0 * beta)
         assert s_exact <= rep.s_upper <= s_exact * (1.0 + 1e-4)
     else:
         assert rep.s_upper == math.inf
+
+
+def test_central_fiber_df_decreases_along_beta():
+    dfs = [central_report(beta).df_lower for beta in sorted(CENTRAL_BETAS)]
+    assert all(a > b for a, b in zip(dfs, dfs[1:]))
 
 
 def test_optimize_rho_keeps_the_report_of_no_points():
@@ -655,9 +686,9 @@ def test_optimize_rho_keeps_the_report_of_no_points():
 
 
 def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
-    # delta's order-3 jet once for the law and every candidate, and each
-    # tried factor's once for both of its candidates +-e_i
-    beta = 1.6  # DF steps down the ladder to its third member
+    # delta's order-3 jet once for the law and every candidate, and the
+    # factor's once for both of its candidates +-e_1
+    beta = 1.6
     family = index.RhoFamily(domains.worm_rho(beta, 0.0),
                              index.worm_psi_basis(beta))
     pts = domains.annulus_points(beta, 5)
@@ -677,9 +708,32 @@ def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
     monkeypatch.setattr(domains.DomainSpec, "rho", counted_rho)
     family.psi_basis = [counted(i, fn) for i, fn in enumerate(family.psi_basis)]
     rep = index.optimize_rho(family, pts, beta=beta)
-    assert rep.best_params["df"][2] == 1.0
+    assert rep.best_params["df"].tolist() == [1.0]
+    assert rep.best_params["s"].tolist() == [-1.0]
     order3 = [name for name, order in calls if order == 3]
-    assert order3 == ["delta", 0, 1, 2]
+    assert order3 == ["delta", 0]
+
+
+@pytest.mark.parametrize("beta", [1.2 * math.pi, 30.0])
+def test_optimize_rho_builds_only_candidates_the_law_screens_in(
+        beta, monkeypatch):
+    # past beta = pi, kappa* < 1 and the law predicts S = inf for -psi, no
+    # better than the base: that candidate gets no jet and no criterion pass
+    family = index.RhoFamily(domains.worm_rho(beta, 0.0),
+                             index.worm_psi_basis(beta))
+    pts = domains.annulus_points(beta, 9)
+    coefficients = []
+    member_jet = index._member_jet
+
+    def recorded(delta, terms):
+        coefficients.extend(c for c, _ in terms)
+        return member_jet(delta, terms)
+
+    monkeypatch.setattr(index, "_member_jet", recorded)
+    rep = index.optimize_rho(family, pts, beta=beta)
+    assert coefficients == [1.0]
+    assert rep.best_params["df"].tolist() == [1.0]
+    assert rep.s_upper == math.inf
 
 
 def test_optimize_rho_spc_shortcut():
