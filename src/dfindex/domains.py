@@ -314,24 +314,27 @@ def phi_quadrature_check(phi):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A defining function with jet evaluation over 2n real coordinates.
+    """A defining function of the jets of 2n real coordinates.
 
-    ``eval_fn(coords, order)`` takes interleaved real coordinates (2n, B),
-    one point per column, and returns the real batched Jet of that order
-    (see jets.lift), as _ray_roots (order 1), boundary_batch (order 2) and
-    index.criterion_samples (order 3) call it.
+    ``fn(xs)`` takes the coordinate jets x1, y1, ..., xn, yn over a batch
+    (jets.lift) and returns the real jet of the function, of their order.
+    It lifts nothing itself: rho is the one place where coordinates become
+    jets, so functions of coordinate jets compose.
     """
 
     n: int
-    eval_fn: Callable[[np.ndarray, int], Jet]
+    fn: Callable[[list], Jet]
 
     def rho(self, coords, order=3) -> Jet:
-        """eval_fn at coords (2n, B); one point (2n,) is read as a batch of
-        one, and its jet comes back without the batch axis."""
+        """The jet of fn at coords (2n, B), one point per column, as
+        _ray_roots (order 1), boundary_batch (order 2) and
+        index.criterion_samples (order 3) evaluate it; one point (2n,) is
+        read as a batch of one, and its jet comes back without the batch
+        axis."""
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
-            return self.eval_fn(coords[:, None], order).take(0)
-        return self.eval_fn(coords, order)
+            return self.fn(jets.lift(coords[:, None], order)).take(0)
+        return self.fn(jets.lift(coords, order))
 
     def value(self, coords) -> float:
         return self.rho(coords, order=1).value
@@ -356,10 +359,14 @@ class DomainSpec:
 
 
 def _check_boundary(w):
-    """Wirtinger data w of a batch, after checking that every point has
-    |rho| <= BOUNDARY_TOL (1 + |d'rho|) and |d'rho| >= 1e-10 (1 + |d'rho|),
-    d'rho the complex gradient."""
-    grad_norm = np.linalg.norm(w.grad, axis=0)
+    """Wirtinger data w of a batch, after checking that every point has a
+    finite |d'rho|, |rho| <= BOUNDARY_TOL (1 + |d'rho|) and
+    |d'rho| >= 1e-10 (1 + |d'rho|), d'rho the complex gradient."""
+    with np.errstate(over="ignore"):  # an infinite norm raises below
+        grad_norm = np.linalg.norm(w.grad, axis=0)
+    if not np.isfinite(grad_norm).all():
+        raise DomainError("complex gradient norm is not finite at a boundary "
+                          "point")
     scale = 1.0 + grad_norm
     off = np.abs(w.value) > BOUNDARY_TOL * scale
     if off.any():
@@ -421,18 +428,15 @@ def worm_rho(beta, t):
     phi = make_phi(beta)
     tsq = abs(t) ** 2
 
-    def ev(coords, order=3):
-        if np.any((coords[2] == 0.0) & (coords[3] == 0.0)):
+    def fn(xs):
+        x1, y1, x2, y2 = xs
+        if np.any((x2.value == 0.0) & (y2.value == 0.0)):
             raise DomainError("worm defining function is singular at w = 0")
-        x1, y1, x2, y2 = jets.lift(coords, order)
-        wsq = x2 * x2 + y2 * y2
-        u = jets.log(wsq)
-        # x1 + (-2 cos u) is x1 - 2 cos u bit for bit, in one jet addition
-        # where a jet subtraction takes two
-        return (x1 * (x1 + -2.0 * jets.cos(u)) + y1 * (y1 + -2.0 * jets.sin(u))
+        u = jets.log(x2 * x2 + y2 * y2)
+        return (x1 * (x1 - 2.0 * jets.cos(u)) + y1 * (y1 - 2.0 * jets.sin(u))
                 + (phi.jet(u) + tsq))
 
-    return DomainSpec(n=2, eval_fn=ev)
+    return DomainSpec(n=2, fn=fn)
 
 
 def ball(n=2):
@@ -451,15 +455,15 @@ def ellipsoid(coeffs):
                           f"coefficients, got {coeffs.tolist()}")
     weights = np.repeat(coeffs, 2)  # one per real coordinate
 
-    def ev(coords, order=3):
+    def fn(xs):
         acc = None
-        for c, x in zip(weights, jets.lift(coords, order)):
+        for c, x in zip(weights, xs):
             # c = 1 (every term of the ball) skips the scaling: 1.0 * v is v
             term = x * x if c == 1.0 else c * (x * x)
             acc = term if acc is None else acc + term
         return acc - 1.0
 
-    return DomainSpec(n=coeffs.size, eval_fn=ev)
+    return DomainSpec(n=coeffs.size, fn=fn)
 
 
 # -- boundary sampling --------------------------------------------------------

@@ -11,8 +11,9 @@ Variables are the complex coordinates z1..zn; functions are abs2, re, im,
 exp, log, sqrt, sin, cos.  The parser emits the evaluator as it reads: each
 rule returns either a constant, folded and checked for finiteness once, or a
 closure from the coordinate jets to the jet of its sub-expression.  The
-closure of the whole expression evaluates it over a batch of points, so a
-parsed defining function feeds the rest of the toolkit directly.
+closure of the whole expression, over the coordinate jets of a batch of
+points, is the parsed domain's fn, so a parsed defining function feeds the
+rest of the toolkit directly.
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ class _Parser:
         self.fail("operand")
 
 
-def _eval_at(f, coords, n, order):
-    """The jet of f, a parsed expression, at coords."""
-    xs = jets.lift(coords, order)
+def _eval_at(f, xs, n):
+    """The jet of f, a parsed expression in z1..zn, over the coordinate jets
+    xs (x1, y1, ..., xn, yn) of a batch; complex where f is."""
     if not callable(f):            # a constant, possibly complex,
         return f + 0.0 * xs[0]     # as a jet over the batch
     return f([xs[2 * k] + 1j * xs[2 * k + 1] for k in range(n)])
@@ -264,7 +265,7 @@ def parse_expression(text, n=None):
 
     with np.errstate(all="ignore"):
         # one batch of all points, with d1 and d2 broadcast over it
-        j = _eval_at(f, _realness_points(2 * n), n, order=2).take(
+        j = _eval_at(f, jets.lift(_realness_points(2 * n), 2), n).take(
             np.arange(REALNESS_POINTS))
         d1, d2 = j.d1, j.d2.reshape(-1, REALNESS_POINTS)
         imag = np.abs(np.vstack([j.value.imag, d1.imag, d2.imag])).max(axis=0)
@@ -272,7 +273,7 @@ def parse_expression(text, n=None):
     if np.any(imag > IMAG_PART_TOL * scale):
         raise ParseError("expression is not real-valued", 0)
 
-    def ev(coords, order=3):
-        return _eval_at(f, coords, n, order).real_part()
+    def fn(xs):
+        return _eval_at(f, xs, n).real_part()
 
-    return DomainSpec(n=n, eval_fn=ev)
+    return DomainSpec(n=n, fn=fn)

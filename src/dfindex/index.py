@@ -143,21 +143,23 @@ def _scatter(count, columns, j):
 def _log_cos_factor(kappa, r0):
     """psi = log(cos(kappa u))/kappa in u = log|w|^2 on |u| <= r0, blended
     C^inf to 0 on r0 < |u| < r0 + h, h = (pi/(2 kappa) - r0)/2, and 0 beyond,
-    where the logarithm ceases to exist.  The product of log-cos and the
-    blending step is evaluated on the columns with |u| < r0 + h alone, so
-    log and cos never see an argument outside their domain; on |u| <= r0
-    the step is the exact constant-1 jet (_smooth_step)."""
+    where the logarithm ceases to exist.  Like a DomainSpec's fn, the factor
+    is a function of the coordinate jets (x1, y1, x2, y2) of a batch.  The
+    product of log-cos and the blending step is evaluated on the columns
+    with |u| < r0 + h alone, so log and cos never see an argument outside
+    their domain; on |u| <= r0 the step is the exact constant-1 jet
+    (_smooth_step)."""
     h = 0.5 * (0.5 * math.pi / kappa - r0)
 
-    def fn(coords, order=3):
-        x1, y1, x2, y2 = jets.lift(coords, order)
+    def fn(xs):
+        x1, y1, x2, y2 = xs
         u = jets.log(x2 * x2 + y2 * y2)
         near = np.flatnonzero(np.abs(u.value) < r0 + h)
         u = u.take(near)
         abs_u = u * np.copysign(1.0, u.value)
         psi = ((1.0 / kappa) * jets.log(jets.cos(kappa * u))
                * _smooth_step((1.0 / h) * (r0 + h - abs_u)))
-        return _scatter(coords.shape[1], near, psi)
+        return _scatter(x1.value.shape[0], near, psi)
 
     return fn
 
@@ -190,11 +192,11 @@ class RhoFamily:
     Any smooth real psi keeps the zero set, the interior sign, and the
     nonvanishing differential of delta, so every member is again a defining
     function (tests/reference.py::check_defining spot-checks this on probe
-    points).  Each psi_i is a callable psi(coords, order) giving its jet over
-    a batch of coordinates of shape (2n, B), as a DomainSpec's eval_fn does
-    (see jets.lift).  realize(c) is the member as a DomainSpec; its jet is
-    _member_jet of the jets of delta and of the psi_i with c_i != 0, the
-    product optimize_rho forms from jets it has already evaluated.
+    points).  Each psi_i is a function psi(xs) of the coordinate jets of a
+    batch, as a DomainSpec's fn is.  realize(c) is the member as a
+    DomainSpec whose fn is _member_jet of delta's fn and of the psi_i with
+    c_i != 0, all over the one lift of DomainSpec.rho: the product
+    optimize_rho forms from jets it has already evaluated.
     """
 
     def __init__(self, base: domains.DomainSpec, psi_basis):
@@ -216,13 +218,13 @@ class RhoFamily:
         if not params.any():
             return self.base
 
-        terms = [(c, fn) for c, fn in zip(params, self.psi_basis) if c != 0.0]
+        terms = [(c, psi) for c, psi in zip(params, self.psi_basis) if c != 0.0]
 
-        def ev(coords, order=3):
-            return _member_jet(self.base.rho(coords, order),
-                               [(c, fn(coords, order)) for c, fn in terms])
+        def fn(xs):
+            return _member_jet(self.base.fn(xs),
+                               [(c, psi(xs)) for c, psi in terms])
 
-        return domains.DomainSpec(n=self.base.n, eval_fn=ev)
+        return domains.DomainSpec(n=self.base.n, fn=fn)
 
 
 def _member_jet(delta, terms):
@@ -407,9 +409,9 @@ def _base_law(family, points):
     A = np.zeros((family.dim, len(samples)), dtype=complex)
     H = np.zeros((family.dim, len(samples)))
     if len(samples):
-        weak, L = coords[:, samples.point], samples.L.T
+        weak, L = jets.lift(coords[:, samples.point], 2), samples.L.T
         for i, psi in enumerate(family.psi_basis):
-            w = jets.wirtinger(psi(weak, 2), family.base.n)
+            w = jets.wirtinger(psi(weak), family.base.n)
             A[i] = np.sum(w.grad * L, axis=0)
             H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
                           axis=(0, 1)).real
@@ -491,7 +493,7 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
         if not screened:
             continue
         try:
-            psi = fn(coords, 3)
+            psi = fn(jets.lift(coords, 3))
         except _FAULTS:
             continue
         for kind, c, predicted in screened:

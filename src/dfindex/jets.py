@@ -29,6 +29,7 @@ Jets are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,29 +117,38 @@ class Jet:
         if self.nvars != other.nvars:
             raise JetError("jets over different coordinate spaces")
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """self op other for op operator.add or operator.sub, as one jet."""
         if not isinstance(other, Jet):
-            return Jet(self.nvars, self.order, self.value + other,
+            return Jet(self.nvars, self.order, op(self.value, other),
                        self.d1, self.d2, self.d3)
         self._check(other)
         # the sum has the lower order of the two; higher tensors go unread
         k = min(self.order, other.order)
-        return Jet(self.nvars, k, self.value + other.value, self.d1 + other.d1,
-                   None if k < 2 else self.d2 + other.d2,
-                   None if k < 3 else self.d3 + other.d3)
+        return Jet(self.nvars, k, op(self.value, other.value),
+                   op(self.d1, other.d1),
+                   None if k < 2 else op(self.d2, other.d2),
+                   None if k < 3 else op(self.d3, other.d3))
+
+    def __add__(self, other):
+        return self._sum(other, operator.add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(self.nvars, self.order, -self.value, -self.d1,
-                   None if self.d2 is None else -self.d2,
-                   None if self.d3 is None else -self.d3)
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -other)
+        return self._sum(other, operator.sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._negated(other - self.value)
+
+    def __neg__(self):
+        return self._negated(-self.value)
+
+    def _negated(self, value):
+        """The jet with this value and the negated derivative tensors."""
+        return Jet(self.nvars, self.order, value, -self.d1,
+                   None if self.d2 is None else -self.d2,
+                   None if self.d3 is None else -self.d3)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):

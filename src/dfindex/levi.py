@@ -84,7 +84,9 @@ def levi_batch(w):
 
     All points share one stacked eigh.  An eigenvalue below
     NULL_TOL * scale counts as null; the null eigenvectors of a point are
-    re-orthonormalized by QR and conjugated into coefficients.
+    re-orthonormalized by QR and conjugated into coefficients.  A Levi
+    matrix that is not finite (an overflow, or NaN in the data) raises
+    LeviError.
     """
     count = np.shape(w.value)[0]
     # batch axis first, each point's block contiguous as for one point alone,
@@ -103,7 +105,10 @@ def levi_batch(w):
     X[at, rows, others] = grad[np.arange(count), pivot][:, None]
     X[at, rows, pivot[:, None]] = -grad[at, others]
 
-    M = X @ hess @ np.swapaxes(X.conj(), 1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        M = X @ hess @ np.swapaxes(X.conj(), 1, 2)
+    if not np.isfinite(M).all():
+        raise LeviError("Levi matrix is not finite")
     MH = np.swapaxes(M.conj(), 1, 2)
     defect = np.abs(M - MH).max(axis=(1, 2))
     bad = defect > 1e-13 * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))

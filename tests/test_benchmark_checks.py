@@ -9,7 +9,6 @@ that ``workloads.KNOWN_FAULTS`` names.  The expression workload's domains
 must also get DF = S = 1 from a certificate at every seed.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from dfindex import cli, exprparse, index
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import workloads  # noqa: E402
+from test_cli import read_report  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -30,7 +30,7 @@ def test_one_benchmark_round_passes_its_checks(tmp_path, workload):
     for i, op in enumerate(workloads.make_ops(workload, 0)):
         out = tmp_path / f"{i}.json"
         assert cli.main(list(op.argv) + ["--output", str(out)]) == cli.EXIT_OK
-        report = json.loads(out.read_text())
+        report = read_report(out)
         if op.expr not in workloads.KNOWN_FAULTS:
             problems += workloads.check_report(op, report)
             problems += workloads.check_points(op, report, dfindex)

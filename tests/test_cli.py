@@ -14,8 +14,19 @@ def run(argv):
     return cli.main(argv)
 
 
+def _not_json(constant):
+    raise ValueError(f"a report holds {constant}, which is not JSON")
+
+
+def read_report(path):
+    """The JSON file at path, read strictly: json.dumps writes a non-finite
+    float as NaN, Infinity or -Infinity, which no JSON parser need accept,
+    so a report holding one fails here."""
+    return json.loads(path.read_text(), parse_constant=_not_json)
+
+
 def load_without_stamp(path):
-    data = json.loads(path.read_text())
+    data = read_report(path)
     data.pop("timestamp", None)
     return data
 
@@ -128,7 +139,7 @@ def test_sweep_csv_and_json(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "t,df_lower,s_upper,null_count,spc"
     assert len(lines) == 3
-    data = json.loads(json_out.read_text())
+    data = read_report(json_out)
     assert len(data["reports"]) == 2
     assert data["reports"][1]["spc"] is True
 
@@ -139,7 +150,7 @@ def test_verify_levi_passes(tmp_path):
     out = tmp_path / "v.json"
     assert run(["verify-levi", "--count", "40", "--t", "0,0.3",
                 "--output", str(out)]) == cli.EXIT_OK
-    data = json.loads(out.read_text())
+    data = read_report(out)
     assert all(r["passed"] for r in data["results"])
     assert max(r["max_rel_error"] for r in data["results"]) < cli.LEVI_VERIFY_TOL
 
@@ -147,13 +158,13 @@ def test_verify_levi_passes(tmp_path):
 def test_schur_suite_passes(tmp_path):
     out = tmp_path / "s.json"
     assert run(["schur-test", "--count", "60", "--output", str(out)]) == cli.EXIT_OK
-    assert json.loads(out.read_text())["passed"] is True
+    assert read_report(out)["passed"] is True
 
 
 def test_phi_check_passes(tmp_path):
     out = tmp_path / "p.json"
     assert run(["phi-check", "--output", str(out)]) == cli.EXIT_OK
-    data = json.loads(out.read_text())
+    data = read_report(out)
     assert data["passed"] is True
     assert data["r"] == pytest.approx(3 * math.pi / 4 - math.pi / 2)
 
@@ -347,7 +358,7 @@ def test_non_finite_criterion_samples_are_no_input_error(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True).returncode
     assert code == cli.EXIT_OK
-    assert json.loads(out.read_text())["df_lower"] <= math.pi / 120
+    assert read_report(out)["df_lower"] <= math.pi / 120
 
 
 def test_wide_opening_is_certified_without_warnings(tmp_path):
@@ -363,13 +374,48 @@ def test_wide_opening_is_certified_without_warnings(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
-    data = json.loads(out.read_text())
+    data = read_report(out)
     assert data["null_count"] == 33
     assert data["df_lower"] == pytest.approx(math.pi / 60.0, rel=1e-5)
     assert data["df_lower"] <= math.pi / 60.0
     assert proc.stderr.splitlines() == [
         f"df_lower = {data['df_lower']:.6f}  s_upper = inf  null_count = 33  "
         f"spc = False"]
+
+
+@pytest.mark.parametrize("flags, code, err", [
+    (["--expr", "1e120*(abs2(z1)+abs2(z2)-1)", "--count", "20"],
+     cli.EXIT_NUMERIC,
+     "numerical consistency failure: Levi matrix is not finite\n"),
+    (["--domain", "ellipsoid", "--coeffs", "1,1e200", "--count", "5"],
+     cli.EXIT_INPUT,
+     "error: complex gradient norm is not finite at a boundary point\n"),
+])
+def test_overflow_is_an_error_not_a_nan_report(flags, code, err, tmp_path,
+                                               capsys):
+    # a Levi matrix or a gradient norm that overflows would put NaN in the
+    # report; the tests turn every RuntimeWarning into an error, so these
+    # runs also show that nothing warns on the way
+    out = tmp_path / "r.json"
+    assert run(["analyze", *flags, "--output", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_scaled_ball_below_overflow_keeps_index_one(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--expr", "1e100*(abs2(z1)+abs2(z2)-1)",
+                "--count", "20", "--output", str(out)]) == cli.EXIT_OK
+    data = read_report(out)
+    assert (data["df_lower"], data["s_upper"]) == (1.0, 1.0)
+
+
+def test_report_reader_rejects_non_finite_numbers(tmp_path):
+    out = tmp_path / "r.json"
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        out.write_text(f'{{"min_levi_eigenvalue": {constant}}}')
+        with pytest.raises(ValueError, match="not JSON"):
+            read_report(out)
 
 
 def test_negative_seed_is_an_input_error(tmp_path, capsys):

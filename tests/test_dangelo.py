@@ -186,12 +186,11 @@ def scaled_worm(c):
     """Defining function e^{c u^2} rho for the base worm, u = log|w|^2."""
     base = domains.worm_rho(BETA, 0.0)
 
-    def ev(coords, order=3):
-        xs = jets.lift(coords, order)
+    def fn(xs):
         u = jets.log(xs[2] * xs[2] + xs[3] * xs[3])
-        return jets.exp((c * u) * u) * base.rho(coords, order)
+        return jets.exp((c * u) * u) * base.fn(xs)
 
-    return domains.DomainSpec(n=2, eval_fn=ev)
+    return domains.DomainSpec(n=2, fn=fn)
 
 
 @pytest.mark.parametrize("c", [0.3, -0.25])

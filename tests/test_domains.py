@@ -341,6 +341,17 @@ def test_lockstep_roots_match_one_ray_oracle(case, seed):
         assert _rel_gap(p.coords, reference.ray_root(dm, anchor, d)) <= 1e-15
 
 
+def test_boundary_check_rejects_an_infinite_gradient_norm():
+    # rho = 1e170 is far off the boundary, but |d'rho| = 1e185 overflows
+    # in the norm, and an infinite scale would let both checks pass; the
+    # tests turn the overflow's RuntimeWarning into an error
+    dm = domains.ellipsoid([1.0, 1e200])
+    coords = jets.coords_of_point([0.0, 1e-15])
+    assert dm.value(coords) == pytest.approx(1e170)
+    with pytest.raises(domains.DomainError, match="not finite"):
+        dm.boundary_point(coords)
+
+
 def test_singular_probe_nudges_only_its_ray():
     # from WORM_ANCHOR, the first ray's probe at s = 2 lands exactly on w = 0;
     # the second passes through w = 0 at s = 1, past its sign change at 0.5
@@ -354,17 +365,17 @@ def test_singular_probe_nudges_only_its_ray():
     dm = domains.worm_rho(BETA, 0.05)
     raised = []
 
-    def spy(coords, order=3):
+    def spy(xs):
         try:
-            return dm.eval_fn(coords, order)
+            return dm.fn(xs)
         except domains.DomainError:
-            raised.append(coords.shape)
+            raised.append(xs[0].value.shape)
             raise
 
-    watched = domains.DomainSpec(n=2, eval_fn=spy)
+    watched = domains.DomainSpec(n=2, fn=spy)
     mixed = others[:3] + singular + others[3:]
     roots = domains._ray_roots(watched, index.WORM_ANCHOR, np.array(mixed).T)
-    assert (4, 1) in raised  # the probe on w = 0 was met and singled out
+    assert (1,) in raised  # the probe on w = 0 was met and singled out
     for root, d in zip(roots, mixed):
         assert _rel_gap(root, reference.ray_root(dm, index.WORM_ANCHOR, d)) <= 1e-15
     assert roots[4][2] == pytest.approx(0.5939, abs=1e-4)

@@ -193,7 +193,8 @@ class TestRhoFamily:
         params = np.array([0.3, -0.2])
         realized = family.realize(params)
         coords = jets.coords_of_point([0.2 + 0.1j, 1.1 - 0.2j])
-        psi = sum(c * psi_fn(coords[:, None], 3).take(0).value
+        # a factor is a function of coordinate jets, as a domain's fn is
+        psi = sum(c * domains.DomainSpec(2, psi_fn).rho(coords, 3).value
                   for c, psi_fn in zip(params, family.psi_basis))
         assert realized.value(coords) == pytest.approx(
             math.exp(psi) * self.base.value(coords), rel=1e-13)
@@ -214,13 +215,13 @@ class TestRhoFamily:
     def test_check_defining_detects_sign_flip(self):
         bad = index.RhoFamily(
             self.base,
-            [lambda coords, order=3: 0.0 * jets.lift(coords, order)[0] + 1.0])
+            [lambda xs: 0.0 * xs[0] + 1.0])
 
         # negate instead of scaling: not a conformal factor
-        def flip_ev(coords, order=3):
-            return -1.0 * self.base.rho(coords, order)
+        def flip(xs):
+            return -1.0 * self.base.fn(xs)
 
-        bad.realize = lambda params: domains.DomainSpec(n=2, eval_fn=flip_ev)
+        bad.realize = lambda params: domains.DomainSpec(n=2, fn=flip)
         with pytest.raises(domains.DomainError):
             reference.check_defining(bad, [1.0],
                                      [np.array([1.0, 0.0, 1.0, 0.0])])
@@ -238,15 +239,15 @@ class TestRhoFamily:
             reference.check_defining(self.family, -c, probes)
         for psi in self.family.psi_basis:
             for coords in probes:
-                j = psi(coords[:, None], 3).take(0)
+                j = domains.DomainSpec(2, psi).rho(coords, 3)
                 assert np.isfinite(j.value) and np.all(np.isfinite(j.d3))
 
     def test_check_defining_rejects_non_finite_values(self):
         # the unblended factor is NaN past |u| = pi/(2 kappa) = 0.785
         kappa = 1.99998
 
-        def raw_log_cos(coords, order=3):
-            x1, y1, x2, y2 = jets.lift(coords, order)
+        def raw_log_cos(xs):
+            x1, y1, x2, y2 = xs
             u = jets.log(x2 * x2 + y2 * y2)
             return (1.0 / kappa) * jets.log(jets.cos(kappa * u))
 
@@ -256,6 +257,42 @@ class TestRhoFamily:
             assert math.isnan(raw.realize([1.0]).value(probe))
             with pytest.raises(domains.DomainError):
                 reference.check_defining(raw, [1.0], [probe])
+
+
+def test_realized_member_lifts_its_coordinates_once(monkeypatch):
+    # the member's fn evaluates delta and both factors on the jets that
+    # DomainSpec.rho lifts, so a member of two factors lifts once, not 3 times
+    r0 = BETA - math.pi / 2
+    looser = index._log_cos_factor((1.0 - 1e-3) * math.pi / (2.0 * r0), r0)
+    family = index.RhoFamily(domains.worm_rho(BETA, 0.0),
+                             [*index.worm_psi_basis(BETA), looser])
+    c = np.array([0.3, -0.2])
+    member = family.realize(c)
+    rng = np.random.default_rng(6)
+    us = rng.uniform(-1.5, 1.5, size=12)  # log cos, the blend and 0
+    ws = np.exp(us / 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi, us.size))
+    coords = np.array([jets.coords_of_point([rng.normal(scale=0.3), w])
+                       for w in ws]).T
+    lift = jets.lift
+    orders = []
+
+    def counted(coords, order=3):
+        orders.append(order)
+        return lift(coords, order)
+
+    for k in (1, 2, 3):
+        monkeypatch.setattr(jets, "lift", counted)
+        got = member.rho(coords, k)
+        monkeypatch.setattr(jets, "lift", lift)
+        assert orders == [k]
+        orders.clear()
+        want = index._member_jet(
+            family.base.rho(coords, k),
+            [(ci, psi(jets.lift(coords, k)))
+             for ci, psi in zip(c, family.psi_basis)])
+        for part in ("value", "d1", "d2", "d3")[:k + 1]:
+            assert np.array_equal(getattr(got, part), getattr(want, part)), \
+                (k, part)
 
 
 def ratios(samples):
@@ -280,8 +317,8 @@ def test_conformal_law_pins_sign_of_omega_shift():
     # log|w|^2, so both signs of the shift give the same |omega|^2; at real
     # w, d'(Im w)(L) = -i L_w / 2 is parallel to omega0 = i L_w / w.  Im w is
     # pluriharmonic, so a function of log|w|^2 supplies a nonzero dbar.
-    def im_w(coords, order=3):
-        return jets.lift(coords, order)[3]
+    def im_w(xs):
+        return xs[3]
 
     basis = [im_w, index.worm_psi_basis()[0]]
     family = index.RhoFamily(domains.worm_rho(BETA, 0.0), basis)
@@ -410,7 +447,7 @@ def test_log_cos_factor_batch_matches_each_point(order):
     r0 = BETA - math.pi / 2
     kappa = (1.0 - index.LOG_COS_GAP) * math.pi / (2.0 * r0)
     h = 0.5 * (0.5 * math.pi / kappa - r0)
-    fn = index._log_cos_factor(kappa, r0)
+    psi = domains.DomainSpec(2, index._log_cos_factor(kappa, r0))
     us = np.concatenate([np.linspace(-r0, r0, 9),
                          r0 + h * np.array([0.1, 0.5, 0.9, 1.5, 3.0]),
                          -r0 - h * np.array([0.2, 0.7, 1.0, 2.0]), [1.2, -2.0]])
@@ -421,9 +458,9 @@ def test_log_cos_factor_batch_matches_each_point(order):
     a = np.abs(np.log(coords[2] ** 2 + coords[3] ** 2))
     assert (a <= r0).sum() >= 9 and ((a > r0) & (a < r0 + h)).sum() >= 4
     assert (a >= r0 + h).sum() >= 5
-    batch = fn(coords, order)
+    batch = psi.rho(coords, order)
     for k in range(us.size):
-        one = fn(coords[:, k:k + 1], order).take(0)
+        one = psi.rho(coords[:, k], order)
         assert batch.value[k] == one.value
         for part in ("d1", "d2", "d3")[:order]:
             assert np.array_equal(getattr(batch, part)[..., k],
@@ -435,13 +472,13 @@ def test_log_cos_factor_is_psi_kappa_at_the_annulus_end():
     # r0 + 1.1e-16 there: the blend branch, whose step must be exactly 1
     r0 = BETA - math.pi / 2
     coords = domains.annulus_points(BETA, 33)[-1].coords[:, None]
-    x1, y1, x2, y2 = jets.lift(coords, 3)
-    u = jets.log(x2 * x2 + y2 * y2)
+    xs = jets.lift(coords, 3)
+    u = jets.log(xs[2] * xs[2] + xs[3] * xs[3])
     assert u.value[0] > r0
     kappa = (1.0 - index.LOG_COS_GAP) * math.pi / (2.0 * r0)
     want = (1.0 / kappa) * jets.log(jets.cos(kappa * u))
     [fn] = index.worm_psi_basis(BETA)
-    got = fn(coords, 3)
+    got = fn(xs)
     for part in ("value", "d1", "d2", "d3"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
@@ -604,14 +641,14 @@ def residual_worm(beta):
     leaves a rounding residual of up to 2.2e-16 at annulus points."""
     phi = domains.make_phi(beta)
 
-    def ev(coords, order=3):
-        x1, y1, x2, y2 = jets.lift(coords, order)
+    def fn(xs):
+        x1, y1, x2, y2 = xs
         u = jets.log(x2 * x2 + y2 * y2)
         dre = x1 - jets.cos(u)
         dim = y1 - jets.sin(u)
         return dre * dre + dim * dim - 1.0 + phi.jet(u)
 
-    return domains.DomainSpec(n=2, eval_fn=ev)
+    return domains.DomainSpec(n=2, fn=fn)
 
 
 def test_optimize_rho_rejects_certificate_that_loses_weak_points():
@@ -654,6 +691,15 @@ CENTRAL_BETAS = [0.6 * math.pi, 0.7 * math.pi, BETA, 0.9 * math.pi,
 @functools.lru_cache(maxsize=None)
 def central_report(beta):
     return index.worm_fiber_report(beta, 0.0)
+
+
+def test_central_fiber_pins_the_benchmark_values():
+    # the values the benchmark's central workload reads, bit for bit; a
+    # change that moves them on purpose updates this pin and says why
+    rep = central_report(BETA)
+    assert rep.df_lower == 0.6666644444296294
+    assert rep.s_upper == 2.00002000040001
+    assert rep.null_count == 33
 
 
 @pytest.mark.parametrize("beta", CENTRAL_BETAS)
@@ -700,9 +746,9 @@ def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
         return rho(spec, coords, order)
 
     def counted(i, fn):
-        def psi(coords, order=3):
-            calls.append((i, order))
-            return fn(coords, order)
+        def psi(xs):
+            calls.append((i, xs[0].order))
+            return fn(xs)
         return psi
 
     monkeypatch.setattr(domains.DomainSpec, "rho", counted_rho)

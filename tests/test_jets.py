@@ -54,6 +54,45 @@ def test_product_rule_symmetry_and_distributivity(seed):
     jets_close((a + b) + c, a + (b + c))
 
 
+def same_bits(a, b):
+    """Whether jets a and b have the same order and bit-identical parts."""
+    if a.order != b.order:
+        return False
+    parts = [(getattr(a, k), getattr(b, k)) for k in ("value", "d1", "d2", "d3")]
+    return all((x is None and y is None) or (
+        x is not None and y is not None and np.shape(x) == np.shape(y)
+        and np.asarray(x).dtype == np.asarray(y).dtype
+        and np.asarray(x).tobytes() == np.asarray(y).tobytes())
+        for x, y in parts)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_subtraction_is_one_jet_with_the_bits_of_adding_the_negation(
+        order, complex_, monkeypatch):
+    rng = np.random.default_rng(order)
+    a, b = (rand_jet(rng, order=order, complex_=complex_) for _ in range(2))
+    low, high = (rand_jet(rng, order=k, complex_=complex_) for k in (1, 3))
+    scalar = 0.5 - 1.5j if complex_ else -2.5
+    cases = [(a, b), (a, low), (low, a), (a, high), (high, a), (a, scalar),
+             (scalar, a)]
+    inits = []
+    init = jets.Jet.__init__
+
+    def counted(jet, *args):
+        inits.append(jet)
+        init(jet, *args)
+
+    for x, y in cases:
+        want = x + (-y)
+        monkeypatch.setattr(jets.Jet, "__init__", counted)
+        got = x - y
+        monkeypatch.setattr(jets.Jet, "__init__", init)
+        assert len(inits) == 1
+        inits.clear()
+        assert same_bits(got, want), (type(x), type(y))
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_reciprocal_and_division(seed):

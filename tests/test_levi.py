@@ -67,6 +67,17 @@ def test_levi_matrix_rejects_non_hermitian():
         levi.levi_batch(w)
 
 
+@pytest.mark.parametrize("entry", [1e160, math.nan])
+def test_levi_matrix_rejects_non_finite(entry):
+    # the second point's M = |g|^2 H overflows (1e160^3), or is NaN, whose
+    # Hermitian defect NaN > tol would not catch; the tests turn the
+    # overflow's RuntimeWarning into an error, so levi_batch must not warn
+    w = wirtinger_batch([[1.0, 0.5], [1.0, entry]],
+                        [np.eye(2), entry * np.eye(2)])
+    with pytest.raises(levi.LeviError, match="not finite"):
+        levi.levi_batch(w)
+
+
 def test_levi_batch_rejects_vanishing_gradient():
     w = wirtinger_batch([[1.0, 0.0], [0.0, 0.0]], [np.eye(2), np.eye(2)])
     with pytest.raises(levi.LeviError, match="vanishing"):
