@@ -26,21 +26,24 @@ rho = e^{sum c_i psi_i} delta.  On the central worm fiber, worm_psi_basis
 supplies one factor, the extremal log(cos(kappa u))/kappa with kappa a
 relative LOG_COS_GAP below its critical value.  The conformal
 transformation law (ConformalLaw) predicts every member's criterion samples
-from one order-2 jet pass per basis function.  optimize_rho evaluates
-delta's order-3 jet over the points once, which also gives the base
-criterion samples, and builds only the candidates whose predicted bound
-beats the base one: each is the jet product e^{+-psi_i} delta (_member_jet,
-the formula RhoFamily.realize evaluates too), and only the certificate that
-the full criterion pipeline gives for it is reported, after the law's
-prediction has matched it as a health check.
+from the base samples and the lower fields of each basis function's jet.
+optimize_rho evaluates delta and every basis function once, at order 3,
+over the points; delta's jet also gives the base criterion samples.  It
+builds only the candidates whose predicted bound beats the base one: each
+is the jet product e^{+-psi_i} delta (_member_jet, the formula
+RhoFamily.realize evaluates too), and only the certificate that the full
+criterion pipeline gives for it is reported, after the law's prediction has
+matched it as a health check.
 
 Domains without a known weak set, and the deformed worm fibers, take one
 sampled path instead: sampled_report runs spc_check over sampled boundary
 rays (one batched order-2 jet and Wirtinger pass over the ray roots, then
 one levi.levi_batch call for every point's smallest Levi eigenvalue, and
-one stacked eigvalsh for its psh margin) and feeds the weak points it finds
-to criterion_samples, unless a Levi gap or a plurisubharmonic defining
-function already decides the bounds (1, 1).
+one stacked eigvalsh for its psh margin) and makes one order-3 criterion
+pass over the coordinate columns of the weak points it finds, unless a Levi
+gap or a plurisubharmonic defining function already decides the bounds
+(1, 1).  Points stay coordinate columns throughout: no points are a batch
+of zero columns, which gives K = 0 samples.
 """
 
 from __future__ import annotations
@@ -253,18 +256,15 @@ def criterion_samples(domain, points):
     Strongly pseudoconvex points contribute nothing; a fully strongly
     pseudoconvex (or empty) point list yields K = 0 (vacuous criterion).
     """
-    points = list(points)
-    if not points:
-        return CriterionSamples(point=np.zeros(0, dtype=int),
-                                L=np.zeros((0, domain.n), dtype=complex),
-                                omega=np.zeros(0, dtype=complex),
-                                dbar=np.zeros(0))
-    return _jet_samples(domain.rho(_stack(points), order=3), domain.n)
+    return _jet_samples(domain.rho(_stack(points, domain.n), order=3),
+                        domain.n)
 
 
-def _stack(points):
-    """The coordinates of a non-empty point list, one point per column."""
-    return np.stack([p.coords for p in points], axis=1)
+def _stack(points, n):
+    """The coordinates (2n, B) of a list of points in C^n, one point per
+    column and C-contiguous as np.stack gives them; no points are a batch of
+    zero columns."""
+    return np.array([p.coords for p in points]).reshape(-1, 2 * n).T.copy()
 
 
 def _jet_samples(rho, n):
@@ -389,36 +389,34 @@ class ConformalLaw:
 
 def conformal_law(family, points):
     """The base criterion samples of a family and its basis columns A, H,
-    from one order-3 jet pass of delta and one order-2 jet pass per basis
-    function over all sample points."""
+    from one order-3 jet pass of delta and of each basis function over all
+    sample points."""
     return _base_law(family, points)[2]
 
 
 def _base_law(family, points):
-    """(coords, delta, law): the points' coordinates (2n, B), the order-3
-    jet of the base delta over them, and the ConformalLaw read off that
-    jet.  No points give coords and delta None and an empty law."""
-    points = list(points)
-    if points:
-        coords = _stack(points)
-        delta = family.base.rho(coords, 3)
-        samples = _jet_samples(delta, family.base.n)
-    else:
-        coords = delta = None
-        samples = criterion_samples(family.base, points)
+    """(delta, psis, law): the order-3 jets of the base delta and of every
+    basis function over the points, and the ConformalLaw read off them.
+    A and H take each factor jet's weak columns, whose gradient and mixed
+    Hessian are those of an order-2 jet."""
+    n = family.base.n
+    coords = _stack(points, n)
+    delta = family.base.rho(coords, 3)
+    samples = _jet_samples(delta, n)
+    xs = jets.lift(coords, 3)
+    psis = [psi(xs) for psi in family.psi_basis]
     A = np.zeros((family.dim, len(samples)), dtype=complex)
     H = np.zeros((family.dim, len(samples)))
-    if len(samples):
-        weak, L = jets.lift(coords[:, samples.point], 2), samples.L.T
-        for i, psi in enumerate(family.psi_basis):
-            w = jets.wirtinger(psi(weak), family.base.n)
-            A[i] = np.sum(w.grad * L, axis=0)
-            H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
-                          axis=(0, 1)).real
-    return coords, delta, ConformalLaw(samples=samples, A=A, H=H)
+    L = samples.L.T
+    for i, psi in enumerate(psis):
+        w = jets.wirtinger(psi.take(samples.point), n)
+        A[i] = np.sum(w.grad * L, axis=0)
+        H[i] = np.sum(L[:, None] * w.hess_mixed * np.conj(L)[None, :],
+                      axis=(0, 1)).real
+    return delta, psis, ConformalLaw(samples=samples, A=A, H=H)
 
 
-# failures of a candidate's jets or criterion samples; the base bound stands
+# failures of a candidate's member jet or its samples; the base bound stands
 _FAULTS = (dangelo.DAngeloError, levi.LeviError, domains.DomainError,
            FloatingPointError, OverflowError)
 _SIGNS = {"df": 1.0, "s": -1.0}
@@ -455,18 +453,17 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
     Each basis function alone is a candidate, in basis order: coefficient +1
     for the DF bound and -1 for the Steinness one.  The conformal law screens
     every candidate before it is built: one whose predicted bound does not
-    beat the base bound (S at an opening beta >= pi, for one) gets no jet and
-    no criterion pass.  The first built candidate that _certify accepts is
-    reported; if none is, the base delta's bound is.  The result does not
-    depend on ``seed``, which is only recorded.
+    beat the base bound (S at an opening beta >= pi, for one) gets no member
+    jet and no criterion pass.  The first built candidate that _certify
+    accepts is reported; if none is, the base delta's bound is.  The result
+    does not depend on ``seed``, which is only recorded.
 
-    delta's order-3 jet over the points is evaluated once and gives the
-    law's base samples.  Each psi_i's order-3 jet is evaluated at most once,
-    and only when one of its candidates passes the screen; the candidates
-    +-e_i are the jets e^{+-psi_i} delta built from the two (_member_jet),
-    so no candidate re-runs delta's jet pass.
+    The order-3 jets of delta and of each psi_i over the points are
+    evaluated once (_base_law) and give the law; the candidates +-e_i are
+    the jets e^{+-psi_i} delta built from them (_member_jet), so no
+    candidate re-runs a jet pass.
     """
-    coords, delta, law = _base_law(family, points)
+    delta, psis, law = _base_law(family, points)
     null_count = len(law.samples)
     if null_count == 0:
         zeros = np.zeros(family.dim)
@@ -480,23 +477,15 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
                    "base_s": "inf" if values["s"] == math.inf else values["s"],
                    "df_prediction_gap": 0.0, "s_prediction_gap": 0.0}
     best = {kind: np.zeros(family.dim) for kind in _SIGNS}
-    for i, fn in enumerate(family.psi_basis):
-        screened = []
+    for i, psi in enumerate(psis):
         for kind, sign in _SIGNS.items():
             if best[kind].any():
                 continue
             c = np.zeros(family.dim)
             c[i] = sign
             predicted = _BOUNDS[kind](law.predict(c))
-            if _beats(kind, predicted, values[kind]):
-                screened.append((kind, c, predicted))
-        if not screened:
-            continue
-        try:
-            psi = fn(jets.lift(coords, 3))
-        except _FAULTS:
-            continue
-        for kind, c, predicted in screened:
+            if not _beats(kind, predicted, values[kind]):
+                continue
             try:
                 samples = _jet_samples(_member_jet(delta, [(c[i], psi)]),
                                        family.base.n)
@@ -520,14 +509,15 @@ def optimize_rho(family, points, seed=0, t=0.0, beta=float("nan"),
 def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
     """Scan ``count`` sampled boundary points for Levi-null directions.
 
-    Returns (weak, min_eig, psh_margin): the sampled points with a
-    numerically null Levi eigenvalue (see levi.levi_batch), the smallest
+    Returns (weak, min_eig, psh_margin): the coordinates (2n, K) of the K
+    sampled points with a numerically null Levi eigenvalue (see
+    levi.levi_batch), one point per column in ray order, the smallest
     Levi eigenvalue over all samples, each over its Levi matrix's spectral
     scale, and the psh margin, the smallest eigenvalue of the complex
     Hessian rho_{z zbar} over its largest |eigenvalue| (0 where it vanishes).
     One boundary_scan gives the Wirtinger data of every point as one batch,
     one levi.levi_batch call their Levi eigenvalues and one stacked eigvalsh
-    the Hessian's; only the weak points become BoundaryPoint objects.
+    the Hessian's.
     """
     if domain.n < 2:
         raise domains.DomainError(
@@ -535,7 +525,7 @@ def spc_check(domain, anchor, count=SPC_SAMPLES, seed=0):
             f"it has no Levi form; the index criterion needs n >= 2")
     scan = domains.boundary_scan(domain, anchor, count, seed=seed)
     lb = levi.levi_batch(scan.wirt)
-    weak = [scan.point(b) for b in sorted(set(lb.point.tolist()))]
+    weak = scan.coords[:, np.unique(lb.point)]
     lam = np.linalg.eigvalsh(np.moveaxis(scan.wirt.hess_mixed, -1, 0))
     top = np.maximum(np.abs(lam).max(axis=1), np.finfo(float).tiny)
     return (weak, float(np.min(lb.eigenvalues[:, 0] / lb.scale)),
@@ -546,7 +536,7 @@ def sampled_report(domain, anchor, count=SPC_SAMPLES, seed=0, t=0.0,
                    beta=float("nan")):
     """Index report of a domain from ``count`` sampled boundary rays.
 
-    The weak points that spc_check finds go through criterion_samples, and
+    The weak points that spc_check finds get one order-3 criterion pass, and
     the first rule that holds decides the bounds (diagnostics "certificate"):
 
     - "levi_gap": no point is weak and every normalized Levi eigenvalue
@@ -566,7 +556,7 @@ def sampled_report(domain, anchor, count=SPC_SAMPLES, seed=0, t=0.0,
     boundary only at the ray roots.
     """
     weak, min_eig, psh_margin = spc_check(domain, anchor, count, seed)
-    samples = criterion_samples(domain, weak)
+    samples = _jet_samples(domain.rho(weak, 3), domain.n)
     spc = not samples and min_eig > SPC_THRESHOLD
     if spc or psh_margin >= -PSH_TOL:
         certificate, df, s = ("levi_gap" if spc else "psh_boundary"), 1.0, 1.0

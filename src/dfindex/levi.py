@@ -84,9 +84,10 @@ def levi_batch(w):
 
     All points share one stacked eigh.  An eigenvalue below
     NULL_TOL * scale counts as null; the null eigenvectors of a point are
-    re-orthonormalized by QR and conjugated into coefficients.  A Levi
-    matrix that is not finite (an overflow, or NaN in the data) raises
-    LeviError.
+    re-orthonormalized by QR and conjugated into coefficients.  A point
+    whose largest |d'rho| component is below the square root of the
+    smallest normal double, or a Levi matrix that is not finite (an
+    overflow, or NaN in the data), raises LeviError.
     """
     count = np.shape(w.value)[0]
     # batch axis first, each point's block contiguous as for one point alone,
@@ -95,7 +96,9 @@ def levi_batch(w):
                   for a in (w.grad, w.hess_mixed))
     n = grad.shape[1]
     mag = np.abs(grad)
-    if np.any(mag.max(axis=1) < 1e-300):
+    # below sqrt(tiny), |d'rho|^2 leaves the normal doubles and the
+    # D'Angelo forms' division by it is 0/0
+    if np.any(mag.max(axis=1) < np.sqrt(np.finfo(float).tiny)):
         raise LeviError("vanishing complex gradient")
     pivot = np.argmax(mag, axis=1)
     rows = np.arange(n - 1)

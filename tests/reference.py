@@ -141,7 +141,9 @@ def ray_direction(seed, i, nvars):
 def spc_check(domain, anchor, count, seed=0):
     """(weak, min_eig, psh_margin) as index.spc_check defines them, from
     boundary points made one at a time: ray i from ray_direction, and each
-    root's own order-2 jet and Hessian eigensolve."""
+    root's own order-2 jet and Hessian eigensolve.  weak lists the weak
+    points as BoundaryPoints, where index.spc_check gives their coordinate
+    columns."""
     directions = np.stack([ray_direction(seed, i, 2 * domain.n)
                            for i in range(count)], axis=1)
     points, margin = [], math.inf

@@ -343,6 +343,24 @@ def test_criterion_samples_empty_for_ball():
     assert len(index.criterion_samples(dm, pts)) == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: domains.worm_rho(BETA, 0.0),
+    lambda: domains.ball(2),
+    lambda: exprparse.parse_expression("abs2(z1)+abs2(z2)+abs2(z3)*abs2(z3)-1"),
+], ids=["worm", "ball", "C3 expression"])
+def test_criterion_samples_of_no_points_are_an_empty_batch(make):
+    # an empty point list is a batch of zero columns through the jet, Levi
+    # and D'Angelo steps, with no branch of its own
+    dm = make()
+    samples = index.criterion_samples(dm, [])
+    assert len(samples) == 0
+    assert samples.point.shape == (0,)
+    assert samples.L.shape == (0, dm.n)
+    assert samples.omega.shape == (0,) and samples.omega.dtype == complex
+    assert samples.dbar.shape == (0,)
+    assert index.df_bound(samples) == 1.0 and index.s_bound(samples) == 1.0
+
+
 def test_criterion_samples_on_worm_annulus():
     dm = domains.worm_rho(BETA, 0.0)
     pts = domains.annulus_points(BETA, 9)
@@ -519,13 +537,14 @@ def test_report_serialization():
 # -- optimization and the sweep -------------------------------------------------------------
 
 def test_spc_check_ball_and_deformed_worm():
+    # no weak points: a batch of zero coordinate columns
     weak, min_eig, psh = index.spc_check(domains.ball(2), np.zeros(4), 60, 1)
-    assert weak == [] and min_eig > index.SPC_THRESHOLD
+    assert weak.shape == (4, 0) and min_eig > index.SPC_THRESHOLD
     assert min_eig > 0.1
     assert psh == 1.0  # the ball's complex Hessian is the identity
     weak, min_eig, psh = index.spc_check(domains.worm_rho(BETA, 0.3),
                                          index.WORM_ANCHOR, 60, 1)
-    assert weak == [] and min_eig > index.SPC_THRESHOLD
+    assert weak.shape == (4, 0) and min_eig > index.SPC_THRESHOLD
     assert psh < -0.1  # the worm's rho is not plurisubharmonic
 
 
@@ -542,15 +561,15 @@ def test_spc_check_matches_the_per_point_scan(case):
     else:
         dm = exprparse.parse_expression(case)
         anchor, count = np.zeros(2 * dm.n), 100
+    # index returns the weak points' coordinate columns, the reference
+    # their BoundaryPoints
     weak, min_eig, psh = index.spc_check(dm, anchor, count, seed=0)
     want, want_eig, want_psh = reference.spc_check(dm, anchor, count, seed=0)
     assert min_eig == want_eig and psh == want_psh
-    assert len(weak) == len(want)
-    for p, q in zip(weak, want):
-        for a, b in ((p.coords, q.coords), (p.z, q.z),
-                     (p.wirt.value, q.wirt.value), (p.wirt.grad, q.wirt.grad),
-                     (p.wirt.hess_mixed, q.wirt.hess_mixed)):
-            assert np.array_equal(a, b)
+    assert weak.shape == (2 * dm.n, len(want))
+    if want:
+        want = np.stack([p.coords for p in want], axis=1)
+        assert weak.tobytes() == want.tobytes()
 
 
 def test_egg_is_levi_null_on_its_weak_set():
@@ -732,8 +751,8 @@ def test_optimize_rho_keeps_the_report_of_no_points():
 
 
 def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
-    # delta's order-3 jet once for the law and every candidate, and the
-    # factor's once for both of its candidates +-e_1
+    # delta's order-3 jet and the factor's, once each, for the law and both
+    # candidates +-e_1: the law reads the factor jet's lower fields
     beta = 1.6
     family = index.RhoFamily(domains.worm_rho(beta, 0.0),
                              index.worm_psi_basis(beta))
@@ -756,8 +775,7 @@ def test_optimize_rho_evaluates_each_jet_once(monkeypatch):
     rep = index.optimize_rho(family, pts, beta=beta)
     assert rep.best_params["df"].tolist() == [1.0]
     assert rep.best_params["s"].tolist() == [-1.0]
-    order3 = [name for name, order in calls if order == 3]
-    assert order3 == ["delta", 0]
+    assert calls == [("delta", 3), (0, 3)]
 
 
 @pytest.mark.parametrize("beta", [1.2 * math.pi, 30.0])
